@@ -116,7 +116,7 @@ pub struct CollectionSpec<E> {
     pub name: String,
     /// Index-kind choice: fixed or planner-driven.
     pub kind: KindSpec,
-    /// Shard count for the backend (1 = monolithic).
+    /// Shard count for the backend.
     pub shards: usize,
     /// Seed for every draw stream the backend derives.
     pub seed: u64,

@@ -1,10 +1,10 @@
 //! # irs-client — the unified fallible query facade
 //!
-//! One entry point over every IRS backend in the workspace: build a
-//! [`Client`] with [`Irs::builder`], and the same typed, panic-free API
-//! serves a monolithic single-threaded index (`shards(1)`, the default)
-//! or the sharded [`irs_engine::Engine`] (`shards(k)` for `k > 1`) —
-//! the backend choice is a construction knob, not an API fork.
+//! One entry point over every IRS structure in the workspace: build a
+//! [`Client`] with [`Irs::builder`], and one typed, panic-free API
+//! serves it through an [`irs_engine::Engine`] of `shards(k)` shards
+//! (one by default). There is one path from a `Client` to an index at
+//! every shard count; `shards` is a construction knob, not an API fork.
 //!
 //! ```
 //! use irs_client::Irs;
@@ -46,13 +46,12 @@
 //!   [`QueryError::UnsupportedOperation`] / [`QueryError::NotWeighted`].
 //! - **The backend is distribution-transparent**: sampling through a
 //!   `Client` follows exactly the distribution of the underlying
-//!   structure, monolithic or sharded (the engine's multinomial
-//!   allocation argument; chi-square suites pin both paths).
+//!   structure at every shard count (the engine's multinomial
+//!   allocation argument; chi-square suites pin one shard and many).
 //! - **The handle is shared-by-clone.** `Client` is `Clone + Send +
 //!   Sync`; clones address the same index. Query methods take `&self`
-//!   and run concurrently from any number of threads (shared read
-//!   locks on the monolithic backend, the engine's concurrent read
-//!   path on the sharded one).
+//!   and run concurrently from any number of threads (the engine's
+//!   shared-read-lock path).
 //! - **Mutation is first-class, and writer-gated.** On update-capable
 //!   kinds ([`IndexKind::Ait`], [`IndexKind::AwitDynamic`]) the client
 //!   ingests while it serves — [`Client::insert`],
@@ -64,12 +63,12 @@
 //!   ([`ClientWriter`]) — mutations from different clones serialize
 //!   there, and a query never observes a torn *shard*: each shard's
 //!   slice of a mutation batch applies atomically under that shard's
-//!   write lock (on the monolithic backend the whole batch is one
-//!   such slice; on the sharded backend a concurrent query may see a
-//!   multi-shard batch land shard by shard). Failures
-//!   are the typed [`irs_core::UpdateError`] taxonomy, and inserted
-//!   ids are stable: the id an insert returns is the id queries report
-//!   and the id a later [`Client::remove`] takes, on both backends.
+//!   write lock (with one shard the whole batch is one such slice;
+//!   with more, a concurrent query may see a batch land shard by
+//!   shard). Failures are the typed [`irs_core::UpdateError`]
+//!   taxonomy, and inserted ids are stable: the id an insert returns
+//!   is the id queries report and the id a later [`Client::remove`]
+//!   takes, at every shard count.
 
 #![deny(missing_docs)]
 
@@ -77,17 +76,14 @@ mod stream;
 
 pub use stream::SampleStream;
 
-use irs_core::persist::{PersistError, Reader};
+use irs_core::persist::PersistError;
 use irs_core::wal::{self, ReplicationError, WalReplay, WalWriter};
 use irs_core::{
-    splitmix64 as mix, validate_update_weight, validate_weights, BuildError, Capabilities,
-    GridEndpoint, Interval, ItemId, Mutation, Operation, QueryError, UpdateError, UpdateOutput,
+    BuildError, Capabilities, GridEndpoint, Interval, ItemId, Mutation, Operation, QueryError,
+    UpdateError, UpdateOutput,
 };
-use irs_engine::{persist, DynIndex, Engine, EngineConfig, IndexKind, Query, QueryOutput};
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use irs_engine::{Engine, EngineConfig, IndexKind, Query, QueryOutput};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Namespace for the facade's entry point: [`Irs::builder`].
 pub struct Irs;
@@ -107,8 +103,7 @@ impl Irs {
 
 /// Configures and builds a [`Client`].
 ///
-/// Defaults: [`IndexKind::Ait`], one shard (monolithic backend), no
-/// weights, a fixed seed.
+/// Defaults: [`IndexKind::Ait`], one shard, no weights, a fixed seed.
 #[derive(Clone, Debug)]
 pub struct IrsBuilder {
     kind: IndexKind,
@@ -124,9 +119,7 @@ impl IrsBuilder {
         self
     }
 
-    /// Selects the backend: `1` (the default, clamped to ≥ 1) serves
-    /// queries from one in-process index; `k > 1` builds the sharded
-    /// [`Engine`] with `k` shards.
+    /// Sets the [`Engine`]'s shard count (default 1, clamped to ≥ 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -154,36 +147,14 @@ impl IrsBuilder {
     /// is a [`BuildError`] naming the offending index — bad weights
     /// never reach alias tables or cumulative arrays.
     pub fn build<E: GridEndpoint>(self, data: &[Interval<E>]) -> Result<Client<E>, BuildError> {
-        if let Some(w) = &self.weights {
-            validate_weights(data.len(), w)?;
-        }
-        let weighted = self.weights.is_some();
-        let backend = if self.shards > 1 {
-            let config = EngineConfig::new(self.kind)
-                .shards(self.shards)
-                .seed(self.seed);
-            let engine = match &self.weights {
-                Some(w) => Engine::try_new_weighted(data, w, config)?,
-                None => Engine::try_new(data, config)?,
-            };
-            Backend::Sharded(engine)
-        } else {
-            Backend::Mono {
-                index: RwLock::new(self.kind.build_index(data, self.weights.as_deref())),
-                batch_counter: AtomicU64::new(0),
-            }
+        let config = EngineConfig::new(self.kind)
+            .shards(self.shards)
+            .seed(self.seed);
+        let engine = match &self.weights {
+            Some(w) => Engine::try_new_weighted(data, w, config)?,
+            None => Engine::try_new(data, config)?,
         };
-        Ok(Client {
-            shared: Arc::new(ClientShared {
-                backend,
-                kind: self.kind,
-                weighted,
-                len: AtomicUsize::new(data.len()),
-                seed: self.seed,
-                stream_counter: AtomicU64::new(0),
-                writer: Mutex::new(()),
-            }),
-        })
+        Ok(Client::over(engine))
     }
 }
 
@@ -200,55 +171,28 @@ pub struct ClientStats {
     pub kind: IndexKind,
     /// [`irs_core::Codec::type_name`] of the endpoint scalar.
     pub endpoint: &'static str,
-    /// Number of shards behind the facade (1 = monolithic backend).
+    /// Number of shards behind the facade.
     pub shards: usize,
     /// Live intervals indexed.
     pub len: usize,
-    /// Live intervals per shard (`vec![len]` on the monolithic backend).
+    /// Live intervals per shard.
     pub shard_lens: Vec<usize>,
     /// Whether per-interval weights were supplied at build time.
     pub weighted: bool,
 }
 
-/// Salts the monolithic backend's per-batch draw streams apart from
-/// the seed itself and from the stream-counter derivation.
-const MONO_BATCH_SALT: u64 = 0x10_0717_BA7C;
-
-/// Where a [`Client`] sends its queries.
-enum Backend<E> {
-    /// One in-process index behind the object-safe [`DynIndex`] facade;
-    /// ids it reports are already dataset-global. Queries hold the read
-    /// side of the lock, the writer seat takes the write side. Each
-    /// unseeded sampling batch derives its own draw stream from the
-    /// counter (exactly like the engine), so concurrent callers never
-    /// serialize on a shared RNG.
-    Mono {
-        index: RwLock<Box<dyn DynIndex<E>>>,
-        batch_counter: AtomicU64,
-    },
-    /// The sharded engine (itself a shared, clonable service).
-    Sharded(Engine<E>),
-}
-
 /// The state every clone of a [`Client`] shares.
 struct ClientShared<E> {
-    backend: Backend<E>,
-    kind: IndexKind,
-    weighted: bool,
-    /// Live intervals; atomic so `len()` never takes the writer lock.
-    len: AtomicUsize,
-    seed: u64,
-    /// Decorrelates the draw streams of successive [`SampleStream`]s
-    /// on the monolithic backend.
-    stream_counter: AtomicU64,
+    /// The one path to the index (itself a shared, clonable service).
+    engine: Engine<E>,
     /// The single writer seat: mutations from every clone serialize
     /// here (see [`Client::writer`]).
     writer: Mutex<()>,
 }
 
 /// A handle serving one-shot queries, batches, sample streams, and —
-/// on update-capable kinds — live mutations over either backend. Build
-/// one with [`Irs::builder`].
+/// on update-capable kinds — live mutations. Build one with
+/// [`Irs::builder`].
 ///
 /// The handle is cheap to clone (`Arc` under the hood) and
 /// `Send + Sync`: clones address the same index, and query methods
@@ -258,8 +202,7 @@ struct ClientShared<E> {
 /// ([`Client::writer`]), so two clones can never interleave mutation
 /// batches, and a query never observes a torn shard — each shard's
 /// slice of a mutation batch applies atomically under the shard's
-/// write lock (the whole batch, on the monolithic backend; per shard,
-/// on the sharded one, where a concurrent query may observe the
+/// write lock (with several shards a concurrent query may observe the
 /// sub-batches land shard by shard).
 pub struct Client<E> {
     shared: Arc<ClientShared<E>>,
@@ -276,30 +219,42 @@ impl<E> Clone for Client<E> {
 }
 
 impl<E: GridEndpoint> Client<E> {
+    /// A client over an already-running engine.
+    fn over(engine: Engine<E>) -> Self {
+        Client {
+            shared: Arc::new(ClientShared {
+                engine,
+                writer: Mutex::new(()),
+            }),
+        }
+    }
+
+    /// The engine every method below delegates to.
+    pub(crate) fn engine(&self) -> &Engine<E> {
+        &self.shared.engine
+    }
+
     /// The configured index kind.
     pub fn kind(&self) -> IndexKind {
-        self.shared.kind
+        self.engine().kind()
     }
 
     /// What this client supports, as queryable metadata. Operations
     /// denied here fail with a typed [`QueryError`]; operations claimed
     /// here succeed.
     pub fn capabilities(&self) -> Capabilities {
-        self.shared.kind.capabilities(self.shared.weighted)
+        self.engine().capabilities()
     }
 
-    /// Number of shards behind the facade (1 = monolithic backend).
+    /// Number of shards behind the facade.
     pub fn shard_count(&self) -> usize {
-        match &self.shared.backend {
-            Backend::Mono { .. } => 1,
-            Backend::Sharded(engine) => engine.shard_count(),
-        }
+        self.engine().shard_count()
     }
 
     /// Live intervals indexed (build-time data plus inserts minus
     /// removes).
     pub fn len(&self) -> usize {
-        self.shared.len.load(Ordering::SeqCst)
+        self.engine().len()
     }
 
     /// Whether the client holds zero intervals.
@@ -309,38 +264,29 @@ impl<E: GridEndpoint> Client<E> {
 
     /// Whether per-interval weights were supplied at build time.
     pub fn is_weighted(&self) -> bool {
-        self.shared.weighted
+        self.engine().is_weighted()
     }
 
     /// Estimated bytes of heap memory the backend's indexes retain
-    /// (the engine's per-shard sum, or the monolithic index under a
-    /// brief read lock). The figure the catalog's memory budget
-    /// accounts per collection.
+    /// (the engine's per-shard sum, each shard under a brief read
+    /// lock). The figure the catalog's memory budget accounts per
+    /// collection.
     pub fn heap_bytes(&self) -> usize {
-        match &self.shared.backend {
-            Backend::Mono { index, .. } => {
-                index.read().unwrap_or_else(|e| e.into_inner()).heap_bytes()
-            }
-            Backend::Sharded(engine) => engine.heap_bytes(),
-        }
+        self.engine().heap_bytes()
     }
 
     /// A point-in-time description of the backend — kind, endpoint
     /// type, shard layout, live lengths — for health/stats surfaces.
-    /// Never blocks on the writer seat (all fields are lock-free reads
-    /// or per-shard length snapshots).
+    /// Never blocks behind a mutation: every field is a lock-free read.
     pub fn stats(&self) -> ClientStats {
-        let len = self.len();
+        let engine = self.engine();
         ClientStats {
-            kind: self.shared.kind,
+            kind: engine.kind(),
             endpoint: E::type_name(),
-            shards: self.shard_count(),
-            len,
-            shard_lens: match &self.shared.backend {
-                Backend::Mono { .. } => vec![len],
-                Backend::Sharded(engine) => engine.shard_lens(),
-            },
-            weighted: self.shared.weighted,
+            shards: engine.shard_count(),
+            len: engine.len(),
+            shard_lens: engine.shard_lens(),
+            weighted: engine.is_weighted(),
         }
     }
 
@@ -352,99 +298,47 @@ impl<E: GridEndpoint> Client<E> {
     /// independent across calls; use [`Client::run_seeded`] to pin the
     /// stream. Safe to call concurrently from any number of clones.
     pub fn run(&self, queries: &[Query<E>]) -> Vec<Result<QueryOutput, QueryError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        match &self.shared.backend {
-            Backend::Sharded(engine) => engine.run(queries),
-            Backend::Mono {
-                index,
-                batch_counter,
-            } => {
-                let Ok(guard) = index.read() else {
-                    // Poisoned: a mutation panicked midway, the index
-                    // may be torn — same verdict as a dead shard.
-                    return vec![Err(QueryError::ShardFailed { shard: 0 }); queries.len()];
-                };
-                // Per-batch derived draw stream (sampling batches only
-                // advance the counter): concurrent callers never share
-                // — or serialize on — RNG state.
-                let mut rng = if queries.iter().any(Query::is_sampling) {
-                    let batch = batch_counter.fetch_add(1, Ordering::Relaxed);
-                    SmallRng::seed_from_u64(
-                        (self.shared.seed ^ MONO_BATCH_SALT).wrapping_add(mix(batch)),
-                    )
-                } else {
-                    SmallRng::seed_from_u64(0) // never drawn from
-                };
-                self.run_mono(&**guard, queries, &mut rng)
-            }
-        }
+        self.engine().run(queries)
     }
 
     /// [`Client::run`] with an explicit seed: identical seed, batch,
     /// and client config reproduce identical results — regardless of
     /// what other threads are doing to the same backend's *query* side
     /// (concurrent mutations, of course, change the data being
-    /// sampled).
+    /// sampled). The draw streams are the engine's, at every shard
+    /// count (see `DESIGN.md`, "Determinism").
     pub fn run_seeded(
         &self,
         queries: &[Query<E>],
         seed: u64,
     ) -> Vec<Result<QueryOutput, QueryError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        match &self.shared.backend {
-            Backend::Sharded(engine) => engine.run_seeded(queries, seed),
-            Backend::Mono { index, .. } => {
-                let Ok(guard) = index.read() else {
-                    return vec![Err(QueryError::ShardFailed { shard: 0 }); queries.len()];
-                };
-                self.run_mono(&**guard, queries, &mut SmallRng::seed_from_u64(seed))
-            }
-        }
+        self.engine().run_seeded(queries, seed)
     }
 
     /// Convenience: exact `|q ∩ X|`.
     pub fn count(&self, q: Interval<E>) -> Result<usize, QueryError> {
-        match self.run(&[Query::Count { q }]).swap_remove(0)? {
-            QueryOutput::Count(n) => Ok(n),
-            _ => Err(protocol_error(Operation::Count)),
-        }
+        self.engine().count(q)
     }
 
     /// Convenience: ids of all intervals overlapping `q`.
     pub fn search(&self, q: Interval<E>) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Search { q }]).swap_remove(0)? {
-            QueryOutput::Ids(ids) => Ok(ids),
-            _ => Err(protocol_error(Operation::Search)),
-        }
+        self.engine().search(q)
     }
 
     /// Convenience: ids of all intervals containing `p`.
     pub fn stab(&self, p: E) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Stab { p }]).swap_remove(0)? {
-            QueryOutput::Ids(ids) => Ok(ids),
-            _ => Err(protocol_error(Operation::Stab)),
-        }
+        self.engine().stab(p)
     }
 
     /// Convenience: `s` uniform samples from `q ∩ X` (empty if the
     /// result set is empty — that is not an error).
     pub fn sample(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Sample { q, s }]).swap_remove(0)? {
-            QueryOutput::Samples(ids) => Ok(ids),
-            _ => Err(protocol_error(Operation::UniformSample)),
-        }
+        self.engine().sample(q, s)
     }
 
     /// Convenience: `s` weight-proportional samples from `q ∩ X`.
     pub fn sample_weighted(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::SampleWeighted { q, s }]).swap_remove(0)? {
-            QueryOutput::Samples(ids) => Ok(ids),
-            _ => Err(protocol_error(Operation::WeightedSample)),
-        }
+        self.engine().sample_weighted(q, s)
     }
 
     /// Claims the backend's single writer seat, blocking until any
@@ -468,21 +362,21 @@ impl<E: GridEndpoint> Client<E> {
     /// ```
     pub fn writer(&self) -> ClientWriter<'_, E> {
         ClientWriter {
-            client: self,
+            engine: self.engine(),
             _seat: self.shared.writer.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
 
     /// Applies a batch of typed [`Mutation`]s: one `Result` per
-    /// mutation, in order, identically over both backends. Equivalent
-    /// to [`ClientWriter::apply`] on a freshly claimed writer seat.
+    /// mutation, in order. Equivalent to [`ClientWriter::apply`] on a
+    /// freshly claimed writer seat.
     ///
     /// Capability-gated up front: on a kind whose
     /// [`Client::capabilities`] report `update == false`, every
     /// mutation fails with the typed [`UpdateError::UnsupportedKind`]
-    /// and nothing is touched. On the sharded backend, inserts route to
-    /// the least-loaded shard and removes to the shard that owns the
-    /// id; ids stay stable either way (see [`Client::insert`]).
+    /// and nothing is touched. Inserts route to the least-loaded shard
+    /// and removes to the shard that owns the id; ids stay stable
+    /// either way (see [`Client::insert`]).
     pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
         self.writer().apply(muts)
     }
@@ -492,9 +386,9 @@ impl<E: GridEndpoint> Client<E> {
     ///
     /// The interval is sampleable and searchable as soon as this
     /// returns, and the id remains valid — referring to this interval
-    /// in query results and [`Client::remove`] — until removed, on both
-    /// the monolithic and the sharded backend. On a weighted
-    /// update-capable backend the interval joins with weight `1.0`.
+    /// in query results and [`Client::remove`] — until removed, at
+    /// every shard count. On a weighted update-capable backend the
+    /// interval joins with weight `1.0`.
     pub fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
         self.writer().insert(iv)
     }
@@ -522,10 +416,9 @@ impl<E: GridEndpoint> Client<E> {
     /// Table VII measures against one-by-one insertion. Returns the new
     /// stable ids in input order.
     ///
-    /// All-or-nothing on both backends: if any insert fails, the
-    /// inserts that did land are rolled back (best effort) and the
-    /// first error is returned, so an `Err` never strands intervals
-    /// the caller has no ids for.
+    /// All-or-nothing: if any insert fails, the inserts that did land
+    /// are rolled back (best effort) and the first error is returned,
+    /// so an `Err` never strands intervals the caller has no ids for.
     pub fn extend_batch(&mut self, ivs: &[Interval<E>]) -> Result<Vec<ItemId>, UpdateError> {
         self.writer().extend_batch(ivs)
     }
@@ -553,121 +446,33 @@ impl<E: GridEndpoint> Client<E> {
 
     fn stream(&self, q: Interval<E>, op: Operation) -> Result<SampleStream<'_, E>, QueryError> {
         if !self.capabilities().supports(op) {
-            return Err(self.shared.kind.unsupported_error(self.shared.weighted, op));
+            return Err(self.kind().unsupported_error(self.is_weighted(), op));
         }
-        let counter = self.shared.stream_counter.fetch_add(1, Ordering::Relaxed);
-        let rng_seed = self.shared.seed ^ mix(counter + 1);
-        Ok(stream::new_stream(self, q, op, rng_seed))
+        Ok(stream::new_stream(self, q, op))
     }
 
     /// Saves the client's prepared backend to `dir` (created if
-    /// absent), in the same directory layout [`Engine::save`] writes —
-    /// a snapshot saved through either handle loads through the other.
+    /// absent) — this is [`Engine::save`], so a snapshot saved through
+    /// either handle loads through the other.
     ///
-    /// The snapshot is consistent: the writer seat is held for the
-    /// duration (mutations wait; queries keep running), and a loaded
-    /// copy is byte-equivalent — [`Client::run_seeded`] replays
-    /// identically and ids issued before the save stay valid after the
-    /// load. See `DESIGN.md`, "On-disk snapshot format".
+    /// The snapshot is consistent: mutations wait for the duration
+    /// (queries keep running), and a loaded copy is byte-equivalent —
+    /// [`Client::run_seeded`] replays identically and ids issued before
+    /// the save stay valid after the load. See `DESIGN.md`, "On-disk
+    /// snapshot format".
     pub fn save(&self, dir: impl AsRef<std::path::Path>) -> Result<(), PersistError> {
-        let shared = &*self.shared;
-        match &shared.backend {
-            Backend::Sharded(engine) => {
-                engine.save_with_stream_counter(dir, shared.stream_counter.load(Ordering::SeqCst))
-            }
-            Backend::Mono {
-                index,
-                batch_counter,
-            } => {
-                let dir = dir.as_ref();
-                let _seat = shared.writer.lock().unwrap_or_else(|e| e.into_inner());
-                std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, &e))?;
-                let guard = index.read().map_err(|_| PersistError::Unsupported {
-                    reason: "the index lock is poisoned; its state cannot be trusted on disk",
-                })?;
-                let len = shared.len.load(Ordering::SeqCst);
-                let manifest = persist::Manifest {
-                    snapshot_id: persist::fresh_snapshot_id(),
-                    kind: shared.kind.name().to_string(),
-                    endpoint: E::type_name().to_string(),
-                    weighted: shared.weighted,
-                    shards: 1,
-                    seed: shared.seed,
-                    batch_counter: batch_counter.load(Ordering::SeqCst),
-                    stream_counter: shared.stream_counter.load(Ordering::SeqCst),
-                    len,
-                    shard_lens: vec![len],
-                };
-                let mut payload = Vec::new();
-                guard.encode_snapshot(&mut payload)?;
-                drop(guard);
-                let header = persist::ShardHeader {
-                    snapshot_id: manifest.snapshot_id,
-                    kind: manifest.kind.clone(),
-                    endpoint: manifest.endpoint.clone(),
-                    shard: 0,
-                    shards: 1,
-                    weighted: manifest.weighted,
-                };
-                // Shard file first, manifest last (both atomic): an
-                // interrupted save is detected at load by the snapshot
-                // id instead of silently mixing two states.
-                persist::write_shard_file(dir, &header, &payload)?;
-                persist::write_manifest(dir, &manifest)
-            }
-        }
+        self.engine().save(dir)
     }
 
     /// Loads a client from a snapshot directory written by
-    /// [`Client::save`] or [`Engine::save`]. The backend is chosen by
-    /// the manifest: one shard restores the monolithic in-process
-    /// index, more restore the sharded engine — exactly as
-    /// [`IrsBuilder::shards`] would have chosen at build time.
+    /// [`Client::save`] or [`Engine::save`] — this is [`Engine::load`]
+    /// at every shard count; the manifest names the count.
     ///
     /// All validation is typed ([`PersistError`]): magic, format
     /// version, per-section CRCs, manifest/shard cross-checks, and each
     /// structure's decode invariants. Nothing on the load path panics.
     pub fn load(dir: impl AsRef<std::path::Path>) -> Result<Self, PersistError> {
-        let dir = dir.as_ref();
-        let manifest = persist::read_manifest(dir)?;
-        let kind = IndexKind::parse(&manifest.kind).ok_or_else(|| PersistError::UnknownKind {
-            name: manifest.kind.clone(),
-        })?;
-        if manifest.endpoint != E::type_name() {
-            return Err(PersistError::EndpointMismatch {
-                stored: manifest.endpoint.clone(),
-                expected: E::type_name(),
-            });
-        }
-        let backend = if manifest.shards > 1 {
-            Backend::Sharded(Engine::load(dir)?)
-        } else {
-            let shard = persist::read_shard_payload(dir, &manifest, 0)?;
-            let mut r = Reader::new(shard.payload());
-            let index = kind.decode_index::<E>(&mut r, manifest.weighted)?;
-            if !r.is_empty() {
-                return Err(PersistError::Corrupt {
-                    what: "index section has trailing bytes",
-                });
-            }
-            Backend::Mono {
-                index: RwLock::new(index),
-                batch_counter: AtomicU64::new(manifest.batch_counter),
-            }
-        };
-        Ok(Client {
-            shared: Arc::new(ClientShared {
-                backend,
-                kind,
-                weighted: manifest.weighted,
-                len: AtomicUsize::new(manifest.len),
-                seed: manifest.seed,
-                // Restored so post-restart streams derive fresh draw
-                // seeds instead of replaying pre-save streams.
-                stream_counter: AtomicU64::new(manifest.stream_counter),
-                writer: Mutex::new(()),
-            }),
-        })
+        Engine::load(dir).map(Client::over)
     }
 
     /// Restores a client to an exact write-ahead-log position: loads
@@ -679,11 +484,11 @@ impl<E: GridEndpoint> Client<E> {
     /// walk over a shorter log prefix.
     ///
     /// Returns the recovered client, the log writer positioned to
-    /// append (hand it to `irs_server::serve_primary` to resume the
-    /// writer seat), and the replay itself — inspect
-    /// [`WalReplay::stopped`] to learn whether (and exactly how) the
-    /// log's tail was damaged. Replay is deterministic: a batch that
-    /// failed when first acked fails identically here.
+    /// append (hand it to `irs_server::serve` to resume the writer
+    /// seat), and the replay itself — inspect [`WalReplay::stopped`] to
+    /// learn whether (and exactly how) the log's tail was damaged.
+    /// Replay is deterministic: a batch that failed when first acked
+    /// fails identically here.
     pub fn recover(
         snapshot_dir: impl AsRef<std::path::Path>,
         wal_path: impl AsRef<std::path::Path>,
@@ -701,254 +506,43 @@ impl<E: GridEndpoint> Client<E> {
         }
         Ok((client, wal, replay))
     }
-
-    /// The backend, for the stream module.
-    pub(crate) fn backend(&self) -> &Backend<E> {
-        &self.shared.backend
-    }
-
-    /// Runs a whole batch against the monolithic index. Ids the index
-    /// reports are global already (it spans the full dataset).
-    fn run_mono(
-        &self,
-        index: &dyn DynIndex<E>,
-        queries: &[Query<E>],
-        rng: &mut SmallRng,
-    ) -> Vec<Result<QueryOutput, QueryError>> {
-        let caps = self.capabilities();
-        queries
-            .iter()
-            .map(|query| {
-                let op = query.operation();
-                if !caps.supports(op) {
-                    return Err(self.shared.kind.unsupported_error(self.shared.weighted, op));
-                }
-                match *query {
-                    Query::Count { q } => Ok(QueryOutput::Count(index.count(q))),
-                    Query::Search { q } => {
-                        let mut ids = Vec::new();
-                        index.search_into(q, &mut ids);
-                        Ok(QueryOutput::Ids(ids))
-                    }
-                    Query::Stab { p } => {
-                        let mut ids = Vec::new();
-                        index.stab_into(p, &mut ids);
-                        Ok(QueryOutput::Ids(ids))
-                    }
-                    Query::Sample { q, s } => {
-                        // `prepare` returning `None` despite a positive
-                        // capability claim would be an index bug; map it
-                        // to the typed error rather than panicking.
-                        let handle = index.prepare(q).ok_or_else(|| {
-                            self.shared.kind.unsupported_error(self.shared.weighted, op)
-                        })?;
-                        let mut out = Vec::with_capacity(s);
-                        handle.sample_into_dyn(rng as &mut dyn RngCore, s, &mut out);
-                        Ok(QueryOutput::Samples(out))
-                    }
-                    Query::SampleWeighted { q, s } => {
-                        let handle = index.prepare_weighted(q).ok_or_else(|| {
-                            self.shared.kind.unsupported_error(self.shared.weighted, op)
-                        })?;
-                        let mut out = Vec::with_capacity(s);
-                        handle.sample_into_dyn(rng as &mut dyn RngCore, s, &mut out);
-                        Ok(QueryOutput::Samples(out))
-                    }
-                }
-            })
-            .collect()
-    }
 }
 
 /// The backend's single writer seat, claimed with [`Client::writer`].
 ///
 /// Holding a `ClientWriter` excludes every other mutation — from this
 /// clone or any other — for as long as it lives; queries keep running
-/// concurrently and see each mutation batch atomically. Drop the guard
-/// (or let it go out of scope) to release the seat.
+/// concurrently and see each shard's slice of a mutation batch
+/// atomically. Drop the guard (or let it go out of scope) to release
+/// the seat.
 pub struct ClientWriter<'a, E> {
-    client: &'a Client<E>,
+    engine: &'a Engine<E>,
     _seat: MutexGuard<'a, ()>,
 }
 
 impl<E: GridEndpoint> ClientWriter<'_, E> {
     /// See [`Client::apply`].
     pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
-        let shared = &*self.client.shared;
-        match &shared.backend {
-            Backend::Sharded(engine) => {
-                let out = engine.apply(muts);
-                shared.len.store(engine.len(), Ordering::SeqCst);
-                out
-            }
-            Backend::Mono { index, .. } => {
-                let out = with_mono_write(index, |idx| {
-                    muts.iter()
-                        .map(|&m| apply_mono(shared.kind, shared.weighted, idx, m, false))
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_else(|| vec![Err(UpdateError::ShardFailed { shard: 0 }); muts.len()]);
-                shared.len.store(
-                    bookkept_len(shared.len.load(Ordering::SeqCst), &out),
-                    Ordering::SeqCst,
-                );
-                out
-            }
-        }
+        self.engine.apply(muts)
     }
 
     /// See [`Client::insert`].
     pub fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        match self.apply(&[Mutation::Insert { iv }]).swap_remove(0)? {
-            UpdateOutput::Inserted(id) => Ok(id),
-            UpdateOutput::Removed => Err(self.mutation_protocol_error()),
-        }
+        self.engine.insert(iv)
     }
 
     /// See [`Client::insert_weighted`].
     pub fn insert_weighted(&mut self, iv: Interval<E>, weight: f64) -> Result<ItemId, UpdateError> {
-        let muts = [Mutation::InsertWeighted { iv, weight }];
-        match self.apply(&muts).swap_remove(0)? {
-            UpdateOutput::Inserted(id) => Ok(id),
-            UpdateOutput::Removed => Err(self.mutation_protocol_error()),
-        }
+        self.engine.insert_weighted(iv, weight)
     }
 
     /// See [`Client::remove`].
     pub fn remove(&mut self, id: ItemId) -> Result<(), UpdateError> {
-        self.apply(&[Mutation::Delete { id }])
-            .swap_remove(0)
-            .map(|_| ())
+        self.engine.remove(id)
     }
 
     /// See [`Client::extend_batch`].
     pub fn extend_batch(&mut self, ivs: &[Interval<E>]) -> Result<Vec<ItemId>, UpdateError> {
-        let shared = &*self.client.shared;
-        match &shared.backend {
-            Backend::Sharded(engine) => {
-                let out = engine.extend_batch(ivs);
-                shared.len.store(engine.len(), Ordering::SeqCst);
-                out
-            }
-            Backend::Mono { index, .. } => {
-                let (kind, weighted) = (shared.kind, shared.weighted);
-                let mut delta: isize = 0;
-                let result = with_mono_write(index, |idx| {
-                    let mut ids = Vec::with_capacity(ivs.len());
-                    let mut first_err = None;
-                    for &iv in ivs {
-                        match apply_mono(kind, weighted, idx, Mutation::Insert { iv }, true) {
-                            Ok(UpdateOutput::Inserted(id)) => {
-                                ids.push(id);
-                                delta += 1;
-                            }
-                            Ok(UpdateOutput::Removed) => {
-                                first_err = Some(UpdateError::UnsupportedKind {
-                                    kind: kind.name(),
-                                    reason:
-                                        "client protocol error: mismatched update output variant",
-                                });
-                                break;
-                            }
-                            Err(e) => {
-                                first_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    match first_err {
-                        None => Ok(ids),
-                        Some(e) => {
-                            // Roll the applied prefix back so an `Err`
-                            // leaves the dataset unchanged.
-                            for id in ids {
-                                let rollback = Mutation::Delete { id };
-                                if apply_mono(kind, weighted, idx, rollback, false).is_ok() {
-                                    delta -= 1;
-                                }
-                            }
-                            Err(e)
-                        }
-                    }
-                })
-                .unwrap_or(Err(UpdateError::ShardFailed { shard: 0 }));
-                let len = shared.len.load(Ordering::SeqCst);
-                shared
-                    .len
-                    .store(len.saturating_add_signed(delta), Ordering::SeqCst);
-                result
-            }
-        }
+        self.engine.extend_batch(ivs)
     }
-
-    /// A mismatched update output can only mean a facade bug; report it
-    /// as a typed error rather than panicking the caller.
-    fn mutation_protocol_error(&self) -> UpdateError {
-        UpdateError::UnsupportedKind {
-            kind: self.client.shared.kind.name(),
-            reason: "client protocol error: mismatched update output variant",
-        }
-    }
-}
-
-/// Runs `f` under the monolithic index's write lock; `None` if the lock
-/// is poisoned (a previous mutation panicked midway — the index may be
-/// torn, so refusing beats corrupting further).
-fn with_mono_write<E, T>(
-    index: &RwLock<Box<dyn DynIndex<E>>>,
-    f: impl FnOnce(&mut dyn DynIndex<E>) -> T,
-) -> Option<T> {
-    let mut guard = index.write().ok()?;
-    Some(f(guard.as_mut()))
-}
-
-/// A mismatched output variant can only mean a facade bug; report it as
-/// a typed error rather than panicking the caller.
-fn protocol_error(op: Operation) -> QueryError {
-    QueryError::UnsupportedOperation {
-        op,
-        reason: "client protocol error: mismatched output variant",
-    }
-}
-
-/// Applies one mutation to the monolithic backend: the same capability
-/// gate and weight validation the engine performs before routing, then
-/// the index's own mutable surface. Ids the index issues are already
-/// dataset-global (it spans the full dataset).
-fn apply_mono<E: GridEndpoint>(
-    kind: IndexKind,
-    weighted: bool,
-    index: &mut dyn DynIndex<E>,
-    m: Mutation<E>,
-    buffered: bool,
-) -> Result<UpdateOutput, UpdateError> {
-    let op = m.op();
-    if !kind.supports_mutation(weighted, op) {
-        return Err(kind.unsupported_update_error(weighted, op));
-    }
-    match m {
-        Mutation::Insert { iv } => if buffered {
-            index.insert_buffered(iv)
-        } else {
-            index.insert(iv)
-        }
-        .map(UpdateOutput::Inserted),
-        Mutation::InsertWeighted { iv, weight } => {
-            validate_update_weight(weight)?;
-            index
-                .insert_weighted(iv, weight)
-                .map(UpdateOutput::Inserted)
-        }
-        Mutation::Delete { id } => index.remove(id).map(|()| UpdateOutput::Removed),
-    }
-}
-
-/// `len` after a mutation batch: +1 per successful insert, −1 per
-/// successful remove.
-fn bookkept_len(len: usize, results: &[Result<UpdateOutput, UpdateError>]) -> usize {
-    results.iter().fold(len, |len, r| match r {
-        Ok(UpdateOutput::Inserted(_)) => len + 1,
-        Ok(UpdateOutput::Removed) => len.saturating_sub(1),
-        Err(_) => len,
-    })
 }

@@ -1,10 +1,7 @@
 //! Chunked, buffer-reusing sample streams.
 
-use crate::{Backend, Client};
+use crate::Client;
 use irs_core::{GridEndpoint, Interval, ItemId, Operation, QueryError};
-use irs_engine::{Query, QueryOutput};
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
 
 /// How many draws a stream fetches from its backend per refill.
 const DEFAULT_CHUNK: usize = 512;
@@ -24,15 +21,18 @@ const DEFAULT_CHUNK: usize = 512;
 /// split) is paid once per chunk, not per draw. Each refill briefly
 /// takes the backend's read side and samples the then-current data —
 /// on a live backend, draws within one chunk come from one snapshot,
-/// and concurrent writers interleave between chunks. The stream's
-/// internal buffer (and, with `draw_into`, the caller's buffer) is
-/// reused across refills, so steady-state drawing does not allocate.
+/// and concurrent writers interleave between chunks. Every refill is
+/// one engine batch, so it draws from a fresh stream (successive
+/// streams, and streams after a restart, never replay each other) and
+/// hands back one `Vec` of draws; the stream's internal buffer (and,
+/// with `draw_into`, the caller's buffer) keeps its capacity across
+/// refills, so steady-state drawing allocates once per chunk, not per
+/// draw.
 pub struct SampleStream<'a, E> {
     client: &'a Client<E>,
     q: Interval<E>,
     weighted: bool,
     chunk: usize,
-    rng: SmallRng,
     /// Pending draws, yielded from the back.
     buf: Vec<ItemId>,
     exhausted: bool,
@@ -45,14 +45,12 @@ pub(crate) fn new_stream<E: GridEndpoint>(
     client: &Client<E>,
     q: Interval<E>,
     op: Operation,
-    rng_seed: u64,
 ) -> SampleStream<'_, E> {
     SampleStream {
         client,
         q,
         weighted: op == Operation::WeightedSample,
         chunk: DEFAULT_CHUNK,
-        rng: SmallRng::seed_from_u64(rng_seed),
         buf: Vec::new(),
         exhausted: false,
         error: None,
@@ -62,7 +60,7 @@ pub(crate) fn new_stream<E: GridEndpoint>(
 impl<E: GridEndpoint> SampleStream<'_, E> {
     /// Sets how many draws are fetched from the backend per refill
     /// (clamped to ≥ 1; default 512). Larger chunks amortize phase-1
-    /// work and, on the sharded backend, the engine's batch overhead.
+    /// work and the engine's per-batch overhead.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
@@ -77,7 +75,7 @@ impl<E: GridEndpoint> SampleStream<'_, E> {
     /// Fills `out` (cleared first) with the next chunk of draws —
     /// up to [`SampleStream::with_chunk`] of them — reusing `out`'s
     /// capacity, so a prepare-once-draw-many loop that recycles one
-    /// buffer never allocates per draw:
+    /// buffer never grows it:
     ///
     /// ```
     /// # use irs_client::Irs;
@@ -88,7 +86,7 @@ impl<E: GridEndpoint> SampleStream<'_, E> {
     /// let mut stream = client.sample_stream(Interval::new(100, 200))?;
     /// let mut buf: Vec<ItemId> = Vec::new();
     /// for _round in 0..4 {
-    ///     stream.draw_into(&mut buf); // refills in place, no realloc
+    ///     stream.draw_into(&mut buf); // refills in place, `buf` never regrows
     ///     assert!(!buf.is_empty());
     /// }
     /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -116,59 +114,23 @@ impl<E: GridEndpoint> SampleStream<'_, E> {
         }
     }
 
-    /// Appends up to `n` fresh draws from the backend to `out`.
+    /// Appends up to `n` fresh draws from the backend to `out`. The
+    /// engine holds its read locks only for this one batch, so writers
+    /// interleave between chunks instead of starving behind a
+    /// long-lived stream.
     fn refill_into(&mut self, n: usize, out: &mut Vec<ItemId>) {
-        match self.client.backend() {
-            Backend::Mono { index, .. } => {
-                // Take the read side only for this refill, so writers
-                // interleave between chunks instead of starving behind
-                // a long-lived stream.
-                let Ok(guard) = index.read() else {
-                    self.error = Some(QueryError::ShardFailed { shard: 0 });
-                    return;
-                };
-                let handle = if self.weighted {
-                    guard.prepare_weighted(self.q)
-                } else {
-                    guard.prepare(self.q)
-                };
-                match handle {
-                    Some(h) => h.sample_into_dyn(&mut self.rng as &mut dyn RngCore, n, out),
-                    // `None` despite a positive capability claim would
-                    // be an index bug; surface the typed error instead
-                    // of panicking.
-                    None => {
-                        self.error = Some(
-                            self.client
-                                .kind()
-                                .unsupported_error(self.client.is_weighted(), self.op()),
-                        );
-                    }
-                }
-            }
-            Backend::Sharded(engine) => {
-                let query = if self.weighted {
-                    Query::SampleWeighted { q: self.q, s: n }
-                } else {
-                    Query::Sample { q: self.q, s: n }
-                };
-                match engine.run(&[query]).swap_remove(0) {
-                    // Move the engine's draw vector rather than copying
-                    // it; `append` leaves `out`'s capacity in place for
-                    // the next refill.
-                    Ok(QueryOutput::Samples(mut ids)) => out.append(&mut ids),
-                    Ok(_) => self.error = Some(crate::protocol_error(self.op())),
-                    Err(e) => self.error = Some(e),
-                }
-            }
-        }
-    }
-
-    fn op(&self) -> Operation {
-        if self.weighted {
-            Operation::WeightedSample
+        let engine = self.client.engine();
+        let drawn = if self.weighted {
+            engine.sample_weighted(self.q, n)
         } else {
-            Operation::UniformSample
+            engine.sample(self.q, n)
+        };
+        match drawn {
+            // Move the engine's draw vector rather than copying it;
+            // `append` leaves `out`'s capacity in place for the next
+            // refill.
+            Ok(mut ids) => out.append(&mut ids),
+            Err(e) => self.error = Some(e),
         }
     }
 }

@@ -5,16 +5,16 @@
 //! this one types the write path opened by the paper's §III-D update
 //! algorithms (one-by-one insertion, pooled batch insertion, deletion)
 //! and the beyond-paper `DynamicAwit`. Every mutable backend in the
-//! workspace — the single-index structures behind `irs-client`'s
-//! monolithic backend and the sharded `irs-engine` — reports update
-//! failures through one taxonomy:
+//! workspace — the single-index structures and the sharded
+//! `irs-engine` that `irs-client` fronts — reports update failures
+//! through one taxonomy:
 //!
 //! - [`Mutation`] — one typed update operation: insert an interval
 //!   (uniform), insert with a weight, or delete by id.
 //! - [`UpdateOutput`] — what a successful mutation yields. Insertions
 //!   return the new interval's [`ItemId`]; the id is **stable for the
 //!   backend's lifetime**, so later deletions and query results refer to
-//!   the same interval, monolithic or sharded.
+//!   the same interval, at any shard count.
 //! - [`UpdateError`] — why one mutation could not be applied. Kinds that
 //!   are static snapshots refuse with [`UpdateError::UnsupportedKind`];
 //!   a weighted insert into an unweighted build is

@@ -1,9 +1,9 @@
 //! The fallible query vocabulary: typed errors and capability metadata.
 //!
 //! Every query surface in the workspace — the single-index structures
-//! behind `irs-client`'s monolithic backend, and the sharded
-//! `irs-engine` — reports failures through one taxonomy instead of
-//! panics or stringly-typed sentinels:
+//! and the sharded `irs-engine` that `irs-client` fronts — reports
+//! failures through one taxonomy instead of panics or stringly-typed
+//! sentinels:
 //!
 //! - [`QueryError`] — why one *query* could not be answered. An **empty
 //!   result set is not an error**: sampling an empty `q ∩ X` yields

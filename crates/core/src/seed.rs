@@ -1,9 +1,9 @@
-//! Seed derivation shared by the engine and the client facade.
+//! Seed derivation for the engine's draw streams.
 
-/// SplitMix64 finalizer: decorrelates batch/shard/stream indices from a
-/// base seed. The one copy both `irs-engine` (per-batch and per-shard
-/// draw seeds) and `irs-client` (per-stream seeds) use, so the two
-/// layers cannot drift onto different mixers.
+/// SplitMix64 finalizer: decorrelates batch and shard indices from a
+/// base seed. `irs-engine` derives its per-batch and per-shard draw
+/// seeds with it — the one derivation every layer above replays (see
+/// `DESIGN.md`, "Determinism").
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -195,25 +195,22 @@ enum MutMsg<E> {
 /// side).
 type SharedIndex<E> = Arc<RwLock<Box<dyn DynIndex<E>>>>;
 
-/// One shard: the index behind its reader/writer lock, the mutation
-/// worker's channel, and the worker's health flag.
+/// One shard: the index behind its reader/writer lock, its live
+/// length, the mutation worker's channel, and the worker's health flag.
 struct Shard<E> {
     /// The shard's index. Queries hold the read side; the mutation
     /// worker takes the write side per sub-batch.
     index: SharedIndex<E>,
+    /// Live intervals in this shard — the load the insert router
+    /// balances. Written only under the engine's writer lock; read
+    /// without it, so stats never wait behind a mutation batch.
+    len: AtomicUsize,
     /// Raised by the worker's panic guard *before* its channel closes,
     /// so both crash signals (flag and closed channel) agree by the
     /// time either is observable.
     dead: Arc<AtomicBool>,
     /// The mutation worker's inbox.
     tx: Sender<MutMsg<E>>,
-}
-
-/// Mutation-side bookkeeping, guarded by the engine's writer lock so
-/// mutation batches from different clones serialize.
-struct WriterState {
-    /// Live intervals per shard — the load the insert router balances.
-    shard_lens: Vec<usize>,
 }
 
 /// Reusable per-batch temporaries, recycled through [`ScratchPool`].
@@ -349,9 +346,10 @@ struct EngineShared<E> {
     weighted: bool,
     base_seed: u64,
     batch_counter: AtomicU64,
-    /// Serializes mutation batches across clones and carries the
-    /// routing bookkeeping. Queries never touch it.
-    writer: Mutex<WriterState>,
+    /// Serializes mutation batches across clones, so the routing
+    /// bookkeeping (`len`, each shard's `len`) has one writer at a
+    /// time. Queries never touch it.
+    writer: Mutex<()>,
     scratch: ScratchPool,
 }
 
@@ -481,6 +479,9 @@ impl<E: GridEndpoint> Engine<E> {
                 .name(format!("irs-shard-{shard_id}"))
                 .spawn(move || {
                     let index = kind.build_index(&local, has_weights.then_some(local_w.as_slice()));
+                    // The index owns its own copy; the worker lives as
+                    // long as the engine, so its captures must not.
+                    drop((local, local_w));
                     let lock = Arc::new(RwLock::new(index));
                     let _ = ready.send((shard_id, Arc::clone(&lock)));
                     // Body local: drops (raising the flag) before the
@@ -511,11 +512,13 @@ impl<E: GridEndpoint> Engine<E> {
         }
         let shards_vec: Vec<Shard<E>> = locks
             .into_iter()
+            .zip(shard_lens)
             .zip(txs)
             .zip(deads)
-            .map(|((lock, tx), dead)| Shard {
+            .map(|(((lock, len), tx), dead)| Shard {
                 // audit: allow(no-panic): every slot was filled above (one ready message per shard id, or we returned ShardDied)
                 index: lock.expect("every shard reported ready"),
+                len: AtomicUsize::new(len),
                 dead,
                 tx,
             })
@@ -530,7 +533,7 @@ impl<E: GridEndpoint> Engine<E> {
                 weighted: weights.is_some(),
                 base_seed: config.seed,
                 batch_counter: AtomicU64::new(0),
-                writer: Mutex::new(WriterState { shard_lens }),
+                writer: Mutex::new(()),
                 scratch: ScratchPool::new(),
             }),
         })
@@ -561,14 +564,14 @@ impl<E: GridEndpoint> Engine<E> {
     }
 
     /// Live intervals per shard — a snapshot of the load the insert
-    /// router balances.
+    /// router balances. Lock-free: it never waits behind a mutation
+    /// batch, so a batch in flight may be partly reflected.
     pub fn shard_lens(&self) -> Vec<usize> {
         self.inner
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shard_lens
-            .clone()
+            .shards
+            .iter()
+            .map(|s| s.len.load(Ordering::SeqCst))
+            .collect()
     }
 
     /// Whether the engine holds zero intervals.
@@ -722,7 +725,7 @@ impl<E: GridEndpoint> Engine<E> {
                 }));
                 scratch.allocate(&mut rng, s, nq, i);
             } else {
-                results[i] = Some(Ok(merge_finished(&phase1, i)));
+                results[i] = Some(Ok(merge_finished(&mut phase1, i)));
             }
         }
 
@@ -888,13 +891,13 @@ impl<E: GridEndpoint> Engine<E> {
         }
         let inner = &*self.inner;
         let shards = inner.shards.len();
-        let mut writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let _writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
         let mut results: Vec<Option<Result<UpdateOutput, UpdateError>>> = vec![None; muts.len()];
         let mut owner: Vec<usize> = vec![0; muts.len()];
         let mut per_shard: Vec<Vec<(usize, Mutation<E>)>> = vec![Vec::new(); shards];
         // Route against a projection of live counts, so a batch of
         // inserts spreads across shards instead of piling on one.
-        let mut lens = writer.shard_lens.clone();
+        let mut lens = self.shard_lens();
         for (i, m) in muts.iter().enumerate() {
             let op = m.op();
             if !inner.kind.supports_mutation(inner.weighted, op) {
@@ -955,28 +958,25 @@ impl<E: GridEndpoint> Engine<E> {
 
         // Gather. A shard that dies mid-batch closes the reply channel;
         // its positions fall through to the `ShardFailed` fallback.
-        let mut len = inner.len.load(Ordering::SeqCst);
         for _ in 0..expected {
             let Ok((k, entries)) = reply_rx.recv() else {
                 break;
             };
+            let mut delta = 0isize;
             for (i, result) in entries {
-                if let Ok(out) = &result {
-                    match out {
-                        UpdateOutput::Inserted(_) => {
-                            len += 1;
-                            writer.shard_lens[k] += 1;
-                        }
-                        UpdateOutput::Removed => {
-                            len = len.saturating_sub(1);
-                            writer.shard_lens[k] = writer.shard_lens[k].saturating_sub(1);
-                        }
-                    }
+                match &result {
+                    Ok(UpdateOutput::Inserted(_)) => delta += 1,
+                    Ok(UpdateOutput::Removed) => delta -= 1,
+                    Err(_) => {}
                 }
                 results[i] = Some(result);
             }
+            // Single writer (the lock above), so load-then-store is exact.
+            for counter in [&inner.len, &inner.shards[k].len] {
+                let len = counter.load(Ordering::SeqCst);
+                counter.store(len.saturating_add_signed(delta), Ordering::SeqCst);
+            }
         }
-        inner.len.store(len, Ordering::SeqCst);
 
         results
             .into_iter()
@@ -1087,19 +1087,6 @@ impl<E: GridEndpoint> Engine<E> {
     /// [`Engine::run_seeded`] replays identically, and ids issued
     /// before the save stay valid after the load.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_with_stream_counter(dir, 0)
-    }
-
-    /// [`Engine::save`], recording a facade-level sample-stream counter
-    /// in the manifest. The engine itself has no stream surface (it
-    /// always writes 0 through [`Engine::save`]); `irs-client` passes
-    /// its own counter here so that streams created after a restart
-    /// derive fresh draw seeds instead of replaying pre-save streams.
-    pub fn save_with_stream_counter(
-        &self,
-        dir: impl AsRef<Path>,
-        stream_counter: u64,
-    ) -> Result<(), PersistError> {
         let dir = dir.as_ref();
         let inner = &*self.inner;
         if inner.first_dead().is_some() {
@@ -1109,7 +1096,7 @@ impl<E: GridEndpoint> Engine<E> {
         }
         // Freeze mutations (queries proceed): shard payloads, `len`,
         // and the router's per-shard lengths must agree.
-        let writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let _writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
         std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, &e))?;
         let manifest = persist::Manifest {
             snapshot_id: persist::fresh_snapshot_id(),
@@ -1119,9 +1106,9 @@ impl<E: GridEndpoint> Engine<E> {
             shards: inner.shards.len(),
             seed: inner.base_seed,
             batch_counter: inner.batch_counter.load(Ordering::SeqCst),
-            stream_counter,
+            stream_counter: 0,
             len: inner.len.load(Ordering::SeqCst),
-            shard_lens: writer.shard_lens.clone(),
+            shard_lens: self.shard_lens(),
         };
         // Shard files first, manifest last (each written atomically):
         // a save that dies partway leaves the previous manifest, whose
@@ -1148,7 +1135,7 @@ impl<E: GridEndpoint> Engine<E> {
     }
 
     /// Loads an engine from a directory written by [`Engine::save`]
-    /// (or by `irs-client`'s `Client::save` — the layouts are shared).
+    /// (which is also what `irs-client`'s `Client::save` calls).
     ///
     /// Everything is validated before any shard state is trusted:
     /// magic, format version, per-section CRCs, the manifest/shard
@@ -1197,7 +1184,7 @@ impl<E: GridEndpoint> Engine<E> {
         let shards = indexes.len();
         let mut shards_vec = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        for (shard_id, index) in indexes.into_iter().enumerate() {
+        for (shard_id, (index, &len)) in indexes.into_iter().zip(&manifest.shard_lens).enumerate() {
             let lock = Arc::new(RwLock::new(index));
             let (tx, rx) = mpsc::channel::<MutMsg<E>>();
             let dead = Arc::new(AtomicBool::new(false));
@@ -1215,6 +1202,7 @@ impl<E: GridEndpoint> Engine<E> {
             workers.push(handle);
             shards_vec.push(Shard {
                 index: lock,
+                len: AtomicUsize::new(len),
                 dead,
                 tx,
             });
@@ -1228,9 +1216,7 @@ impl<E: GridEndpoint> Engine<E> {
                 weighted: manifest.weighted,
                 base_seed: manifest.seed,
                 batch_counter: AtomicU64::new(manifest.batch_counter),
-                writer: Mutex::new(WriterState {
-                    shard_lens: manifest.shard_lens.clone(),
-                }),
+                writer: Mutex::new(()),
                 scratch: ScratchPool::new(),
             }),
         })
@@ -1242,15 +1228,18 @@ const ALLOC_SALT: u64 = 0xA110_CA7E_5EED_0001;
 /// Merges a non-sampling query's per-shard results. Only called for
 /// queries whose phase-1 partials are all `Done` (capability-checked
 /// upstream); anything else contributes nothing to the merge.
-fn merge_finished(phase1: &[Vec<Partial>], i: usize) -> QueryOutput {
+fn merge_finished(phase1: &mut [Vec<Partial>], i: usize) -> QueryOutput {
     let mut count_sum = 0usize;
     let mut ids_merged: Option<Vec<ItemId>> = None;
     for partials in phase1 {
-        match &partials[i] {
-            Partial::Done(QueryOutput::Count(n)) => count_sum += n,
-            Partial::Done(QueryOutput::Ids(ids)) => ids_merged
-                .get_or_insert_with(Vec::new)
-                .extend_from_slice(ids),
+        match &mut partials[i] {
+            Partial::Done(QueryOutput::Count(n)) => count_sum += *n,
+            // The first shard's list becomes the answer; the rest are
+            // appended to it. Each list is consumed exactly once.
+            Partial::Done(QueryOutput::Ids(ids)) => match &mut ids_merged {
+                None => ids_merged = Some(std::mem::take(ids)),
+                Some(merged) => merged.append(ids),
+            },
             _ => {}
         }
     }

@@ -1,9 +1,8 @@
 //! Index selection, capability metadata, and the object-safe index facade.
 //!
 //! Every backend owns one or more index structures chosen by
-//! [`IndexKind`]. Caller threads (queries), mutation workers, and
-//! `irs-client`'s monolithic backend all talk to them through
-//! [`DynIndex`], an object-safe `Send + Sync` trait whose sampling
+//! [`IndexKind`]. Caller threads (queries) and mutation workers talk
+//! to them through [`DynIndex`], an object-safe `Send + Sync` trait whose sampling
 //! handles are the erased [`DynPreparedSampler`]s from `irs-core`, so a
 //! single driver loop serves all seven structures — and out-of-tree
 //! structures could be plugged in the same way. The trait carries both
@@ -326,8 +325,7 @@ impl std::fmt::Display for IndexKind {
 
 /// Object-safe facade over any one index structure.
 ///
-/// Shard workers and `irs-client`'s monolithic backend both drive
-/// queries through this trait; build one with
+/// The engine drives every shard through this trait; build one with
 /// [`IndexKind::build_index`]. `search_into`, `count`, and `stab_into`
 /// report ids local to the slice the index was built from (a shard
 /// worker translates them to dataset-global ids; over the full dataset
@@ -340,8 +338,8 @@ impl std::fmt::Display for IndexKind {
 /// [`UpdateError::UnsupportedKind`] unless the kind overrides them
 /// (AIT's §III-D algorithms; `DynamicAwit`'s weighted ones). Queries
 /// stay `&self`; callers that share an index across threads put it
-/// behind a reader/writer lock (the engine's shards, the client's
-/// monolithic backend), so the exclusive borrow — and therefore the
+/// behind a reader/writer lock (the engine's shards), so the
+/// exclusive borrow — and therefore the
 /// guarantee that no query observes a half-applied mutation — holds at
 /// runtime exactly where it held at compile time before.
 /// Capability-aware callers gate on [`IndexKind::supports_mutation`]

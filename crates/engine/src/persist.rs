@@ -2,16 +2,15 @@
 //! [`Engine::load`].
 //!
 //! A snapshot is a directory: one `manifest.irs` plus one
-//! `shard-NNNN.irs` per shard (`irs-client` writes the same layout, so
-//! a snapshot saved by an engine loads through a client and vice
-//! versa). Every file starts with the shared header
+//! `shard-NNNN.irs` per shard (`irs-client` saves and loads through
+//! the engine, so a snapshot loads through either handle). Every file starts with the shared header
 //! ([`irs_core::persist::MAGIC`], format version, a role byte); bodies
 //! are CRC-framed sections (see `DESIGN.md`, "On-disk snapshot format"):
 //!
 //! - **manifest** — one section holding the [`Manifest`]: per-save-run
 //!   snapshot id, kind name, endpoint type, weighted flag, shard count,
-//!   seed config, draw-batch and sample-stream counters, live length,
-//!   and per-shard live lengths.
+//!   seed config, the draw-batch counter (plus one reserved word), live
+//!   length, and per-shard live lengths.
 //! - **shard `k`** — a header section (snapshot id, kind, endpoint,
 //!   shard id, shard count, weighted — cross-checked against the
 //!   manifest so mixed directories and interrupted saves are refused)
@@ -60,17 +59,18 @@ pub struct Manifest {
     pub endpoint: String,
     /// Whether per-interval weights were supplied at build time.
     pub weighted: bool,
-    /// Shard count (1 = a client's monolithic backend).
+    /// Shard count.
     pub shards: usize,
     /// The engine's base seed (`EngineConfig::seed`).
     pub seed: u64,
     /// The unseeded draw-stream position at save time, restored so the
     /// `run` stream continues rather than repeating.
     pub batch_counter: u64,
-    /// `irs-client`'s sample-stream counter at save time, restored so
-    /// streams created after a restart derive fresh draw seeds instead
-    /// of replaying pre-save streams. Engines (which have no stream
-    /// surface) write 0.
+    /// Reserved: written 0 and ignored at load. Format-1 snapshots
+    /// saved by older `irs-client`s carry a sample-stream counter here;
+    /// stream freshness across a restart now comes from
+    /// [`Manifest::batch_counter`] alone. The field stays so
+    /// `FORMAT_VERSION` does not move.
     pub stream_counter: u64,
     /// Live intervals at save time.
     pub len: usize,

@@ -1,11 +1,15 @@
 //! # irs-server — the network daemon
 //!
-//! Serves a [`Client`] over TCP using the `irs-wire` protocol: batch
+//! Serves a backend over TCP using the `irs-wire` protocol: batch
 //! queries (`run`/`run_seeded` semantics preserved, including seeded
 //! reproducibility), typed mutations routed through the backend's
 //! single writer seat, snapshot administration (save / inspect / load,
 //! with load atomically swapping the serving backend), and
 //! health/stats.
+//!
+//! Two entry points: [`serve`] fronts a backend it is handed (a
+//! [`Client`] or a [`Catalog`], with or without a write-ahead log);
+//! [`serve_replica`] fetches its backend from a primary.
 //!
 //! ## Threading model
 //!
@@ -25,14 +29,14 @@
 //! response flushed before the connection closes. Connection read
 //! timeouts act as the poll ticks that make this possible — a thread
 //! blocked waiting for a client that sends nothing notices the flag
-//! within one [`ServerConfig::poll_interval`]. [`ServerHandle::join`]
+//! within one 50 ms poll tick. [`ServerHandle::join`]
 //! returns only after every connection thread has exited, so an acked
 //! mutation is never lost.
 //!
 //! ## Replication
 //!
-//! A server started with [`serve_primary`] (or
-//! [`serve_primary_catalog`]) keeps a write-ahead mutation log
+//! A server handed a [`WalWriter`] by [`serve`] is a replication
+//! **primary**: it keeps a write-ahead mutation log
 //! ([`irs_core::wal`]): every acked mutation batch is appended and
 //! fsynced **before** it is applied, so a crash after the ack never
 //! loses the batch. Such a primary also serves two streaming requests —
@@ -69,22 +73,9 @@ use irs_wire::message::{
 };
 use irs_wire::RemoteClient;
 
-/// Tunables for a serving loop. The default suits tests and production
-/// alike; the knob exists so tests can tighten drain latency.
-#[derive(Clone, Debug)]
-pub struct ServerConfig {
-    /// Read timeout on every connection — the shutdown-flag poll tick.
-    /// Shorter drains faster under idle connections; longer polls less.
-    pub poll_interval: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            poll_interval: Duration::from_millis(50),
-        }
-    }
-}
+/// Read timeout on every connection — the shutdown-flag poll tick, and
+/// a follower's retry interval while its primary is unreachable.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Counters the daemon keeps alongside the backend's own stats.
 #[derive(Default)]
@@ -97,8 +88,27 @@ struct Counters {
     protocol_errors: AtomicU64,
 }
 
-/// What the daemon fronts: one anonymous backend (the classic
-/// single-tenant daemon) or a whole multi-tenant [`Catalog`].
+/// What [`serve`] fronts: one anonymous backend (`From<Client<E>>`, the
+/// classic single-tenant daemon) or a whole multi-tenant catalog
+/// (`From<Catalog<E>>`). On a catalog server, collection-tagged
+/// requests (`CreateCollection`, `RunIn`, …) address collections by
+/// name and plain single-collection frames route to the collection
+/// named [`DEFAULT_COLLECTION`].
+pub struct Serving<E: GridEndpoint>(Backing<E>);
+
+impl<E: GridEndpoint> From<Client<E>> for Serving<E> {
+    fn from(client: Client<E>) -> Self {
+        Serving(Backing::Single(RwLock::new(client)))
+    }
+}
+
+impl<E: GridEndpoint> From<Catalog<E>> for Serving<E> {
+    fn from(catalog: Catalog<E>) -> Self {
+        Serving(Backing::Catalog(RwLock::new(catalog)))
+    }
+}
+
+/// The two shapes behind [`Serving`].
 enum Backing<E: GridEndpoint> {
     /// One backend. Read-locked per request (to clone the cheap
     /// facade), write-locked only by `Load`'s atomic swap.
@@ -128,17 +138,6 @@ struct ReplicationState<E> {
     last_seq: AtomicU64,
 }
 
-impl<E: GridEndpoint> ReplicationState<E> {
-    fn primary_seat(wal: WalWriter<E>) -> Self {
-        ReplicationState {
-            following: AtomicBool::new(false),
-            primary: None,
-            last_seq: AtomicU64::new(wal.last_seq()),
-            wal: Mutex::new(wal),
-        }
-    }
-}
-
 /// State shared by the accept loop, every connection thread, and the
 /// handle.
 struct Shared<E: GridEndpoint> {
@@ -150,7 +149,6 @@ struct Shared<E: GridEndpoint> {
     counters: Counters,
     started: Instant,
     addr: SocketAddr,
-    config: ServerConfig,
 }
 
 impl<E: GridEndpoint> Shared<E> {
@@ -256,8 +254,8 @@ impl<E: GridEndpoint> ServerHandle<E> {
     ///
     /// # Panics
     ///
-    /// On a catalog server (started with [`serve_catalog`]), which has
-    /// no single anonymous backend — use [`ServerHandle::catalog`].
+    /// On a catalog server, which has no single anonymous backend —
+    /// use [`ServerHandle::catalog`].
     pub fn client(&self) -> Client<E> {
         self.shared
             .single_client()
@@ -299,104 +297,34 @@ impl<E: GridEndpoint> ServerHandle<E> {
     }
 }
 
-/// Serves `client` on `addr` with default [`ServerConfig`]. Binds and
-/// spawns the accept loop, returning immediately; bind `addr` with port
-/// 0 for an OS-assigned ephemeral port (read it back via
-/// [`ServerHandle::local_addr`]).
-pub fn serve<E: GridEndpoint>(
-    client: Client<E>,
-    addr: impl ToSocketAddrs,
-) -> io::Result<ServerHandle<E>> {
-    serve_with(client, addr, ServerConfig::default())
-}
-
-/// [`serve`] with explicit tunables.
-pub fn serve_with<E: GridEndpoint>(
-    client: Client<E>,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> io::Result<ServerHandle<E>> {
-    serve_backing(Backing::Single(RwLock::new(client)), addr, config, None)
-}
-
-/// Serves a multi-tenant [`Catalog`] on `addr` with default
-/// [`ServerConfig`]. Collection-tagged requests (`CreateCollection`,
-/// `RunIn`, …) address collections by name; plain single-collection
-/// frames still work, routed to the collection named
-/// [`DEFAULT_COLLECTION`].
-pub fn serve_catalog<E: GridEndpoint>(
-    catalog: Catalog<E>,
-    addr: impl ToSocketAddrs,
-) -> io::Result<ServerHandle<E>> {
-    serve_catalog_with(catalog, addr, ServerConfig::default())
-}
-
-/// [`serve_catalog`] with explicit tunables.
-pub fn serve_catalog_with<E: GridEndpoint>(
-    catalog: Catalog<E>,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> io::Result<ServerHandle<E>> {
-    serve_backing(Backing::Catalog(RwLock::new(catalog)), addr, config, None)
-}
-
-/// Serves `client` as a log-keeping replication **primary**: every
-/// acked mutation batch is appended to `wal` and fsynced before it is
-/// applied, and the server answers `Subscribe` / `FetchSnapshot` so
-/// replicas can bootstrap and follow.
+/// Serves `serving` — a [`Client`] or a [`Catalog`], by `From` — on
+/// `addr`. Binds and spawns the accept loop, returning immediately;
+/// bind `addr` with port 0 for an OS-assigned ephemeral port (read it
+/// back via [`ServerHandle::local_addr`]).
 ///
-/// The caller owns log recovery: on restart, recover the log
-/// ([`WalWriter::recover`], or `Client::recover` which also re-applies
-/// the tail) and hand the recovered writer in — `client` must already
-/// reflect every record in the log.
-pub fn serve_primary<E: GridEndpoint>(
-    client: Client<E>,
-    addr: impl ToSocketAddrs,
-    wal: WalWriter<E>,
-) -> io::Result<ServerHandle<E>> {
-    serve_primary_with(client, addr, wal, ServerConfig::default())
-}
-
-/// [`serve_primary`] with explicit tunables.
-pub fn serve_primary_with<E: GridEndpoint>(
-    client: Client<E>,
-    addr: impl ToSocketAddrs,
-    wal: WalWriter<E>,
-    config: ServerConfig,
-) -> io::Result<ServerHandle<E>> {
-    serve_backing(
-        Backing::Single(RwLock::new(client)),
-        addr,
-        config,
-        Some(ReplicationState::primary_seat(wal)),
-    )
-}
-
-/// [`serve_primary`] fronting a multi-tenant [`Catalog`]. Log records
+/// With `wal: Some(log)` the server is a log-keeping replication
+/// **primary**: every acked mutation batch is appended to `log` and
+/// fsynced before it is applied, and the server answers `Subscribe` /
+/// `FetchSnapshot` so replicas can bootstrap and follow. Log records
 /// carry the collection name, so a catalog replica replays each batch
-/// into the right collection. Catalog DDL (create/drop/reindex) is
-/// refused while the log is kept — the mutation log cannot carry it.
-pub fn serve_primary_catalog<E: GridEndpoint>(
-    catalog: Catalog<E>,
+/// into the right collection; catalog DDL (create/drop/reindex) and
+/// `Load` are refused while the log is kept — the mutation log cannot
+/// carry them. The caller owns log recovery: on restart, recover the
+/// log ([`WalWriter::recover`], or `Client::recover` which also
+/// re-applies the tail) and hand the recovered writer in — the backend
+/// must already reflect every record in the log.
+pub fn serve<E: GridEndpoint>(
+    serving: impl Into<Serving<E>>,
     addr: impl ToSocketAddrs,
-    wal: WalWriter<E>,
+    wal: Option<WalWriter<E>>,
 ) -> io::Result<ServerHandle<E>> {
-    serve_primary_catalog_with(catalog, addr, wal, ServerConfig::default())
-}
-
-/// [`serve_primary_catalog`] with explicit tunables.
-pub fn serve_primary_catalog_with<E: GridEndpoint>(
-    catalog: Catalog<E>,
-    addr: impl ToSocketAddrs,
-    wal: WalWriter<E>,
-    config: ServerConfig,
-) -> io::Result<ServerHandle<E>> {
-    serve_backing(
-        Backing::Catalog(RwLock::new(catalog)),
-        addr,
-        config,
-        Some(ReplicationState::primary_seat(wal)),
-    )
+    let replication = wal.map(|wal| ReplicationState {
+        following: AtomicBool::new(false),
+        primary: None,
+        last_seq: AtomicU64::new(wal.last_seq()),
+        wal: Mutex::new(wal),
+    });
+    serve_backing(serving.into().0, addr, replication)
 }
 
 /// Boots and serves a **replica** of the primary at `primary` (a
@@ -411,16 +339,6 @@ pub fn serve_replica<E: GridEndpoint>(
     addr: impl ToSocketAddrs,
     primary: &str,
     dir: impl AsRef<Path>,
-) -> Result<ServerHandle<E>, WireError> {
-    serve_replica_with(addr, primary, dir, ServerConfig::default())
-}
-
-/// [`serve_replica`] with explicit tunables.
-pub fn serve_replica_with<E: GridEndpoint>(
-    addr: impl ToSocketAddrs,
-    primary: &str,
-    dir: impl AsRef<Path>,
-    config: ServerConfig,
 ) -> Result<ServerHandle<E>, WireError> {
     let dir = dir.as_ref();
     let snap_dir = dir.join("snapshot");
@@ -458,7 +376,7 @@ pub fn serve_replica_with<E: GridEndpoint>(
         last_seq: AtomicU64::new(snap_seq),
         wal: Mutex::new(wal_writer),
     };
-    let mut handle = serve_backing(backing, addr, config, Some(replication)).map_err(|e| {
+    let mut handle = serve_backing(backing, addr, Some(replication)).map_err(|e| {
         WireError::protocol(ErrorCode::Internal, format!("bind replica listener: {e}"))
     })?;
     let follower = {
@@ -478,7 +396,6 @@ pub fn serve_replica_with<E: GridEndpoint>(
 fn serve_backing<E: GridEndpoint>(
     backing: Backing<E>,
     addr: impl ToSocketAddrs,
-    config: ServerConfig,
     replication: Option<ReplicationState<E>>,
 ) -> io::Result<ServerHandle<E>> {
     let listener = TcpListener::bind(addr)?;
@@ -490,7 +407,6 @@ fn serve_backing<E: GridEndpoint>(
         counters: Counters::default(),
         started: Instant::now(),
         addr,
-        config,
     });
     let accept = {
         let shared = Arc::clone(&shared);
@@ -584,10 +500,7 @@ fn serve_connection<E: GridEndpoint>(stream: TcpStream, shared: Arc<Shared<E>>) 
 }
 
 fn serve_connection_inner<E: GridEndpoint>(mut stream: TcpStream, shared: &Shared<E>) {
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     let _ = stream.set_nodelay(true);
@@ -916,14 +829,14 @@ fn follower_loop<E: GridEndpoint>(shared: Arc<Shared<E>>, primary: String) {
         let Some(mut stream) = subscribed else {
             // Primary unreachable (dead, or not yet up): retry after a
             // poll tick, still serving reads meanwhile.
-            std::thread::sleep(shared.config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
             continue;
         };
         loop {
             if shared.draining.load(Ordering::SeqCst) || !rep.following.load(Ordering::SeqCst) {
                 return;
             }
-            match stream.poll(shared.config.poll_interval) {
+            match stream.poll(POLL_INTERVAL) {
                 Ok(Some(frames)) => {
                     let mut resubscribe = false;
                     for frame in frames {
@@ -1444,7 +1357,7 @@ mod tests {
 
     #[test]
     fn serve_query_mutate_shutdown_roundtrip() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
         let addr = handle.local_addr();
 
         let mut remote = RemoteClient::<i64>::connect(addr).expect("connect");
@@ -1472,7 +1385,7 @@ mod tests {
     #[test]
     fn seeded_runs_match_the_in_process_engine_exactly() {
         let local = demo_client();
-        let handle = serve(local.clone(), ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(local.clone(), ("127.0.0.1", 0), None).expect("serve");
         let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
 
         let queries: Vec<irs_engine::Query<i64>> = (0..10)
@@ -1494,7 +1407,7 @@ mod tests {
 
     #[test]
     fn wrong_endpoint_is_refused_with_a_typed_code() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
         // A u32 client aimed at an i64 server.
         let mut remote = RemoteClient::<u32>::connect(handle.local_addr()).expect("connect");
         let err = remote
@@ -1508,7 +1421,7 @@ mod tests {
 
     #[test]
     fn catalog_requests_are_refused_on_single_servers() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
         let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
         let err = remote.list_collections().expect_err("must refuse");
         assert_eq!(err.code, ErrorCode::CatalogNotServing);
@@ -1523,7 +1436,7 @@ mod tests {
     #[test]
     fn catalog_server_routes_plain_frames_to_default() {
         let catalog: Catalog<i64> = Catalog::new();
-        let handle = serve_catalog(catalog, ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(catalog, ("127.0.0.1", 0), None).expect("serve");
         let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
 
         // No "default" collection yet: plain frames get the typed 6xx.
@@ -1568,7 +1481,7 @@ mod tests {
 
     #[test]
     fn programmatic_shutdown_drains_idle_connections() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0)).expect("serve");
+        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
         // An idle connection that never sends a byte must not wedge the
         // drain: the poll tick notices the flag.
         let _idle = TcpStream::connect(handle.local_addr()).expect("connect");

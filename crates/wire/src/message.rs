@@ -459,7 +459,7 @@ pub struct ServerStats {
     pub kind: String,
     /// The endpoint scalar's type name.
     pub endpoint: String,
-    /// Shards behind the facade (1 = monolithic).
+    /// Shards behind the facade.
     pub shards: usize,
     /// Live intervals.
     pub len: usize,

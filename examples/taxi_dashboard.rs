@@ -4,10 +4,9 @@
 //! random sample instead, and the sample histogram tracks the true
 //! distribution.
 //!
-//! Served through the `Irs::builder()` facade over a monolithic AIT
-//! (the default single-shard backend); compare
-//! `examples/engine_dashboard.rs`, where the same facade fronts the
-//! sharded engine.
+//! Served through the `Irs::builder()` facade over a single AIT (the
+//! default, one shard); compare `examples/engine_dashboard.rs`, where
+//! the same facade fronts several shards.
 //!
 //! ```sh
 //! cargo run --release --example taxi_dashboard

@@ -86,7 +86,7 @@ fn main() -> ExitCode {
         "stab" => cmd_stab(&opts),
         "bench-engine" => cmd_bench_engine(&opts),
         "bench-updates" => cmd_bench_updates(&opts),
-        "serve" => cmd_serve(&opts),
+        "serve" => irs::cli::serve(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -726,187 +726,6 @@ fn cmd_bench_updates(opts: &Opts) -> Result<(), String> {
                 .emit();
         }
     }
-    Ok(())
-}
-
-/// Builds (from `--data`) or loads (from `--snapshot`) the backend the
-/// server will serve — same build options as `snapshot save`.
-fn serve_backend(opts: &Opts) -> Result<Client<i64>, String> {
-    match (opts.get("snapshot"), opts.get("data")) {
-        (Some(dir), None) => Client::<i64>::load(dir).map_err(|e| e.to_string()),
-        (None, Some(path)) => {
-            let (data, weights) = load(path)?;
-            let kind = match opts.get("kind") {
-                None => IndexKind::Ait,
-                Some(name) => {
-                    IndexKind::parse(name).ok_or_else(|| format!("unknown kind `{name}`"))?
-                }
-            };
-            let mut builder = Irs::builder()
-                .kind(kind)
-                .shards(opts.num_or("shards", 1)?)
-                .seed(opts.num_or("seed", 42)?);
-            if opts.get("weighted").is_some() {
-                builder = builder.weights(weights);
-            }
-            builder.build(&data).map_err(|e| e.to_string())
-        }
-        _ => Err("serve needs exactly one of --data <FILE> or --snapshot <DIR>".to_string()),
-    }
-}
-
-fn cmd_serve(opts: &Opts) -> Result<(), String> {
-    let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
-    if let Some(primary) = opts.get("replica-of") {
-        return cmd_serve_replica(primary, opts.req("replica-dir")?, addr);
-    }
-    if let Some(dir) = opts.get("catalog") {
-        return cmd_serve_catalog(dir, addr, opts.get("wal"));
-    }
-    if let Some(wal_path) = opts.get("wal") {
-        return cmd_serve_primary(opts, wal_path, addr);
-    }
-    let client = serve_backend(opts)?;
-    let stats = client.stats();
-    let handle = irs::serve(client, addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "irs-server listening on {} — {} × {} shard(s), {} intervals{}",
-        handle.local_addr(),
-        stats.kind,
-        stats.shards,
-        stats.len,
-        if stats.weighted { ", weighted" } else { "" },
-    );
-    println!("serving until a remote `shutdown` arrives (irs-cli remote <addr> shutdown)");
-    handle.join();
-    println!("drained; bye");
-    Ok(())
-}
-
-/// What the write-ahead log recovery found, on stdout/stderr before the
-/// server banner (a truncated tail is recovery *working*, but the
-/// operator should still see it happened).
-fn report_recovery(replay: &irs::WalReplay<i64>) {
-    if !replay.records.is_empty() {
-        println!(
-            "wal: recovered {} logged record(s) through seq {}",
-            replay.records.len(),
-            replay.last_seq(),
-        );
-    }
-    if let Some(stopped) = &replay.stopped {
-        eprintln!("wal: log tail truncated at the last valid record ({stopped})");
-    }
-}
-
-/// `serve --wal`: takes the replication writer seat over a single
-/// backend. With `--snapshot` this is point-in-time recovery — the
-/// checkpoint sidecar picks where log replay resumes; with `--data`
-/// the whole log replays onto the freshly built index.
-fn cmd_serve_primary(opts: &Opts, wal_path: &str, addr: &str) -> Result<(), String> {
-    let (client, wal) = match (opts.get("snapshot"), opts.get("data")) {
-        (Some(dir), None) => {
-            let (client, wal, replay) =
-                Client::<i64>::recover(dir, wal_path).map_err(|e| e.to_string())?;
-            report_recovery(&replay);
-            (client, wal)
-        }
-        (None, Some(_)) => {
-            let mut client = serve_backend(opts)?;
-            let (wal, replay) =
-                irs::WalWriter::<i64>::recover(wal_path).map_err(|e| e.to_string())?;
-            for record in &replay.records {
-                let _ = client.apply(&record.muts);
-            }
-            report_recovery(&replay);
-            (client, wal)
-        }
-        _ => {
-            return Err("serve needs exactly one of --data <FILE> or --snapshot <DIR>".to_string())
-        }
-    };
-    let stats = client.stats();
-    let handle = irs::serve_primary(client, addr, wal).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "irs-server (primary, wal {wal_path}) listening on {} — {} × {} shard(s), {} intervals{}",
-        handle.local_addr(),
-        stats.kind,
-        stats.shards,
-        stats.len,
-        if stats.weighted { ", weighted" } else { "" },
-    );
-    println!("serving until a remote `shutdown` arrives (irs-cli remote <addr> shutdown)");
-    handle.join();
-    println!("drained; bye");
-    Ok(())
-}
-
-/// `serve --replica-of`: bootstraps from the primary's snapshot into
-/// `dir`, replays the log tail, then follows live — read-only until a
-/// remote `promote`.
-fn cmd_serve_replica(primary: &str, dir: &str, addr: &str) -> Result<(), String> {
-    let handle = irs::serve_replica::<i64>(addr, primary, dir).map_err(|e| e.to_string())?;
-    println!(
-        "irs-server (replica of {primary}) listening on {} — bootstrap dir {dir}",
-        handle.local_addr(),
-    );
-    println!(
-        "read-only until promoted (irs-cli remote <addr> promote); \
-         serving until a remote `shutdown` arrives"
-    );
-    handle.join();
-    println!("drained; bye");
-    Ok(())
-}
-
-/// Serves (and on drain re-saves) a whole catalog directory: an existing
-/// `catalog.irs` manifest is loaded, an empty or fresh directory starts
-/// an empty tenancy that remote `create` calls populate. With a
-/// `--wal` path the server takes the replication writer seat and log
-/// replay resumes past the directory's checkpoint sidecar.
-fn cmd_serve_catalog(dir: &str, addr: &str, wal_path: Option<&str>) -> Result<(), String> {
-    let manifest = std::path::Path::new(dir).join(irs::catalog::CATALOG_MANIFEST_FILE);
-    let catalog = if manifest.exists() {
-        irs::Catalog::<i64>::load(dir).map_err(|e| e.to_string())?
-    } else {
-        irs::Catalog::<i64>::new()
-    };
-    let names: Vec<String> = catalog.list().into_iter().map(|i| i.name).collect();
-    let handle = match wal_path {
-        None => irs::serve_catalog(catalog, addr).map_err(|e| format!("bind {addr}: {e}"))?,
-        Some(wal_path) => {
-            let (wal, replay) =
-                irs::WalWriter::<i64>::recover(wal_path).map_err(|e| e.to_string())?;
-            let checkpoint = irs::read_checkpoint(std::path::Path::new(dir))
-                .map_err(|e| e.to_string())?
-                .unwrap_or(0);
-            for record in &replay.records {
-                if record.seq > checkpoint {
-                    let name = record
-                        .collection
-                        .as_deref()
-                        .unwrap_or(irs::DEFAULT_COLLECTION);
-                    let _ = catalog.apply_in(name, &record.muts);
-                }
-            }
-            report_recovery(&replay);
-            irs::serve_primary_catalog(catalog, addr, wal)
-                .map_err(|e| format!("bind {addr}: {e}"))?
-        }
-    };
-    println!(
-        "irs-server listening on {} — catalog of {} collection(s) {:?}",
-        handle.local_addr(),
-        names.len(),
-        names,
-    );
-    println!("serving until a remote `shutdown` arrives (irs-cli remote <addr> shutdown)");
-    // Save the tenancy the server *ends* with (LoadCatalog may have
-    // swapped it), so the directory round-trips across restarts.
-    let catalog = handle.catalog().expect("catalog server");
-    handle.join();
-    catalog.save(dir).map_err(|e| e.to_string())?;
-    println!("drained; catalog saved to {dir}; bye");
     Ok(())
 }
 

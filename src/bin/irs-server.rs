@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! irs-server --data trips.csv --addr 0.0.0.0:7878 --kind ait --shards 4
-//! irs-server --snapshot snap/ --addr 127.0.0.1:7878
+//! irs-server --snapshot snap/ --addr 127.0.0.1:7878 --wal log.irs
 //! ```
 //!
-//! Builds a backend from a CSV interval file (or loads a snapshot
-//! directory, skipping index construction) and serves it over the
+//! `irs-cli serve` under its own name ([`irs::cli::serve`]): builds a
+//! backend from a CSV interval file (or loads a snapshot or catalog
+//! directory, or bootstraps a replica) and serves it over the
 //! `irs-wire` protocol until a remote `shutdown` request arrives, then
 //! drains gracefully: in-flight batches finish and flush before the
 //! process exits. Talk to it with `irs-cli remote <addr> <action>`,
@@ -14,62 +15,25 @@
 //! DESIGN.md, "Wire protocol".
 
 use irs::cli::Opts;
-use irs::prelude::*;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 irs-server — serve an interval backend over TCP (irs-wire protocol)
 
 USAGE:
-  irs-server --data <FILE>    [--addr <HOST:PORT>] [--kind <K>] [--shards <N>]
-                              [--weighted] [--seed <S>]
-  irs-server --snapshot <DIR> [--addr <HOST:PORT>]
+  irs-server (--data <FILE> | --snapshot <DIR> | --catalog <DIR>) [--addr <HOST:PORT>]
+             [--kind <K>] [--shards <N>] [--weighted] [--seed <S>] [--wal <FILE>]
+  irs-server --replica-of <HOST:PORT> --replica-dir <DIR> [--addr <HOST:PORT>]
 
-Defaults: --addr 127.0.0.1:7878 (port 0 = OS-assigned), --kind ait,
---shards 1, --seed 42. Data files: CSV lines `lo,hi[,weight]`.
+The same command as `irs-cli serve` (see `irs-cli help` for --catalog,
+--wal and --replica-of). Defaults: --addr 127.0.0.1:7878 (port 0 =
+OS-assigned), --kind ait, --shards 1, --seed 42. Data files: CSV lines
+`lo,hi[,weight]`.
 
 The server runs until a wire `shutdown` request arrives
 (`irs-cli remote <addr> shutdown`), then drains: it stops accepting,
 finishes every in-flight request, and exits without losing an acked
 mutation.";
-
-fn run(opts: &Opts) -> Result<(), String> {
-    let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
-    let client: Client<i64> = match (opts.get("snapshot"), opts.get("data")) {
-        (Some(dir), None) => Client::load(dir).map_err(|e| e.to_string())?,
-        (None, Some(path)) => {
-            let (data, weights) = irs::datagen::load_csv(path)?;
-            let kind = match opts.get("kind") {
-                None => IndexKind::Ait,
-                Some(name) => {
-                    IndexKind::parse(name).ok_or_else(|| format!("unknown kind `{name}`"))?
-                }
-            };
-            let mut builder = Irs::builder()
-                .kind(kind)
-                .shards(opts.num_or("shards", 1)?)
-                .seed(opts.num_or("seed", 42)?);
-            if opts.get("weighted").is_some() {
-                builder = builder.weights(weights);
-            }
-            builder.build(&data).map_err(|e| e.to_string())?
-        }
-        _ => return Err("need exactly one of --data <FILE> or --snapshot <DIR>".to_string()),
-    };
-    let stats = client.stats();
-    let handle = irs::serve(client, addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
-        "irs-server listening on {} — {} × {} shard(s), {} intervals{}",
-        handle.local_addr(),
-        stats.kind,
-        stats.shards,
-        stats.len,
-        if stats.weighted { ", weighted" } else { "" },
-    );
-    handle.join();
-    println!("drained; bye");
-    Ok(())
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,7 +44,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match Opts::parse(&args).and_then(|opts| run(&opts)) {
+    match Opts::parse(&args).and_then(|opts| irs::cli::serve(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");

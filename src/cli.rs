@@ -1,7 +1,11 @@
-//! Option parsing shared by the repo's binaries (`irs-cli`,
-//! `irs-server`): a flat `--key value` bag with typed accessors. No
-//! external dependencies — parsing is by hand, and unknown options are
-//! simply never read (each command documents what it consumes).
+//! What the repo's binaries (`irs-cli`, `irs-server`) share: option
+//! parsing — a flat `--key value` bag with typed accessors; no external
+//! dependencies, parsing is by hand, and unknown options are simply
+//! never read (each command documents what it consumes) — and the one
+//! [`serve`] command both of them run.
+
+use crate::{Catalog, Client, IndexKind, Irs, LogRecord, Serving, WalWriter, DEFAULT_COLLECTION};
+use std::path::Path;
 
 /// Flat `--key value` option bag. Boolean flags (`--weighted`) take no
 /// value; everything else does.
@@ -56,6 +60,158 @@ impl Opts {
             Some(v) => v.parse().map_err(|_| format!("--{key}: not a number")),
         }
     }
+}
+
+/// Builds (from `--data`, with `--kind --shards --weighted --seed`) or
+/// loads (from `--snapshot`) the single backend `serve` fronts.
+fn serve_backend(opts: &Opts) -> Result<Client<i64>, String> {
+    match (opts.get("snapshot"), opts.get("data")) {
+        (Some(dir), None) => Client::load(dir).map_err(|e| e.to_string()),
+        (None, Some(path)) => {
+            let (data, weights) = crate::datagen::load_csv(path)?;
+            let kind = match opts.get("kind") {
+                None => IndexKind::Ait,
+                Some(name) => {
+                    IndexKind::parse(name).ok_or_else(|| format!("unknown kind `{name}`"))?
+                }
+            };
+            let mut builder = Irs::builder()
+                .kind(kind)
+                .shards(opts.num_or("shards", 1)?)
+                .seed(opts.num_or("seed", 42)?);
+            if opts.get("weighted").is_some() {
+                builder = builder.weights(weights);
+            }
+            builder.build(&data).map_err(|e| e.to_string())
+        }
+        _ => Err(
+            "serve needs exactly one of --data <FILE>, --snapshot <DIR>, --catalog <DIR> \
+             or --replica-of <HOST:PORT>"
+                .to_string(),
+        ),
+    }
+}
+
+/// Recovers the `--wal` log, if one was asked for, and re-applies every
+/// record the starting state predates: those past the checkpoint
+/// sidecar of `state_dir` (the snapshot or catalog directory the state
+/// was loaded from), or all of them over a fresh build. A torn trailing
+/// record is truncated — recovery working, but the operator still sees
+/// that it happened.
+fn recover_wal(
+    opts: &Opts,
+    state_dir: Option<&str>,
+    mut apply: impl FnMut(&LogRecord<i64>),
+) -> Result<Option<WalWriter<i64>>, String> {
+    let Some(path) = opts.get("wal") else {
+        return Ok(None);
+    };
+    let checkpoint = match state_dir {
+        Some(dir) => crate::read_checkpoint(Path::new(dir))
+            .map_err(|e| e.to_string())?
+            .unwrap_or(0),
+        None => 0,
+    };
+    let (wal, replay) = WalWriter::recover(path).map_err(|e| e.to_string())?;
+    for record in replay.records.iter().filter(|r| r.seq > checkpoint) {
+        apply(record);
+    }
+    if !replay.records.is_empty() {
+        println!(
+            "wal: recovered {} logged record(s) through seq {}",
+            replay.records.len(),
+            replay.last_seq(),
+        );
+    }
+    if let Some(stopped) = &replay.stopped {
+        eprintln!("wal: log tail truncated at the last valid record ({stopped})");
+    }
+    Ok(Some(wal))
+}
+
+/// The serve command, shared by `irs-cli serve` and `irs-server`: runs
+/// the daemon in-process until a remote `shutdown` arrives, then drains.
+///
+/// What it fronts is picked by exactly one of `--data` (build),
+/// `--snapshot` (load), `--catalog` (a whole tenancy: an existing
+/// `catalog.irs` is loaded, a fresh directory starts empty, and the
+/// tenancy is saved back on drain) or `--replica-of` + `--replica-dir`
+/// (bootstrap from a primary, read-only until promoted). `--wal` puts
+/// any of the first three on the replication writer seat.
+pub fn serve(opts: &Opts) -> Result<(), String> {
+    let addr = opts.get("addr").unwrap_or("127.0.0.1:7878");
+    if let Some(primary) = opts.get("replica-of") {
+        let dir = opts.req("replica-dir")?;
+        let handle = crate::serve_replica::<i64>(addr, primary, dir).map_err(|e| e.to_string())?;
+        println!(
+            "irs-server (replica of {primary}) listening on {} — bootstrap dir {dir}",
+            handle.local_addr(),
+        );
+        println!(
+            "read-only until promoted (irs-cli remote <addr> promote); \
+             serving until a remote `shutdown` arrives"
+        );
+        handle.join();
+        println!("drained; bye");
+        return Ok(());
+    }
+    let catalog_dir = opts.get("catalog");
+    let (serving, wal, fronting): (Serving<i64>, _, String) = match catalog_dir {
+        Some(dir) => {
+            let catalog = if Path::new(dir)
+                .join(crate::catalog::CATALOG_MANIFEST_FILE)
+                .exists()
+            {
+                Catalog::<i64>::load(dir).map_err(|e| e.to_string())?
+            } else {
+                Catalog::new()
+            };
+            let wal = recover_wal(opts, Some(dir), |record| {
+                let name = record.collection.as_deref().unwrap_or(DEFAULT_COLLECTION);
+                let _ = catalog.apply_in(name, &record.muts);
+            })?;
+            let names: Vec<String> = catalog.list().into_iter().map(|i| i.name).collect();
+            let fronting = format!("catalog of {} collection(s) {names:?}", names.len());
+            (catalog.into(), wal, fronting)
+        }
+        None => {
+            let mut client = serve_backend(opts)?;
+            let wal = recover_wal(opts, opts.get("snapshot"), |record| {
+                let _ = client.apply(&record.muts);
+            })?;
+            let stats = client.stats();
+            let fronting = format!(
+                "{} × {} shard(s), {} intervals{}",
+                stats.kind,
+                stats.shards,
+                stats.len,
+                if stats.weighted { ", weighted" } else { "" },
+            );
+            (client.into(), wal, fronting)
+        }
+    };
+    let role = match opts.get("wal") {
+        Some(path) => format!(" (primary, wal {path})"),
+        None => String::new(),
+    };
+    let handle = crate::serve(serving, addr, wal).map_err(|e| format!("bind {addr}: {e}"))?;
+    println!(
+        "irs-server{role} listening on {} — {fronting}",
+        handle.local_addr()
+    );
+    println!("serving until a remote `shutdown` arrives (irs-cli remote <addr> shutdown)");
+    // Taken before `join` consumes the handle; a clone shares all state
+    // with the catalog the server mutates.
+    let catalog = handle.catalog();
+    handle.join();
+    match (catalog, catalog_dir) {
+        (Some(catalog), Some(dir)) => {
+            catalog.save(dir).map_err(|e| e.to_string())?;
+            println!("drained; catalog saved to {dir}; bye");
+        }
+        _ => println!("drained; bye"),
+    }
+    Ok(())
 }
 
 #[cfg(test)]

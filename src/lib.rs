@@ -71,9 +71,9 @@
 //!
 //! ## Scaling out
 //!
-//! `Irs::builder().shards(k)` (for `k > 1`) puts the same facade over
-//! [`Engine`] (crate `irs-engine`): the dataset shards `K` ways, and
-//! batches of typed [`Query`]s execute on the calling thread over the
+//! Every [`Client`] answers through an [`Engine`] (crate
+//! `irs-engine`); `Irs::builder().shards(k)` shards the dataset `K`
+//! ways, and batches of typed [`Query`]s execute on the calling thread over the
 //! shared shard state, with sampling kept distribution-identical to a
 //! single monolithic index via multinomial cross-shard allocation.
 //! Both [`Client`] and [`Engine`] are cheap clonable handles
@@ -113,11 +113,7 @@ pub use irs_interval_tree::IntervalTree;
 pub use irs_kds::Kds;
 pub use irs_period_index::PeriodIndex;
 pub use irs_segment_tree::SegmentTree;
-pub use irs_server::{
-    serve, serve_catalog, serve_catalog_with, serve_primary, serve_primary_catalog,
-    serve_primary_catalog_with, serve_primary_with, serve_replica, serve_replica_with, serve_with,
-    ServerConfig, ServerHandle,
-};
+pub use irs_server::{serve, serve_replica, ServerHandle, Serving};
 pub use irs_timeline::TimelineIndex;
 pub use irs_wire::{
     CollectionSummary, ErrorCode, LogRecordFrame, LogStream, RemoteClient, ReplicationStatus,
@@ -131,7 +127,8 @@ pub mod catalog {
     pub use irs_catalog::*;
 }
 
-/// CLI plumbing shared by the repo's binaries.
+/// CLI plumbing shared by the repo's binaries: option parsing and the
+/// one serve command.
 pub mod cli;
 
 /// The wire protocol (re-export of [`irs_wire`]): framing, the typed
@@ -173,7 +170,7 @@ pub mod prelude {
     pub use irs_kds::Kds;
     pub use irs_period_index::PeriodIndex;
     pub use irs_segment_tree::SegmentTree;
-    pub use irs_server::{serve, serve_catalog, ServerHandle};
+    pub use irs_server::{serve, ServerHandle};
     pub use irs_timeline::TimelineIndex;
     pub use irs_wire::{ErrorCode, RemoteClient, WireError};
 }

@@ -69,7 +69,7 @@ fn count_of(out: &Result<QueryOutput, irs::WireError>) -> usize {
 
 #[test]
 fn collections_are_managed_over_the_wire_by_many_clients() {
-    let handle = irs::serve_catalog(Catalog::<i64>::new(), ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(Catalog::<i64>::new(), ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
 
     // Four clients create and populate their own tenants concurrently.
@@ -319,7 +319,7 @@ fn auto_kind_selection_follows_workload_hints() {
 
     // The planner also answers over the wire: `kind: None` is auto, the
     // summary reports the resolved kind and flags the collection.
-    let handle = irs::serve_catalog(catalog, ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(catalog, ("127.0.0.1", 0), None).expect("serve");
     let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
     let mut wire_spec = spec("wire-churn", None);
     wire_spec.update_rate = 0.4;
@@ -343,7 +343,7 @@ fn online_reindex_mid_churn_preserves_the_global_id_contract() {
                 .seed(4),
         )
         .expect("create");
-    let handle = irs::serve_catalog(catalog.clone(), ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(catalog.clone(), ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
 
     // Build-order ids are 0..n; the tracked live set is the oracle.
@@ -504,7 +504,7 @@ fn budget_exhaustion_is_a_typed_refusal_never_an_abort() {
     // Over the wire: inserts hit the ceiling as wire code 603, the
     // batch is refused whole, and the server keeps serving.
     let catalog = Catalog::<i64>::with_budget(512 * 1024);
-    let handle = irs::serve_catalog(catalog, ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(catalog, ("127.0.0.1", 0), None).expect("serve");
     let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
     remote
         .create_collection(spec("a", Some("ait")))

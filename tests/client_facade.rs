@@ -1,8 +1,10 @@
 //! The `Irs::builder()` facade: construction validation, oracle
-//! agreement through both backends (monolithic and sharded), and the
+//! agreement at one shard and at several ("both backends" below: the
+//! facade once answered `shards(1)` through its own implementation; it
+//! is one engine path now, and both shard counts stay covered), and the
 //! acceptance bar for the redesign — sampling through the `Client` is
 //! distribution-identical to the direct index path (chi-square suites
-//! pass through the facade on both backends), one-shot and streamed.
+//! pass through the facade at both), one-shot and streamed.
 
 use irs::prelude::*;
 use irs::sampling::stats::{chi_square_ok, chi_square_uniformity_ok, total_variation};

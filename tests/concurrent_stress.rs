@@ -10,7 +10,7 @@
 use irs::prelude::*;
 use irs::sampling::stats::{chi_square_uniformity_ok, total_variation};
 use irs::BruteForce;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 const CALLERS: usize = 8;
@@ -352,7 +352,7 @@ fn crashed_shard_is_deterministic_under_concurrent_callers() {
 
 /// The clonable `Client` front end: clones moved into threads share one
 /// backend; queries run concurrently and mutations serialize through
-/// the writer seat, on both the monolithic and sharded backends.
+/// the writer seat, at one shard and at many.
 #[test]
 fn client_clones_share_one_backend_across_threads() {
     let data = dataset(1500, 0xAA);
@@ -400,6 +400,71 @@ fn client_clones_share_one_backend_across_threads() {
         assert_eq!(client.len(), data.len() + ids.len(), "K={shards}");
         let found = client.search(Interval::new(-10_000, -9_000)).unwrap();
         assert_eq!(sorted(found), sorted(ids), "K={shards}");
+    }
+}
+
+/// `Client::stats()` (every wire `Stats` request) never waits behind a
+/// mutation: while one thread is inside a long mutation batch — which
+/// holds the engine's writer lock end to end — another keeps getting
+/// stats back. No wall-clock threshold: the evidence is a count of
+/// `stats()` calls that *returned* before the batch did. A `stats()`
+/// that took the writer lock could return at most the call or two that
+/// slipped in before the batch acquired it, however slow the host.
+#[test]
+fn stats_return_while_a_mutation_batch_is_in_flight() {
+    const DURING: usize = 16;
+    let data = dataset(2000, 0x57);
+    let fresh = dataset(2000, 0x58);
+    let muts: Vec<Mutation<i64>> = fresh.iter().map(|&iv| Mutation::Insert { iv }).collect();
+    for shards in [1usize, 4] {
+        // A fresh client per round, so every round's batch is the same
+        // long run of one-by-one tree insertions. One round passes
+        // unless the polling thread was descheduled for the whole
+        // batch, so a few rounds make a false alarm vanishingly rare.
+        let mut best = 0;
+        for _round in 0..8 {
+            let client = Irs::builder()
+                .kind(IndexKind::Ait)
+                .shards(shards)
+                .build(&data)
+                .unwrap();
+            let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let during = std::thread::scope(|scope| {
+                let mut writer = client.clone();
+                let (muts, started, done) = (&muts, &started, &done);
+                scope.spawn(move || {
+                    started.store(true, Ordering::SeqCst);
+                    let results = writer.apply(muts);
+                    done.store(true, Ordering::SeqCst);
+                    assert!(results.iter().all(Result::is_ok));
+                });
+                while !started.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let mut during = 0;
+                while !done.load(Ordering::SeqCst) {
+                    let stats = client.stats();
+                    assert_eq!(stats.shards, shards);
+                    assert_eq!(stats.shard_lens.len(), shards);
+                    if !done.load(Ordering::SeqCst) {
+                        during += 1;
+                    }
+                }
+                during
+            });
+            let stats = client.stats();
+            assert_eq!(stats.len, data.len() + fresh.len(), "K={shards}");
+            assert_eq!(stats.shard_lens.iter().sum::<usize>(), stats.len);
+            best = best.max(during);
+            if best >= DURING {
+                break;
+            }
+        }
+        assert!(
+            best >= DURING,
+            "K={shards}: at most {best} stats() calls returned during a mutation batch — \
+             stats() is waiting behind the writer lock"
+        );
     }
 }
 

@@ -106,3 +106,58 @@ fn registry_pins_the_replication_wire_contract() {
         );
     }
 }
+
+/// DESIGN.md, "Determinism", states the one draw-stream derivation in a
+/// single sentence and names it replay version 2. This pins the
+/// sentence and checks each clause of it against behaviour, through a
+/// default (`shards(1)`) client — the configuration whose bytes changed
+/// when the second derivation was removed. `tests/replay_golden.rs`
+/// pins the resulting bytes themselves.
+#[test]
+fn design_md_states_the_one_draw_stream_derivation() {
+    use irs::prelude::*;
+    use irs_core::splitmix64 as mix;
+    use rand::{rngs::SmallRng, SeedableRng};
+
+    const STATEMENT: &str = "Draw-stream derivation is the engine's at every shard count: \
+        `run_seeded(seed)` draws shard `k` from `seed ^ mix(k + 1)` and allocates from \
+        `seed ^ ALLOC_SALT`; an unseeded batch is `run_seeded(base_seed + mix(batch))`.";
+    let design = design_md();
+    assert!(
+        design.contains(STATEMENT),
+        "DESIGN.md, \"Determinism\", lost its one-line derivation statement:\n{STATEMENT}"
+    );
+    assert!(
+        design.contains("**replay version 2**"),
+        "DESIGN.md, \"Determinism\", must name the current replay version"
+    );
+
+    const BASE: u64 = 77;
+    const SEED: u64 = 0xD0C5;
+    let data = irs::datagen::TAXI.generate(800, 5);
+    let q = Interval::new(0, irs::datagen::TAXI.domain_size / 2);
+    let batch = [Query::Sample { q, s: 24 }];
+    let client = Irs::builder()
+        .kind(IndexKind::Ait)
+        .seed(BASE)
+        .build(&data)
+        .unwrap();
+
+    // "draws shard `k` from `seed ^ mix(k + 1)`": shard 0 of 1 is the
+    // index itself, so the structure's own sampler reproduces it.
+    let direct = Ait::new(&data).sample(q, 24, &mut SmallRng::seed_from_u64(SEED ^ mix(1)));
+    assert_eq!(
+        client.run_seeded(&batch, SEED),
+        [Ok(QueryOutput::Samples(direct))]
+    );
+
+    // "an unseeded batch is `run_seeded(base_seed + mix(batch))`".
+    for n in 0..3 {
+        let unseeded = client.run(&batch);
+        assert_eq!(
+            unseeded,
+            client.run_seeded(&batch, BASE.wrapping_add(mix(n))),
+            "unseeded batch {n}"
+        );
+    }
+}

@@ -231,8 +231,9 @@ fn update_capable_kinds_keep_ids_and_oracle_agreement_across_restart() {
     }
 }
 
-/// The client facade saves/loads over both backends, and the layouts
-/// interoperate: an engine snapshot loads through a client.
+/// The client facade saves/loads at one shard and at many, and the
+/// handles interoperate: what a client saves, an engine loads and
+/// replays identically (at K = 1 too — one draw derivation).
 #[test]
 fn client_roundtrips_on_both_backends_and_interoperates() {
     let data = dataset(1500, 24);
@@ -250,11 +251,9 @@ fn client_roundtrips_on_both_backends_and_interoperates() {
         assert_eq!(loaded.len(), client.len());
         let qs = batch(&data, false);
         assert_eq!(client.run_seeded(&qs, 7), loaded.run_seeded(&qs, 7));
-        if shards > 1 {
-            // Same layout, other handle: the engine reads it directly.
-            let engine: Engine<i64> = Engine::load(dir.path()).unwrap();
-            assert_eq!(client.run_seeded(&qs, 7), engine.run_seeded(&qs, 7));
-        }
+        // Same layout, other handle: the engine reads it directly.
+        let engine: Engine<i64> = Engine::load(dir.path()).unwrap();
+        assert_eq!(client.run_seeded(&qs, 7), engine.run_seeded(&qs, 7));
     }
 }
 
@@ -448,13 +447,11 @@ fn mixed_save_runs_are_detected_by_snapshot_id() {
 }
 
 /// Sample streams created after a restart must not replay the draw
-/// sequences of streams created before the save (the stream counter is
-/// part of the manifest).
+/// sequences of streams created before the save: every refill is an
+/// engine batch, and the batch counter is part of the manifest.
 #[test]
 fn post_restart_streams_are_fresh_not_replays() {
     let data = dataset(800, 29);
-    // Both backends: the mono client writes the manifest itself; the
-    // sharded client must thread its counter through the engine's save.
     for shards in [1usize, 4] {
         let dir = SnapDir::new(&format!("streams-{shards}"));
         let client = Irs::builder()
@@ -467,12 +464,10 @@ fn post_restart_streams_are_fresh_not_replays() {
         let mut first_pre = client.sample_stream(q).unwrap();
         let pre: Vec<ItemId> = (0..64).map(|_| first_pre.next().unwrap()).collect();
         drop(first_pre);
-        let _second = client.sample_stream(q).unwrap(); // counter advances to 2
         client.save(dir.path()).unwrap();
-        assert_eq!(
-            irs_engine_manifest(dir.path()).stream_counter,
-            2,
-            "shards={shards}"
+        assert!(
+            irs_engine_manifest(dir.path()).batch_counter > 0,
+            "shards={shards}: the pre-save refill must have advanced the manifest's batch counter"
         );
         let loaded = Client::<i64>::load(dir.path()).unwrap();
         let mut first_post = loaded.sample_stream(q).unwrap();

@@ -160,7 +160,7 @@ fn failover_loses_no_acked_mutation_and_promoted_replica_replays_identically() {
     let mut oracle = build();
 
     let wal = irs::WalWriter::<i64>::create(&wal_path, 1).expect("create wal");
-    let primary = irs::serve_primary(build(), ("127.0.0.1", 0), wal).expect("serve primary");
+    let primary = irs::serve(build(), ("127.0.0.1", 0), Some(wal)).expect("serve primary");
     let paddr = primary.local_addr();
     let mut rp = RemoteClient::<i64>::connect(paddr).expect("connect primary");
     assert_eq!(rp.replication_status().expect("status").role, "primary");
@@ -346,7 +346,7 @@ fn concurrent_writers_lose_nothing_across_failover_to_a_promoted_replica() {
         .expect("build");
     let initial = client.len();
     let wal = irs::WalWriter::<i64>::create(&wal_path, 1).expect("create wal");
-    let primary = irs::serve_primary(client, ("127.0.0.1", 0), wal).expect("serve primary");
+    let primary = irs::serve(client, ("127.0.0.1", 0), Some(wal)).expect("serve primary");
     let paddr = primary.local_addr();
 
     let replica_a =

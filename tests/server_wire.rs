@@ -37,7 +37,7 @@ fn backend(n: usize, shards: usize) -> (Vec<Interval64>, Client<i64>) {
 fn concurrent_remote_clients_agree_with_the_oracle() {
     let (data, client) = backend(4000, 4);
     let bf = BruteForce::new(&data);
-    let handle = irs::serve(client, ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(client, ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
 
     let workload = irs::datagen::QueryWorkload::from_data(&data);
@@ -81,7 +81,7 @@ fn concurrent_remote_clients_agree_with_the_oracle() {
 #[test]
 fn seeded_replay_is_byte_identical_to_in_process() {
     let (data, client) = backend(3000, 3);
-    let handle = irs::serve(client.clone(), ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(client.clone(), ("127.0.0.1", 0), None).expect("serve");
     let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
 
     let workload = irs::datagen::QueryWorkload::from_data(&data);
@@ -112,7 +112,7 @@ fn seeded_replay_is_byte_identical_to_in_process() {
 #[test]
 fn remote_mutations_honor_the_global_id_contract() {
     let (_, client) = backend(1000, 2);
-    let handle = irs::serve(client.clone(), ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(client.clone(), ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
 
     let mut remote = RemoteClient::<i64>::connect(addr).expect("connect");
@@ -150,7 +150,7 @@ fn remote_mutations_honor_the_global_id_contract() {
 #[test]
 fn graceful_shutdown_loses_no_acked_mutation() {
     let (_, client) = backend(500, 2);
-    let handle = irs::serve(client, ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(client, ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
     // A Client clone that outlives the server: the observation point.
     let observer = handle.client();
@@ -221,7 +221,7 @@ fn wire_load_swaps_backends_atomically_under_concurrent_readers() {
         std::fs::write(corrupt_dir.join(entry.file_name()), b"not a snapshot").expect("write");
     }
 
-    let handle = irs::serve(small, ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(small, ("127.0.0.1", 0), None).expect("serve");
     let addr = handle.local_addr();
     let all = Interval::new(i64::MIN, i64::MAX);
     let done = std::sync::atomic::AtomicBool::new(false);
@@ -280,7 +280,7 @@ fn wire_load_swaps_backends_atomically_under_concurrent_readers() {
 fn snapshot_saved_over_the_wire_loads_into_an_equivalent_backend() {
     let tmp = std::env::temp_dir().join(format!("irs-wire-snap-{}", std::process::id()));
     let (data, client) = backend(2000, 2);
-    let handle = irs::serve(client.clone(), ("127.0.0.1", 0)).expect("serve");
+    let handle = irs::serve(client.clone(), ("127.0.0.1", 0), None).expect("serve");
     let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
 
     let dir = tmp.to_str().expect("utf8 temp path");

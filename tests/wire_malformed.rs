@@ -18,7 +18,7 @@ fn serve_small() -> irs::ServerHandle<i64> {
         .seed(5)
         .build(&data)
         .expect("build");
-    irs::serve(client, ("127.0.0.1", 0)).expect("serve")
+    irs::serve(client, ("127.0.0.1", 0), None).expect("serve")
 }
 
 /// Sends raw bytes, returns the server's one response frame (decoded),
