@@ -365,7 +365,7 @@ impl<E: GridEndpoint> Catalog<E> {
                         name: name.to_string(),
                         kind: k.name().to_string(),
                         reason: "the kind cannot sample by weight; weighted collections \
-                                 need awit, awit-dynamic, kds, hint-m, or interval-tree",
+                                 need awit, awit-dynamic, or kds",
                     });
                 }
                 Ok(*k)

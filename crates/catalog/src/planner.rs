@@ -16,9 +16,8 @@
 //!    `n = 200 000` and `n = 1 000 000`, interpolated log-linearly in
 //!    the collection size and blended between the *sampling* and
 //!    *enumeration* columns by `expected_extent` (wider queries shift
-//!    weight toward enumeration throughput). Kinds absent from the
-//!    pinned matrix (`hint-m`, `interval-tree`) score zero and rank
-//!    last; ties break in [`IndexKind::ALL`] order. The model is
+//!    weight toward enumeration throughput). Every kind has a pinned
+//!    row; ties break in [`IndexKind::ALL`] order. The model is
 //!    deliberately static — it re-ranks only when the committed bench
 //!    baseline is re-measured, so planning is deterministic across
 //!    machines.
@@ -163,12 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn unmeasured_kinds_rank_last() {
-        let h = hints(0.0, false, 0.1);
-        for k in [IndexKind::HintM, IndexKind::IntervalTree] {
-            assert_eq!(score(k, &h, 200_000), 0.0);
+    fn every_kind_has_pinned_rows() {
+        for k in IndexKind::ALL {
+            assert!(interpolate(&SAMPLE_QPS, k, 200_000).is_some(), "{k}");
+            assert!(interpolate(&SEARCH_QPS, k, 200_000).is_some(), "{k}");
         }
-        assert_ne!(choose(&h, 200_000), IndexKind::HintM);
     }
 
     #[test]

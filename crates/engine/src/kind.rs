@@ -4,7 +4,7 @@
 //! [`IndexKind`]. Caller threads (queries) and mutation workers talk
 //! to them through [`DynIndex`], an object-safe `Send + Sync` trait whose sampling
 //! handles are the erased [`DynPreparedSampler`]s from `irs-core`, so a
-//! single driver loop serves all seven structures — and out-of-tree
+//! single driver loop serves every kind — and out-of-tree
 //! structures could be plugged in the same way. The trait carries both
 //! surfaces of the unified API: read-only queries (`&self`, safe to
 //! drive from many threads at once under a shared read guard) and the
@@ -30,8 +30,6 @@ use irs_core::{
     MemoryFootprint, Operation, QueryError, RangeCount, RangeSampler, RangeSearch, StabbingQuery,
     UpdateError, UpdateOp, WeightedRangeSampler,
 };
-use irs_hint::HintM;
-use irs_interval_tree::IntervalTree;
 use irs_kds::Kds;
 use std::collections::HashMap;
 
@@ -54,22 +52,22 @@ pub enum IndexKind {
     AwitDynamic,
     /// KDS baseline: canonical decomposition, `O(√n + s)` expected.
     Kds,
-    /// HINTm baseline: hierarchical grid, enumeration-based.
-    HintM,
-    /// Edelsbrunner interval tree baseline: enumeration-based.
-    IntervalTree,
 }
 
 impl IndexKind {
-    /// All seven kinds, for test matrices and CLI enumeration.
-    pub const ALL: [IndexKind; 7] = [
+    /// Every kind, for test matrices and CLI enumeration.
+    ///
+    /// The paper's enumeration baselines (`HintM`, `IntervalTree`) are
+    /// not kinds: a sample through them costs `Ω(|q ∩ X|)`, so no
+    /// planner row could ever choose them. Their former names `hint-m`
+    /// and `interval-tree` are retired and never reissued; a snapshot
+    /// naming either fails to load with [`PersistError::UnknownKind`].
+    pub const ALL: [IndexKind; 5] = [
         IndexKind::Ait,
         IndexKind::AitV,
         IndexKind::Awit,
         IndexKind::AwitDynamic,
         IndexKind::Kds,
-        IndexKind::HintM,
-        IndexKind::IntervalTree,
     ];
 
     /// Stable lowercase name (CLI argument / JSON field value).
@@ -80,8 +78,6 @@ impl IndexKind {
             IndexKind::Awit => "awit",
             IndexKind::AwitDynamic => "awit-dynamic",
             IndexKind::Kds => "kds",
-            IndexKind::HintM => "hint-m",
-            IndexKind::IntervalTree => "interval-tree",
         }
     }
 
@@ -124,7 +120,7 @@ impl IndexKind {
                 QueryError::UnsupportedOperation {
                     op,
                     reason: "AIT and AIT-V index unweighted intervals only; \
-                             use AWIT (or a weighted baseline) for Problem 2",
+                             use AWIT, AWIT-dynamic or KDS for Problem 2",
                 }
             }
             Operation::WeightedSample if !weighted => QueryError::NotWeighted,
@@ -232,24 +228,10 @@ impl IndexKind {
                     uniform,
                 })
             }
-            IndexKind::Kds => Box::new(WeightedBaseline {
+            IndexKind::Kds => Box::new(KdsShard {
                 idx: match weights {
                     Some(w) => Kds::new_weighted(data, w),
                     None => Kds::new(data),
-                },
-                weighted: weights.is_some(),
-            }),
-            IndexKind::HintM => Box::new(WeightedBaseline {
-                idx: match weights {
-                    Some(w) => HintM::new_weighted(data, w),
-                    None => HintM::new(data),
-                },
-                weighted: weights.is_some(),
-            }),
-            IndexKind::IntervalTree => Box::new(WeightedBaseline {
-                idx: match weights {
-                    Some(w) => IntervalTree::new_weighted(data, w),
-                    None => IntervalTree::new(data),
                 },
                 weighted: weights.is_some(),
             }),
@@ -267,23 +249,6 @@ impl IndexKind {
         r: &mut Reader<'_>,
         weighted: bool,
     ) -> Result<Box<dyn DynIndex<E>>, PersistError> {
-        // The manifest's weighted flag must agree with the decoded
-        // structure: a weighted baseline whose weight arrays are absent
-        // would pass its own decode (that is the valid *unweighted*
-        // form) and then hit the structures' internal weighted-build
-        // assertions on the first weighted query.
-        fn check_weighted(
-            weighted: bool,
-            has_weights: bool,
-            empty: bool,
-        ) -> Result<(), PersistError> {
-            if weighted && !has_weights && !empty {
-                return Err(PersistError::Corrupt {
-                    what: "manifest says weighted, but the index carries no weights",
-                });
-            }
-            Ok(())
-        }
         Ok(match self {
             IndexKind::Ait => Box::new(MutableAit {
                 idx: Ait::decode(r)?,
@@ -300,18 +265,17 @@ impl IndexKind {
             }),
             IndexKind::Kds => {
                 let idx = Kds::decode(r)?;
-                check_weighted(weighted, idx.is_weighted(), idx.is_empty())?;
-                Box::new(WeightedBaseline { idx, weighted })
-            }
-            IndexKind::HintM => {
-                let idx = HintM::decode(r)?;
-                check_weighted(weighted, idx.is_weighted(), idx.is_empty())?;
-                Box::new(WeightedBaseline { idx, weighted })
-            }
-            IndexKind::IntervalTree => {
-                let idx = IntervalTree::decode(r)?;
-                check_weighted(weighted, idx.is_weighted(), idx.is_empty())?;
-                Box::new(WeightedBaseline { idx, weighted })
+                // The manifest's weighted flag must agree with the
+                // decoded tree: one whose weight arrays are absent passes
+                // its own decode (that is the valid *unweighted* form)
+                // and would then hit the tree's weighted-build assertion
+                // on the first weighted query.
+                if weighted && !idx.is_weighted() && !idx.is_empty() {
+                    return Err(PersistError::Corrupt {
+                        what: "manifest says weighted, but the index carries no weights",
+                    });
+                }
+                Box::new(KdsShard { idx, weighted })
             }
         })
     }
@@ -364,8 +328,7 @@ pub trait DynIndex<E>: Send + Sync {
     /// Weighted handles report their allocation mass through
     /// [`DynPreparedSampler::total_weight`], read off the phase-1 state
     /// (AWIT: cumulative arrays; KDS: prefix sums over the
-    /// decomposition; HINTm / interval tree: the materialized
-    /// candidates) — never by re-running the search.
+    /// decomposition) — never by re-running the search.
     fn prepare_weighted<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>>;
 
     /// Inserts `iv` immediately (the paper's one-by-one insertion),
@@ -715,13 +678,51 @@ impl<E: GridEndpoint> DynIndex<E> for AwitShard<E> {
     }
 }
 
-/// KDS / HINTm / interval-tree shard: uniform sampling always, weighted
-/// when built with weights. Weighted handles carry their mass (read off
-/// the phase-1 state via each structure's `total_weight`), so the
-/// engine never re-enumerates the result set for allocation.
-struct WeightedBaseline<I> {
-    idx: I,
+/// KDS shard: uniform sampling always, weighted when built with
+/// weights. Weighted handles carry their mass (read off the phase-1
+/// decomposition's prefix sums), so the engine never re-enumerates the
+/// result set for allocation.
+struct KdsShard<E> {
+    idx: Kds<E>,
     weighted: bool,
+}
+
+impl<E: GridEndpoint> DynIndex<E> for KdsShard<E> {
+    fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
+        self.idx.range_search_into(q, out);
+    }
+
+    // The `weighted` flag is manifest state, not index state;
+    // `IndexKind::decode_index` restores it from there.
+    fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
+        self.idx.encode_into(out);
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        MemoryFootprint::heap_bytes(&self.idx)
+    }
+
+    fn count(&self, q: Interval<E>) -> usize {
+        self.idx.range_count(q)
+    }
+
+    fn stab_into(&self, p: E, out: &mut Vec<ItemId>) {
+        stab_via_search(&self.idx, p, out);
+    }
+
+    fn prepare<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
+        Some(Box::new(Erased(RangeSampler::prepare(&self.idx, q))))
+    }
+
+    fn prepare_weighted<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
+        if !self.weighted {
+            return None;
+        }
+        let prepared = self.idx.prepare_weighted(q);
+        let mass = prepared.total_weight();
+        Some(Box::new(WithMass(Erased(prepared), mass)))
+    }
 }
 
 /// Erased handle plus its precomputed allocation mass.
@@ -744,59 +745,3 @@ impl<P: DynPreparedSampler> DynPreparedSampler for WithMass<P> {
         self.0.sample_into_dyn(rng, s, out);
     }
 }
-
-macro_rules! impl_weighted_baseline {
-    ($ty:ident, $bound:ident, $stab:expr) => {
-        impl<E: $bound> DynIndex<E> for WeightedBaseline<$ty<E>> {
-            fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
-                self.idx.range_search_into(q, out);
-            }
-
-            // The `weighted` flag is manifest state, not index state;
-            // `IndexKind::decode_index` restores it from there.
-            fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
-                self.idx.encode_into(out);
-                Ok(())
-            }
-
-            fn heap_bytes(&self) -> usize {
-                MemoryFootprint::heap_bytes(&self.idx)
-            }
-
-            fn count(&self, q: Interval<E>) -> usize {
-                self.idx.range_count(q)
-            }
-
-            fn stab_into(&self, p: E, out: &mut Vec<ItemId>) {
-                let stab: fn(&$ty<E>, E, &mut Vec<ItemId>) = $stab;
-                stab(&self.idx, p, out);
-            }
-
-            fn prepare<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
-                Some(Box::new(Erased(RangeSampler::prepare(&self.idx, q))))
-            }
-
-            fn prepare_weighted<'a>(
-                &'a self,
-                q: Interval<E>,
-            ) -> Option<Box<dyn DynPreparedSampler + 'a>> {
-                if !self.weighted {
-                    return None;
-                }
-                let prepared = self.idx.prepare_weighted(q);
-                let mass = prepared.total_weight();
-                Some(Box::new(WithMass(Erased(prepared), mass)))
-            }
-        }
-    };
-}
-
-impl_weighted_baseline!(Kds, GridEndpoint, |idx, p, out| stab_via_search(
-    idx, p, out
-));
-impl_weighted_baseline!(HintM, GridEndpoint, |idx, p, out| stab_via_search(
-    idx, p, out
-));
-impl_weighted_baseline!(IntervalTree, GridEndpoint, |idx, p, out| {
-    StabbingQuery::stab_into(idx, p, out)
-});

@@ -2,8 +2,8 @@
 //!
 //! The index structures in this workspace answer one query at a time on
 //! one thread. This crate scales them out: an [`Engine`] partitions the
-//! dataset round-robin into `K` shards, builds one index per shard (any
-//! of the seven structures, chosen by [`IndexKind`]), and executes
+//! dataset round-robin into `K` shards, builds one index per shard (the
+//! structure chosen by [`IndexKind`]), and executes
 //! batches of typed [`Query`]s across the shards.
 //!
 //! The engine is a **shared, clonable service**: the handle is a cheap

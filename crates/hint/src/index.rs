@@ -152,13 +152,6 @@ impl<E: GridEndpoint> HintM<E> {
         self.m
     }
 
-    /// Whether the index carries per-interval weights (built with
-    /// [`HintM::new_weighted`], or decoded from a weighted snapshot).
-    /// Empty indexes report `false` either way.
-    pub fn is_weighted(&self) -> bool {
-        !self.weights.is_empty()
-    }
-
     /// Bottom-level grid cell of `v` (must be within the domain).
     #[inline]
     fn cell(&self, v: E) -> u64 {
@@ -447,114 +440,6 @@ impl<E: Endpoint> MemoryFootprint for HintM<E> {
             }
         }
         bytes
-    }
-}
-
-// ---------------------------------------------------------------------
-// On-disk codec (see DESIGN.md, "On-disk snapshot format").
-
-use irs_core::persist::{Codec, PersistError, Reader};
-
-impl<E: Endpoint + Codec> Codec for HEntry<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.iv.encode_into(out);
-        self.id.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(HEntry {
-            iv: Interval::decode(r)?,
-            id: ItemId::decode(r)?,
-        })
-    }
-}
-
-impl<E: Endpoint + Codec> Codec for Partition<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.o_in.encode_into(out);
-        self.o_aft.encode_into(out);
-        self.r_in.encode_into(out);
-        self.r_aft.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Partition {
-            o_in: Vec::decode(r)?,
-            o_aft: Vec::decode(r)?,
-            r_in: Vec::decode(r)?,
-            r_aft: Vec::decode(r)?,
-        })
-    }
-}
-
-impl<E: GridEndpoint> Codec for HintM<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.levels.encode_into(out);
-        self.m.encode_into(out);
-        self.domain.encode_into(out);
-        self.shift.encode_into(out);
-        self.len.encode_into(out);
-        self.weights.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let levels: Vec<Vec<Partition<E>>> = Vec::decode(r)?;
-        let m = u32::decode(r)?;
-        // The query loops index `levels[l][cell >> ..]` without bounds
-        // checks being recoverable; the hierarchy shape must hold.
-        if !(1..=24).contains(&m)
-            || levels.len() != m as usize + 1
-            || levels
-                .iter()
-                .enumerate()
-                .any(|(l, level)| level.len() != 1usize << l)
-        {
-            return Err(PersistError::Corrupt {
-                what: "HINTm hierarchy shape does not match its depth",
-            });
-        }
-        let domain: Option<(E, E)> = Option::decode(r)?;
-        if let Some((lo, hi)) = domain {
-            if lo > hi {
-                return Err(PersistError::Corrupt {
-                    what: "HINTm domain bounds out of order",
-                });
-            }
-        }
-        let shift = u32::decode(r)?;
-        if shift >= 64 {
-            return Err(PersistError::Corrupt {
-                what: "HINTm grid shift out of range",
-            });
-        }
-        let len = usize::decode(r)?;
-        let weights: Vec<f64> = Vec::decode(r)?;
-        if !weights.is_empty() && weights.len() != len {
-            return Err(PersistError::Corrupt {
-                what: "HINTm weights do not match the dataset length",
-            });
-        }
-        // Sampling indexes `weights[entry.id]`; an out-of-range id
-        // would panic at query time, long after the load succeeded.
-        let id_ok = |e: &HEntry<E>| (e.id as usize) < len;
-        if levels.iter().flatten().any(|p| {
-            !(p.o_in.iter().all(id_ok)
-                && p.o_aft.iter().all(id_ok)
-                && p.r_in.iter().all(id_ok)
-                && p.r_aft.iter().all(id_ok))
-        }) {
-            return Err(PersistError::Corrupt {
-                what: "HINTm entry id out of range",
-            });
-        }
-        Ok(HintM {
-            levels,
-            m,
-            domain,
-            shift,
-            len,
-            weights,
-        })
     }
 }
 

@@ -36,9 +36,8 @@
 //! | IRS (either problem) | `Ω(\|q ∩ X\| + s)` | search-then-sample (§V baseline) |
 //! | Space | `O(n · m)` worst case, ~`O(n)` typical | replicas per level |
 //!
-//! Snapshots: [`HintM`] implements [`irs_core::persist::Codec`], storing
-//! every partition's four sublists plus the grid geometry (see
-//! `DESIGN.md`, "On-disk snapshot format").
+//! A measurement baseline only: the engine serves no `IndexKind` built
+//! on it, so it has no snapshot codec.
 
 #![deny(missing_docs)]
 

@@ -24,9 +24,8 @@
 //! | IRS (either problem) | `Ω(\|q ∩ X\| + s)` | search-then-sample (§V baseline) |
 //! | Space | `O(n)` | each interval stored at one node (twice) |
 //!
-//! Snapshots: [`IntervalTree`] implements [`irs_core::persist::Codec`],
-//! storing the node arena and optional weights verbatim (see
-//! `DESIGN.md`, "On-disk snapshot format").
+//! A measurement baseline only: the engine serves no `IndexKind` built
+//! on it, so it has no snapshot codec.
 
 #![deny(missing_docs)]
 

@@ -144,13 +144,6 @@ impl<E: Endpoint> IntervalTree<E> {
         self.len == 0
     }
 
-    /// Whether the index carries per-interval weights (built with
-    /// [`IntervalTree::new_weighted`], or decoded from a weighted
-    /// snapshot). Empty indexes report `false` either way.
-    pub fn is_weighted(&self) -> bool {
-        !self.weights.is_empty()
-    }
-
     /// Height of the tree (0 for an empty tree).
     pub fn height(&self) -> usize {
         fn depth<E>(nodes: &[Node<E>], at: u32) -> usize {
@@ -346,94 +339,6 @@ impl<E: Endpoint> MemoryFootprint for IntervalTree<E> {
             bytes += vec_bytes(&node.by_lo) + vec_bytes(&node.by_hi);
         }
         bytes + vec_bytes(&self.weights)
-    }
-}
-
-// ---------------------------------------------------------------------
-// On-disk codec (see DESIGN.md, "On-disk snapshot format").
-
-use irs_core::persist::{check_arena_link, Codec, PersistError, Reader};
-
-impl<E: Endpoint + Codec> Codec for Entry<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.iv.encode_into(out);
-        self.id.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Entry {
-            iv: Interval::decode(r)?,
-            id: ItemId::decode(r)?,
-        })
-    }
-}
-
-impl<E: Endpoint + Codec> Codec for Node<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.center.encode_into(out);
-        self.by_lo.encode_into(out);
-        self.by_hi.encode_into(out);
-        self.left.encode_into(out);
-        self.right.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let node = Node {
-            center: E::decode(r)?,
-            by_lo: Vec::decode(r)?,
-            by_hi: Vec::decode(r)?,
-            left: u32::decode(r)?,
-            right: u32::decode(r)?,
-        };
-        if node.by_lo.len() != node.by_hi.len() {
-            return Err(PersistError::Corrupt {
-                what: "interval-tree node: Ll/Lr lengths disagree",
-            });
-        }
-        Ok(node)
-    }
-}
-
-impl<E: Endpoint + Codec> Codec for IntervalTree<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.nodes.encode_into(out);
-        self.root.encode_into(out);
-        self.len.encode_into(out);
-        self.weights.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let nodes: Vec<Node<E>> = Vec::decode(r)?;
-        let root = u32::decode(r)?;
-        check_arena_link(root, nodes.len(), "interval-tree link out of range")?;
-        for n in &nodes {
-            check_arena_link(n.left, nodes.len(), "interval-tree link out of range")?;
-            check_arena_link(n.right, nodes.len(), "interval-tree link out of range")?;
-        }
-        let len = usize::decode(r)?;
-        let weights: Vec<f64> = Vec::decode(r)?;
-        if !weights.is_empty() && weights.len() != len {
-            return Err(PersistError::Corrupt {
-                what: "interval-tree weights do not match the dataset length",
-            });
-        }
-        // Weighted sampling indexes `weights[entry.id]`; bound the ids
-        // here so a corrupt id cannot panic at query time.
-        if nodes
-            .iter()
-            .flat_map(|n| n.by_lo.iter().chain(&n.by_hi))
-            .any(|e| e.id as usize >= len)
-        {
-            return Err(PersistError::Corrupt {
-                what: "interval-tree entry id out of range",
-            });
-        }
-        Ok(IntervalTree {
-            nodes,
-            root,
-            len,
-            weights,
-        })
     }
 }
 

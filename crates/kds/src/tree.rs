@@ -51,7 +51,7 @@ impl<E: Endpoint> KdNode<E> {
 
 /// Default leaf bucket size (points per unsplit node). Small enough that
 /// boundary-leaf scans stay cheap, large enough to keep the node count and
-/// build time down; the `kds_leaf_size` bench sweeps this.
+/// build time down.
 pub const DEFAULT_LEAF_SIZE: usize = 16;
 
 /// The KDS index: a static kd-tree over interval endpoints supporting

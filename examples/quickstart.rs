@@ -1,4 +1,4 @@
-//! Quickstart: one facade over every index structure. Build a
+//! Quickstart: one facade over every index kind. Build a
 //! [`Client`] per kind with `Irs::builder()`, discover what each kind
 //! can do from its [`Capabilities`] (no probing, no panics), and run
 //! the same IRS query through all of them.
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = 1000;
     println!("\nquery {q:?}, s = {s}");
 
-    // The same fallible facade serves every structure.
+    // The same fallible facade serves every kind.
     for kind in IndexKind::ALL {
         let t = Instant::now();
         let client = Irs::builder().kind(kind).seed(1).build(&data)?;

@@ -110,7 +110,7 @@ USAGE:
   irs-cli count    --data <FILE> --lo <LO> --hi <HI>
   irs-cli sample   --data <FILE> --lo <LO> --hi <HI> --s <S> [--weighted] [--seed <S>]
   irs-cli stab     --data <FILE> --at <P>
-  irs-cli bench-engine [--profile <P>] [--n <N>] [--kind <ait|ait-v|awit|awit-dynamic|kds|hint-m|interval-tree>]
+  irs-cli bench-engine [--profile <P>] [--n <N>] [--kind <K>]
                        [--shards <K1,K2,..>] [--batches <B1,B2,..>] [--threads <T1,T2,..>]
                        [--s <S>] [--queries <Q>] [--extent <PCT>] [--seed <S>]
                        [--compare <BASELINE.json>]

@@ -21,7 +21,9 @@
 //! ## Quickstart
 //!
 //! The unified facade ([`Irs`], crate `irs-client`) serves every
-//! structure — and the sharded engine — behind one typed, fallible API:
+//! [`IndexKind`] (the table above without its two enumeration
+//! baselines, plus `DynamicAwit`) and the sharded engine behind one
+//! typed, fallible API:
 //!
 //! ```
 //! use irs::prelude::*;

@@ -122,9 +122,14 @@ fn collections_are_managed_over_the_wire_by_many_clients() {
         .create_collection(spec("Bad Name!", Some("ait")))
         .expect_err("bad name");
     assert_eq!(err.code, ErrorCode::CatalogInvalidName);
-    let err = admin
-        .create_collection(spec("nope", Some("btree")))
-        .expect_err("bad kind");
+    // Unknown kinds, including the retired baseline names, are bad specs.
+    for kind in ["btree", "hint-m", "interval-tree"] {
+        let err = admin
+            .create_collection(spec("nope", Some(kind)))
+            .expect_err("bad kind");
+        assert_eq!(err.code, ErrorCode::CatalogInvalidSpec, "{kind}");
+    }
+    let err = admin.reindex("tenant-0", "hint-m").expect_err("bad kind");
     assert_eq!(err.code, ErrorCode::CatalogInvalidSpec);
     let err = admin.drop_collection("ghost").expect_err("unknown drop");
     assert_eq!(err.code, ErrorCode::CatalogUnknownCollection);

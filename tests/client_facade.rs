@@ -175,7 +175,7 @@ fn client_weighted_sampling_matches_weights() {
         (IndexKind::Awit, 1usize),
         (IndexKind::Awit, 4),
         (IndexKind::Kds, 1),
-        (IndexKind::HintM, 4),
+        (IndexKind::Kds, 4),
     ] {
         let client = Irs::builder()
             .kind(kind)

@@ -55,7 +55,7 @@ fn concurrent_mixed_batches_agree_with_oracle_and_stay_unbiased() {
     let q_chi = mid_size_query(&data, &bf, 0x51);
     let support = sorted(bf.range_search(q_chi));
     let qs = irs::datagen::QueryWorkload::from_data(&data).generate(6, 8.0, 0xAB);
-    for kind in [IndexKind::Ait, IndexKind::AitV, IndexKind::HintM] {
+    for kind in [IndexKind::Ait, IndexKind::AitV, IndexKind::Kds] {
         let engine =
             Engine::try_new(&data, EngineConfig::new(kind).shards(4).seed(0xFEED)).unwrap();
         let pooled = Mutex::new(vec![0u64; support.len()]);

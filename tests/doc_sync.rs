@@ -107,6 +107,32 @@ fn registry_pins_the_replication_wire_contract() {
     }
 }
 
+/// DESIGN.md's "Per-kind index sections" table has one row per
+/// `IndexKind`, in `IndexKind::ALL` order, and no row for anything
+/// else (a retired kind's row must go with it).
+#[test]
+fn design_md_per_kind_table_matches_index_kinds() {
+    use irs::IndexKind;
+
+    let doc = design_md();
+    let section = doc
+        .split("### Per-kind index sections")
+        .nth(1)
+        .expect("DESIGN.md lost its \"Per-kind index sections\" heading");
+    let rows: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("| Kind |"))
+        .skip(2)
+        .take_while(|l| l.starts_with("| `"))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect();
+    let kinds: Vec<&str> = IndexKind::ALL.iter().map(|k| k.name()).collect();
+    assert_eq!(
+        rows, kinds,
+        "DESIGN.md's per-kind table and IndexKind::ALL diverge"
+    );
+}
+
 /// DESIGN.md, "Determinism", states the one draw-stream derivation in a
 /// single sentence and names it replay version 2. This pins the
 /// sentence and checks each clause of it against behaviour, through a

@@ -144,13 +144,7 @@ fn sharded_weighted_sampling_matches_weights() {
         .iter()
         .map(|&id| weights[id as usize] / mass)
         .collect();
-    for kind in [
-        IndexKind::Awit,
-        IndexKind::AwitDynamic,
-        IndexKind::Kds,
-        IndexKind::HintM,
-        IndexKind::IntervalTree,
-    ] {
+    for kind in [IndexKind::Awit, IndexKind::AwitDynamic, IndexKind::Kds] {
         for shards in SHARD_COUNTS {
             let engine = Engine::try_new_weighted(
                 &data,

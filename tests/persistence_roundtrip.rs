@@ -113,13 +113,7 @@ fn every_kind_and_shard_count_replays_byte_identically() {
 fn weighted_builds_replay_byte_identically() {
     let data = dataset(1800, 22);
     let weights: Vec<f64> = (0..data.len()).map(|i| 1.0 + (i % 9) as f64).collect();
-    for kind in [
-        IndexKind::Awit,
-        IndexKind::AwitDynamic,
-        IndexKind::Kds,
-        IndexKind::HintM,
-        IndexKind::IntervalTree,
-    ] {
+    for kind in [IndexKind::Awit, IndexKind::AwitDynamic, IndexKind::Kds] {
         for shards in SHARD_COUNTS {
             let dir = SnapDir::new(&format!("weighted-{kind}-{shards}"));
             let engine = Engine::try_new_weighted(
@@ -341,7 +335,7 @@ fn mismatches_are_typed_refusals() {
     // A shard from a *different* snapshot (other kind) swapped in.
     let other = SnapDir::new("mismatch-other");
     let donor =
-        Engine::try_new(&data, EngineConfig::new(IndexKind::HintM).shards(2).seed(4)).unwrap();
+        Engine::try_new(&data, EngineConfig::new(IndexKind::AitV).shards(2).seed(4)).unwrap();
     donor.save(other.path()).unwrap();
     let pristine = std::fs::read(dir.path().join("shard-0001.irs")).unwrap();
     std::fs::copy(
@@ -355,14 +349,24 @@ fn mismatches_are_typed_refusals() {
     ));
     std::fs::write(dir.path().join("shard-0001.irs"), pristine).unwrap();
 
-    // Unknown kind name in the manifest (decoded from valid framing).
-    let mut manifest = irs_engine_manifest(dir.path());
-    manifest.kind = "btree-of-the-future".to_string();
-    irs_engine::persist::write_manifest(dir.path(), &manifest).unwrap();
-    assert!(matches!(
-        Engine::<i64>::load(dir.path()).map(|_| ()),
-        Err(PersistError::UnknownKind { .. })
-    ));
+    // Unknown kind name in the manifest (decoded from valid framing),
+    // including the retired baseline names, which are never reissued.
+    for retired in ["hint-m", "interval-tree"] {
+        assert!(IndexKind::ALL.iter().all(|k| k.name() != retired));
+    }
+    let pristine = irs_engine_manifest(dir.path());
+    for name in ["btree-of-the-future", "hint-m", "interval-tree"] {
+        let mut manifest = pristine.clone();
+        manifest.kind = name.to_string();
+        irs_engine::persist::write_manifest(dir.path(), &manifest).unwrap();
+        assert!(
+            matches!(
+                Engine::<i64>::load(dir.path()).map(|_| ()),
+                Err(PersistError::UnknownKind { .. })
+            ),
+            "kind {name:?} must be an unknown kind"
+        );
+    }
 
     // Missing directory → typed I/O error.
     assert!(matches!(
