@@ -1,12 +1,12 @@
 //! The Augmented Interval Tree and Algorithm 1 (§III-A, §III-B).
 
-use crate::build::{build_tree, key_layout, BuildEntry, Key, NodeFactory, NIL};
+use crate::build::{build_tree, BuildEntry, Key, NodeFactory, NIL};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch,
 };
-use irs_sampling::{prefetch_read, AliasTable, Eytzinger};
+use irs_sampling::{prefetch_read, AliasTable};
 
 /// One AIT node: the interval-tree lists (`Ll`, `Lr`) plus the augmented
 /// subtree lists (`ALl`, `ALr`). Lists store `(endpoint, id)` pairs — each
@@ -35,45 +35,6 @@ impl<E: Endpoint> AitNode<E> {
             ListKind::AllHi => &self.al_hi,
             ListKind::AllLo => &self.al_lo,
         }
-    }
-}
-
-/// Derived, never-serialized hot-path companion of one [`AitNode`]: the
-/// descent-critical fields (split key, child links) at the front of a
-/// 64-byte-aligned struct, followed by Eytzinger layouts of the four
-/// endpoint lists. Index-aligned with `Ait::nodes`; rebuilt wholesale
-/// by [`Ait::finalize`] and per touched node by [`Ait::refresh_hot`]
-/// after mutations (see DESIGN.md, "Hot-path memory layout").
-#[derive(Debug, Clone)]
-#[repr(align(64))]
-pub(crate) struct AitHot<E> {
-    pub(crate) center: E,
-    pub(crate) left: u32,
-    pub(crate) right: u32,
-    pub(crate) ey_l_lo: Eytzinger<E>,
-    pub(crate) ey_l_hi: Eytzinger<E>,
-    pub(crate) ey_al_lo: Eytzinger<E>,
-    pub(crate) ey_al_hi: Eytzinger<E>,
-}
-
-impl<E: Endpoint> AitHot<E> {
-    pub(crate) fn of(node: &AitNode<E>) -> Self {
-        AitHot {
-            center: node.center,
-            left: node.left,
-            right: node.right,
-            ey_l_lo: key_layout(&node.l_lo),
-            ey_l_hi: key_layout(&node.l_hi),
-            ey_al_lo: key_layout(&node.al_lo),
-            ey_al_hi: key_layout(&node.al_hi),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.ey_l_lo.heap_bytes()
-            + self.ey_l_hi.heap_bytes()
-            + self.ey_al_lo.heap_bytes()
-            + self.ey_al_hi.heap_bytes()
     }
 }
 
@@ -162,10 +123,6 @@ pub struct Ait<E> {
     /// queries until flushed.
     pub(crate) pool: Vec<(Interval<E>, ItemId)>,
     pub(crate) pool_capacity: usize,
-    /// Derived descent arena, index-aligned with `nodes`. Never
-    /// serialized; constructors and decode paths call [`Ait::finalize`],
-    /// mutation paths call [`Ait::refresh_hot`] per touched node.
-    pub(crate) hot: Vec<AitHot<E>>,
 }
 
 impl<E: Endpoint> Ait<E> {
@@ -187,7 +144,7 @@ impl<E: Endpoint> Ait<E> {
         let len = entries.len();
         let built = build_tree(&AitFactory, entries);
         let pool_capacity = Self::pool_capacity_for(len);
-        let mut ait = Ait {
+        Ait {
             nodes: built.nodes,
             root: built.root,
             len,
@@ -195,23 +152,7 @@ impl<E: Endpoint> Ait<E> {
             next_id,
             pool: Vec::new(),
             pool_capacity,
-            hot: Vec::new(),
-        };
-        ait.finalize();
-        ait
-    }
-
-    /// Rebuilds the derived hot-path state from the authority node
-    /// arrays. `O(n log n)`; called at construction and snapshot decode.
-    pub(crate) fn finalize(&mut self) {
-        self.hot = self.nodes.iter().map(AitHot::of).collect();
-    }
-
-    /// Re-derives the hot entry of one node after its lists or links
-    /// changed. Costs the size of the node's lists — the same order as
-    /// the sorted `Vec` churn the mutation itself already paid.
-    pub(crate) fn refresh_hot(&mut self, at: u32) {
-        self.hot[at as usize] = AitHot::of(&self.nodes[at as usize]);
+        }
     }
 
     pub(crate) fn pool_capacity_for(n: usize) -> usize {
@@ -253,23 +194,22 @@ impl<E: Endpoint> Ait<E> {
                 pool_matches.push(*id);
             }
         }
-        let hot = self.hot.as_slice();
-        debug_assert_eq!(hot.len(), self.nodes.len());
+        let nodes = self.nodes.as_slice();
         let mut at = self.root;
         while at != NIL {
-            let node = &hot[at as usize];
+            let node = &nodes[at as usize];
             // Pull the next level toward L1 while this node's binary
             // search runs — whichever way the case split goes, the child
             // header is resident by the time the descent arrives.
             if node.left != NIL {
-                prefetch_read(&hot[node.left as usize]);
+                prefetch_read(&nodes[node.left as usize]);
             }
             if node.right != NIL {
-                prefetch_read(&hot[node.right as usize]);
+                prefetch_read(&nodes[node.right as usize]);
             }
             if q.hi < node.center {
                 // Case 1: q lies left of the center. Ll[0..j) overlaps.
-                let j = node.ey_l_lo.partition_point(|&k| k <= q.hi);
+                let j = node.l_lo.partition_point(|k| k.key <= q.hi);
                 if j >= 1 {
                     records.push(NodeRecord {
                         node: at,
@@ -281,13 +221,13 @@ impl<E: Endpoint> Ait<E> {
                 at = node.left;
             } else if node.center < q.lo {
                 // Case 2: q lies right of the center. Lr[j..] overlaps.
-                let j = node.ey_l_hi.partition_point(|&k| k < q.lo);
-                if j < node.ey_l_hi.len() {
+                let j = node.l_hi.partition_point(|k| k.key < q.lo);
+                if j < node.l_hi.len() {
                     records.push(NodeRecord {
                         node: at,
                         kind: ListKind::Hi,
                         start: j as u32,
-                        end: (node.ey_l_hi.len() - 1) as u32,
+                        end: (node.l_hi.len() - 1) as u32,
                     });
                 }
                 at = node.right;
@@ -295,29 +235,29 @@ impl<E: Endpoint> Ait<E> {
                 // Case 3: q stabs the center — all of Ll overlaps, and the
                 // children's augmented lists cover both whole subtrees, so
                 // no further descent is ever needed (the key AIT property).
-                if !node.ey_l_lo.is_empty() {
+                if !node.l_lo.is_empty() {
                     records.push(NodeRecord {
                         node: at,
                         kind: ListKind::Lo,
                         start: 0,
-                        end: (node.ey_l_lo.len() - 1) as u32,
+                        end: (node.l_lo.len() - 1) as u32,
                     });
                 }
                 if node.left != NIL {
-                    let child = &hot[node.left as usize];
-                    let j = child.ey_al_hi.partition_point(|&k| k < q.lo);
-                    if j < child.ey_al_hi.len() {
+                    let child = &nodes[node.left as usize];
+                    let j = child.al_hi.partition_point(|k| k.key < q.lo);
+                    if j < child.al_hi.len() {
                         records.push(NodeRecord {
                             node: node.left,
                             kind: ListKind::AllHi,
                             start: j as u32,
-                            end: (child.ey_al_hi.len() - 1) as u32,
+                            end: (child.al_hi.len() - 1) as u32,
                         });
                     }
                 }
                 if node.right != NIL {
-                    let child = &hot[node.right as usize];
-                    let j = child.ey_al_lo.partition_point(|&k| k <= q.hi);
+                    let child = &nodes[node.right as usize];
+                    let j = child.al_lo.partition_point(|k| k.key <= q.hi);
                     if j >= 1 {
                         records.push(NodeRecord {
                             node: node.right,
@@ -389,27 +329,6 @@ impl<E: Endpoint> Ait<E> {
                 ));
             }
             Ok(subtree)
-        }
-        // Derived-state coherence: the hot arena must mirror the
-        // authority arrays exactly, or searches would silently drift.
-        if self.hot.len() != self.nodes.len() {
-            return Err(format!(
-                "hot arena size {} != node arena size {}",
-                self.hot.len(),
-                self.nodes.len()
-            ));
-        }
-        for (at, (node, hot)) in self.nodes.iter().zip(&self.hot).enumerate() {
-            if hot.center != node.center || hot.left != node.left || hot.right != node.right {
-                return Err(format!("node {at}: hot header is stale"));
-            }
-            if hot.ey_l_lo.len() != node.l_lo.len()
-                || hot.ey_l_hi.len() != node.l_hi.len()
-                || hot.ey_al_lo.len() != node.al_lo.len()
-                || hot.ey_al_hi.len() != node.al_hi.len()
-            {
-                return Err(format!("node {at}: hot layout lengths are stale"));
-            }
         }
         let all = walk(self, self.root)?;
         if all.len() + self.pool.len() != self.len {
@@ -615,10 +534,6 @@ impl<E: Endpoint> MemoryFootprint for Ait<E> {
                 + vec_bytes(&node.l_hi)
                 + vec_bytes(&node.al_lo)
                 + vec_bytes(&node.al_hi);
-        }
-        bytes += self.hot.capacity() * std::mem::size_of::<AitHot<E>>();
-        for hot in &self.hot {
-            bytes += hot.heap_bytes();
         }
         bytes + vec_bytes(&self.pool)
     }

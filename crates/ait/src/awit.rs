@@ -9,16 +9,13 @@
 //! space (Corollaries 4 and 5). Updates are not supported (§IV's
 //! discussion: a single insertion shifts entire prefix arrays).
 
-use crate::build::{build_tree, key_layout, BuildEntry, Key, NodeFactory, NIL};
+use crate::build::{build_tree, BuildEntry, Key, NodeFactory, NIL};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSearch, WeightedRangeSampler,
 };
-use irs_sampling::{
-    prefetch_read, sample_prefix_range_eytzinger, sample_prefix_window, sample_prefix_window_fill,
-    AliasTable, Eytzinger, EYTZINGER_WINDOW_MIN,
-};
+use irs_sampling::{prefetch_read, sample_prefix_window, sample_prefix_window_fill, AliasTable};
 
 /// An AWIT node: the four sorted lists plus their cumulative weight
 /// arrays, index-aligned (`w_*[j] = Σ_{k≤j} w(list[k])`).
@@ -58,69 +55,6 @@ impl<E: Endpoint> AwitNode<E> {
             ListKind::AllHi => &self.w_al_hi,
             ListKind::AllLo => &self.w_al_lo,
         }
-    }
-}
-
-/// Derived, never-serialized hot-path companion of one [`AwitNode`]:
-/// the fields Algorithm 1 touches at every level of the descent — split
-/// key and child links — packed at the front of a 64-byte-aligned
-/// struct so one cache line per level carries the whole decision,
-/// followed by Eytzinger layouts of the node's endpoint lists and
-/// cumulative-weight arrays. Rebuilt from the authority arrays by
-/// [`Awit::finalize`] at build and decode time; snapshots never carry
-/// it (see DESIGN.md, "Hot-path memory layout").
-#[derive(Debug)]
-#[repr(align(64))]
-pub(crate) struct AwitHot<E> {
-    center: E,
-    left: u32,
-    right: u32,
-    ey_l_lo: Eytzinger<E>,
-    ey_l_hi: Eytzinger<E>,
-    ey_al_lo: Eytzinger<E>,
-    ey_al_hi: Eytzinger<E>,
-    ey_w_l_lo: Eytzinger<f64>,
-    ey_w_l_hi: Eytzinger<f64>,
-    ey_w_al_lo: Eytzinger<f64>,
-    ey_w_al_hi: Eytzinger<f64>,
-}
-
-impl<E: Endpoint> AwitHot<E> {
-    fn of(node: &AwitNode<E>) -> Self {
-        AwitHot {
-            center: node.center,
-            left: node.left,
-            right: node.right,
-            ey_l_lo: key_layout(&node.l_lo),
-            ey_l_hi: key_layout(&node.l_hi),
-            ey_al_lo: key_layout(&node.al_lo),
-            ey_al_hi: key_layout(&node.al_hi),
-            ey_w_l_lo: Eytzinger::from_sorted(&node.w_l_lo),
-            ey_w_l_hi: Eytzinger::from_sorted(&node.w_l_hi),
-            ey_w_al_lo: Eytzinger::from_sorted(&node.w_al_lo),
-            ey_w_al_hi: Eytzinger::from_sorted(&node.w_al_hi),
-        }
-    }
-
-    /// The weight-prefix layout matching [`AwitNode::prefix`]`(kind)`.
-    fn ey_prefix(&self, kind: ListKind) -> &Eytzinger<f64> {
-        match kind {
-            ListKind::Lo => &self.ey_w_l_lo,
-            ListKind::Hi => &self.ey_w_l_hi,
-            ListKind::AllHi => &self.ey_w_al_hi,
-            ListKind::AllLo => &self.ey_w_al_lo,
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.ey_l_lo.heap_bytes()
-            + self.ey_l_hi.heap_bytes()
-            + self.ey_al_lo.heap_bytes()
-            + self.ey_al_hi.heap_bytes()
-            + self.ey_w_l_lo.heap_bytes()
-            + self.ey_w_l_hi.heap_bytes()
-            + self.ey_w_al_lo.heap_bytes()
-            + self.ey_w_al_hi.heap_bytes()
     }
 }
 
@@ -202,10 +136,6 @@ pub struct Awit<E> {
     pub(crate) root: u32,
     pub(crate) len: usize,
     pub(crate) height: usize,
-    /// Derived descent arena, index-aligned with `nodes`. Never
-    /// serialized; every constructor and decode path must call
-    /// [`Awit::finalize`] to (re)build it.
-    pub(crate) hot: Vec<AwitHot<E>>,
 }
 
 impl<E: Endpoint> Awit<E> {
@@ -230,22 +160,12 @@ impl<E: Endpoint> Awit<E> {
             })
             .collect();
         let built = build_tree(&AwitFactory, entries);
-        let mut awit = Awit {
+        Awit {
             nodes: built.nodes,
             root: built.root,
             len: data.len(),
             height: built.height,
-            hot: Vec::new(),
-        };
-        awit.finalize();
-        awit
-    }
-
-    /// Rebuilds the derived hot-path state (descent arena + Eytzinger
-    /// layouts) from the authority node arrays. `O(n log n)`, same as
-    /// construction; called by [`Awit::new`] and by snapshot decoding.
-    pub(crate) fn finalize(&mut self) {
-        self.hot = self.nodes.iter().map(AwitHot::of).collect();
+        }
     }
 
     /// Number of intervals indexed.
@@ -265,26 +185,23 @@ impl<E: Endpoint> Awit<E> {
 
     /// Algorithm 1's record computation — identical traversal to
     /// [`crate::Ait`], duplicated here because the node layout differs.
-    /// Runs over the derived descent arena: one cache line per level for
-    /// the case split, Eytzinger layouts for the per-node searches, and
-    /// both children prefetched while the current search resolves.
+    /// Both children are prefetched while the current search resolves.
     fn collect_records(&self, q: Interval<E>, records: &mut Vec<NodeRecord>) {
-        let hot = self.hot.as_slice();
-        debug_assert_eq!(hot.len(), self.nodes.len());
+        let nodes = self.nodes.as_slice();
         let mut at = self.root;
         while at != NIL {
-            let node = &hot[at as usize];
+            let node = &nodes[at as usize];
             // Pull the next level toward L1 while this node's binary
             // search runs — whichever way the case split goes, the child
             // header is resident by the time the descent arrives.
             if node.left != NIL {
-                prefetch_read(&hot[node.left as usize]);
+                prefetch_read(&nodes[node.left as usize]);
             }
             if node.right != NIL {
-                prefetch_read(&hot[node.right as usize]);
+                prefetch_read(&nodes[node.right as usize]);
             }
             if q.hi < node.center {
-                let j = node.ey_l_lo.partition_point(|&k| k <= q.hi);
+                let j = node.l_lo.partition_point(|k| k.key <= q.hi);
                 if j >= 1 {
                     records.push(NodeRecord {
                         node: at,
@@ -295,40 +212,40 @@ impl<E: Endpoint> Awit<E> {
                 }
                 at = node.left;
             } else if node.center < q.lo {
-                let j = node.ey_l_hi.partition_point(|&k| k < q.lo);
-                if j < node.ey_l_hi.len() {
+                let j = node.l_hi.partition_point(|k| k.key < q.lo);
+                if j < node.l_hi.len() {
                     records.push(NodeRecord {
                         node: at,
                         kind: ListKind::Hi,
                         start: j as u32,
-                        end: (node.ey_l_hi.len() - 1) as u32,
+                        end: (node.l_hi.len() - 1) as u32,
                     });
                 }
                 at = node.right;
             } else {
-                if !node.ey_l_lo.is_empty() {
+                if !node.l_lo.is_empty() {
                     records.push(NodeRecord {
                         node: at,
                         kind: ListKind::Lo,
                         start: 0,
-                        end: (node.ey_l_lo.len() - 1) as u32,
+                        end: (node.l_lo.len() - 1) as u32,
                     });
                 }
                 if node.left != NIL {
-                    let child = &hot[node.left as usize];
-                    let j = child.ey_al_hi.partition_point(|&k| k < q.lo);
-                    if j < child.ey_al_hi.len() {
+                    let child = &nodes[node.left as usize];
+                    let j = child.al_hi.partition_point(|k| k.key < q.lo);
+                    if j < child.al_hi.len() {
                         records.push(NodeRecord {
                             node: node.left,
                             kind: ListKind::AllHi,
                             start: j as u32,
-                            end: (child.ey_al_hi.len() - 1) as u32,
+                            end: (child.al_hi.len() - 1) as u32,
                         });
                     }
                 }
                 if node.right != NIL {
-                    let child = &hot[node.right as usize];
-                    let j = child.ey_al_lo.partition_point(|&k| k <= q.hi);
+                    let child = &nodes[node.right as usize];
+                    let j = child.al_lo.partition_point(|k| k.key <= q.hi);
                     if j >= 1 {
                         records.push(NodeRecord {
                             node: node.right,
@@ -393,42 +310,16 @@ impl<E: Endpoint> RangeCount<E> for Awit<E> {
 const DRAW_CHUNK: usize = 64;
 
 /// One record's draw context, resolved once per query at prepare time:
-/// the list slice, its prefix window (with the window's base and total
-/// mass hoisted — two random reads into a large prefix array otherwise
-/// paid per draw), the node's full-array Eytzinger layout, and the
-/// record's position. Per draw this saves the node dereference, the
-/// `ListKind` dispatch, both slice computations, and the base/total
-/// loads.
+/// the record's run of the list, its prefix window, and the window's
+/// base and total mass (two random reads into a large prefix array,
+/// otherwise paid per draw). Per draw this saves the node dereference,
+/// the `ListKind` dispatch, both slice computations, and the base/total
+/// loads. `run[i]` and `win[i]` describe the same interval.
 struct RecordRun<'a, E> {
-    list: &'a [Key<E>],
-    prefix: &'a [f64],
-    ey: &'a Eytzinger<f64>,
+    run: &'a [Key<E>],
     win: &'a [f64],
     base: f64,
     total: f64,
-    lo: u32,
-    hi: u32,
-}
-
-impl<E> RecordRun<'_, E> {
-    /// One weight-proportional draw from this record: windowed scalar
-    /// search for narrow windows (resident after the first draw),
-    /// branchless full-array Eytzinger for wide ones. Both sides
-    /// consume exactly one RNG draw.
-    #[inline]
-    fn draw<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        if self.win.len() < EYTZINGER_WINDOW_MIN {
-            self.lo as usize + sample_prefix_window(self.win, self.base, self.total, rng)
-        } else {
-            sample_prefix_range_eytzinger(
-                self.ey,
-                self.prefix,
-                self.lo as usize,
-                self.hi as usize,
-                rng,
-            )
-        }
-    }
 }
 
 /// Phase-2 handle of the AWIT: records plus their precomputed weights
@@ -444,8 +335,8 @@ impl<'a, E: Endpoint> AwitPrepared<'a, E> {
     /// [`AwitPrepared::records`]), via the cumulative-sum method on the
     /// prebuilt prefix array. `O(log n)`.
     pub(crate) fn sample_record<R: rand::RngCore + ?Sized>(&self, k: usize, rng: &mut R) -> ItemId {
-        let run = &self.runs[k];
-        run.list[run.draw(rng)].id
+        let r = &self.runs[k];
+        r.run[sample_prefix_window(r.win, r.base, r.total, rng)].id
     }
 
     /// The node records (white-box inspection).
@@ -527,12 +418,10 @@ impl<E: Endpoint> PreparedSampler for AwitPrepared<'_, E> {
         while pos < s {
             let c = (s - pos).min(DRAW_CHUNK);
             for (&idx, &j) in idxs[pos..pos + c].iter().zip(&order[pos..pos + c]) {
-                let run = &self.runs[ks[j as usize] as usize];
-                prefetch_read(&run.list[run.lo as usize + idx as usize]);
+                prefetch_read(&self.runs[ks[j as usize] as usize].run[idx as usize]);
             }
             for (&idx, &j) in idxs[pos..pos + c].iter().zip(&order[pos..pos + c]) {
-                let run = &self.runs[ks[j as usize] as usize];
-                out[base + j as usize] = run.list[run.lo as usize + idx as usize].id;
+                out[base + j as usize] = self.runs[ks[j as usize] as usize].run[idx as usize].id;
             }
             pos += c;
         }
@@ -563,15 +452,12 @@ impl<E: Endpoint> WeightedRangeSampler<E> for Awit<E> {
                 } else {
                     prefix[rec.start as usize - 1]
                 };
+                let span = rec.start as usize..=rec.end as usize;
                 RecordRun {
-                    list: node.list(rec.kind),
-                    prefix,
-                    ey: self.hot[rec.node as usize].ey_prefix(rec.kind),
-                    win: &prefix[rec.start as usize..=rec.end as usize],
+                    run: &node.list(rec.kind)[span.clone()],
+                    win: &prefix[span],
                     base,
                     total: prefix[rec.end as usize] - base,
-                    lo: rec.start,
-                    hi: rec.end,
                 }
             })
             .collect();
@@ -596,10 +482,6 @@ impl<E: Endpoint> MemoryFootprint for Awit<E> {
                 + vec_bytes(&node.w_l_hi)
                 + vec_bytes(&node.w_al_lo)
                 + vec_bytes(&node.w_al_hi);
-        }
-        bytes += self.hot.capacity() * std::mem::size_of::<AwitHot<E>>();
-        for hot in &self.hot {
-            bytes += hot.heap_bytes();
         }
         bytes
     }

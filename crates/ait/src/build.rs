@@ -8,7 +8,6 @@
 //! sorted, making construction `O(n log n)` total.
 
 use irs_core::{Endpoint, Interval, ItemId};
-use irs_sampling::Eytzinger;
 
 /// Sentinel child index meaning "no child".
 pub(crate) const NIL: u32 = u32::MAX;
@@ -30,16 +29,6 @@ pub(crate) struct BuildEntry<E> {
 pub(crate) struct Key<E> {
     pub key: E,
     pub id: ItemId,
-}
-
-/// Eytzinger layout over the raw endpoints of a key list sorted by
-/// `(key, id)` — the derived search structure every per-node endpoint
-/// binary search on the read hot path runs against. The id tiebreaker
-/// never changes a `partition_point` over keys alone, so dropping it
-/// here is sound.
-pub(crate) fn key_layout<E: Endpoint>(list: &[Key<E>]) -> Eytzinger<E> {
-    let raw: Vec<E> = list.iter().map(|k| k.key).collect();
-    Eytzinger::from_sorted(&raw)
 }
 
 /// How a tree type materializes a node from the builder's sorted slices.

@@ -23,6 +23,7 @@
 //! `irs-kds`.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod ait;
 mod aitv;

@@ -112,7 +112,7 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
             check_link(node.left, nodes.len(), "AIT child link out of range")?;
             check_link(node.right, nodes.len(), "AIT child link out of range")?;
         }
-        let mut ait = Ait {
+        Ok(Ait {
             nodes,
             root,
             len: usize::decode(r)?,
@@ -120,12 +120,7 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
             next_id: ItemId::decode(r)?,
             pool: Vec::decode(r)?,
             pool_capacity: usize::decode(r)?,
-            hot: Vec::new(),
-        };
-        // Hot-path layouts are derived in memory on decode; the snapshot
-        // stays layout-independent.
-        ait.finalize();
-        Ok(ait)
+        })
     }
 }
 
@@ -227,17 +222,12 @@ impl<E: Endpoint + Codec> Codec for Awit<E> {
             check_link(node.left, nodes.len(), "AWIT child link out of range")?;
             check_link(node.right, nodes.len(), "AWIT child link out of range")?;
         }
-        let mut awit = Awit {
+        Ok(Awit {
             nodes,
             root,
             len: usize::decode(r)?,
             height: usize::decode(r)?,
-            hot: Vec::new(),
-        };
-        // Hot-path layouts are derived in memory on decode; the snapshot
-        // stays layout-independent.
-        awit.finalize();
-        Ok(awit)
+        })
     }
 }
 

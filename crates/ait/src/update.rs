@@ -2,7 +2,7 @@
 //! deletion, with a height-triggered rebuild that preserves the `O(log n)`
 //! height bound Algorithm 1's analysis depends on.
 
-use crate::ait::{Ait, AitHot, AitNode};
+use crate::ait::{Ait, AitNode};
 use crate::build::{BuildEntry, Key, NIL};
 use irs_core::{Endpoint, Interval, ItemId};
 
@@ -22,7 +22,7 @@ impl<E: Endpoint> Ait<E> {
     /// measures against batch insertion.
     pub fn insert(&mut self, iv: Interval<E>) -> ItemId {
         let id = self.alloc_id();
-        self.insert_with_id(iv, id);
+        self.place(iv, id, None);
         if self.height > self.height_limit() {
             self.rebuild();
         }
@@ -59,7 +59,7 @@ impl<E: Endpoint> Ait<E> {
         for (iv, id) in pool {
             // `len` was already bumped when the entry joined the pool.
             self.len -= 1;
-            self.place(iv, id, true, &mut dirty);
+            self.place(iv, id, Some(&mut dirty));
         }
         dirty.sort_unstable();
         dirty.dedup();
@@ -69,9 +69,6 @@ impl<E: Endpoint> Ait<E> {
             node.l_hi.sort_unstable_by_key(|a| (a.key, a.id));
             node.al_lo.sort_unstable_by_key(|a| (a.key, a.id));
             node.al_hi.sort_unstable_by_key(|a| (a.key, a.id));
-        }
-        for &at in &dirty {
-            self.refresh_hot(at);
         }
         if self.height > self.height_limit() {
             self.rebuild();
@@ -84,19 +81,12 @@ impl<E: Endpoint> Ait<E> {
         id
     }
 
-    fn insert_with_id(&mut self, iv: Interval<E>, id: ItemId) {
-        let mut touched = Vec::new();
-        self.place(iv, id, false, &mut touched);
-        for &at in &touched {
-            self.refresh_hot(at);
-        }
-    }
-
-    /// Routes `(iv, id)` to its node, recording every touched node in
-    /// `dirty` so the caller can re-derive its hot entry. With
-    /// `defer_sort` the keys are appended (the caller re-sorts);
-    /// otherwise keys are inserted at their sorted position.
-    fn place(&mut self, iv: Interval<E>, id: ItemId, defer_sort: bool, dirty: &mut Vec<u32>) {
+    /// Routes `(iv, id)` to its node. With `dirty` the keys are appended
+    /// and every touched node is recorded so the caller can re-sort its
+    /// lists once; without it, keys are inserted at their sorted
+    /// position.
+    fn place(&mut self, iv: Interval<E>, id: ItemId, mut dirty: Option<&mut Vec<u32>>) {
+        let defer_sort = dirty.is_some();
         self.len += 1;
         if self.root == NIL {
             self.root = self.new_leaf(iv, id);
@@ -111,7 +101,9 @@ impl<E: Endpoint> Ait<E> {
             // keep covering its own L lists for parent-fork queries.
             Self::add_key(&mut self.nodes[at as usize].al_lo, iv.lo, id, defer_sort);
             Self::add_key(&mut self.nodes[at as usize].al_hi, iv.hi, id, defer_sort);
-            dirty.push(at);
+            if let Some(dirty) = dirty.as_deref_mut() {
+                dirty.push(at);
+            }
             let node = &self.nodes[at as usize];
             if iv.hi < node.center {
                 if node.left == NIL {
@@ -161,9 +153,6 @@ impl<E: Endpoint> Ait<E> {
             right: NIL,
         };
         let idx = self.nodes.len() as u32;
-        // The hot arena stays index-aligned: derive the leaf's entry
-        // now; the parent link change is refreshed by the caller.
-        self.hot.push(AitHot::of(&node));
         self.nodes.push(node);
         idx
     }
@@ -215,11 +204,6 @@ impl<E: Endpoint> Ait<E> {
         self.len -= 1;
 
         self.prune_path(&path);
-        if !self.nodes.is_empty() {
-            for &n in &path {
-                self.refresh_hot(n);
-            }
-        }
         true
     }
 
@@ -266,7 +250,6 @@ impl<E: Endpoint> Ait<E> {
             if self.nodes[root as usize].al_lo.is_empty() {
                 self.root = NIL;
                 self.nodes.clear();
-                self.hot.clear();
                 self.height = 0;
             }
         }

@@ -16,7 +16,7 @@
 //! | `no-panic` | no `.unwrap()` / `.expect(..)` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` | decode, wire-framing, server-connection, and engine paths |
 //! | `no-index` | no direct slice indexing `x[..]` (use `.get(..)` and a typed error) | byte-decode paths and every `impl Codec for` block |
 //! | `lock-discipline` | every `.read()` / `.write()` / `.lock()` recovers from poisoning (`.unwrap_or_else(\|e\| e.into_inner())` or an explicit match), never bare `.unwrap()` | engine, server, catalog, client |
-//! | `crate-hygiene` | every workspace library crate carries `#![deny(missing_docs)]` | all `crates/*/src/lib.rs` + the root crate |
+//! | `crate-hygiene` | every workspace library crate carries `#![deny(missing_docs)]` and, except the crates in [`UNSAFE_CRATE_ROOTS`], `#![forbid(unsafe_code)]` | all `crates/*/src/lib.rs` + the root crate |
 //! | `registry` | wire error codes, request/response tags, snapshot role bytes, and the snapshot format version are **append-only**: each is pinned in `contracts/registry.txt`, and renumbering / renaming / removing any pinned entry fails the audit | `contracts/registry.txt` vs. source |
 //! | `pragma` | every waiver is well-formed, names a real rule, carries a reason, and still suppresses something (stale pragmas fail) | everywhere |
 //!
@@ -46,6 +46,7 @@
 //! (re)generate `contracts/registry.txt` when a new entry is appended.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -102,6 +103,11 @@ pub const NO_INDEX_FILES: &[&str] = &[
     "crates/wire/src/message.rs",
 ];
 
+/// Library roots exempt from `crate-hygiene`'s `#![forbid(unsafe_code)]`
+/// requirement. `irs-sampling` holds the workspace's only `unsafe`: the
+/// prefetch intrinsic and the Eytzinger descent's unchecked read.
+pub const UNSAFE_CRATE_ROOTS: &[&str] = &["crates/sampling/src/lib.rs"];
+
 /// Directories whose sources must follow the poisoned-lock recovery
 /// discipline (`lock-discipline`).
 pub const LOCK_DISCIPLINE_DIRS: &[&str] = &[
@@ -124,7 +130,8 @@ pub enum Rule {
     NoIndex,
     /// Poisoned-lock recovery on every `read()`/`write()`/`lock()`.
     LockDiscipline,
-    /// `#![deny(missing_docs)]` on every workspace library crate.
+    /// `#![deny(missing_docs)]` on every workspace library crate, and
+    /// `#![forbid(unsafe_code)]` on all but [`UNSAFE_CRATE_ROOTS`].
     CrateHygiene,
     /// Append-only wire/snapshot registries pinned in
     /// `contracts/registry.txt`.
@@ -1204,21 +1211,25 @@ pub fn audit_source(rel: &str, content: &str) -> (Vec<Violation>, usize) {
         raw.extend(scan_lock_discipline(rel, &stream));
     }
 
-    // crate-hygiene: every library root must deny missing docs.
+    // crate-hygiene: every library root must deny missing docs and,
+    // outside the named exceptions, forbid unsafe code.
     let is_lib_root =
         rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"));
-    if is_lib_root
-        && !lexed
-            .code
-            .iter()
-            .any(|l| l.contains("#![deny(missing_docs)]"))
-    {
-        raw.push(Violation {
-            file: rel.to_string(),
-            line: 1,
-            rule: Rule::CrateHygiene,
-            message: "library crate is missing `#![deny(missing_docs)]`".to_string(),
-        });
+    if is_lib_root {
+        let mut required = vec!["#![deny(missing_docs)]"];
+        if !UNSAFE_CRATE_ROOTS.contains(&rel) {
+            required.push("#![forbid(unsafe_code)]");
+        }
+        for attr in required {
+            if !lexed.code.iter().any(|l| l.contains(attr)) {
+                raw.push(Violation {
+                    file: rel.to_string(),
+                    line: 1,
+                    rule: Rule::CrateHygiene,
+                    message: format!("library crate is missing `{attr}`"),
+                });
+            }
+        }
     }
 
     let honored = apply_pragmas(rel, raw, pragmas, &mut violations);
@@ -1548,14 +1559,44 @@ mod tests {
 
     #[test]
     fn missing_docs_lint_is_required_on_lib_roots() {
-        let vs = violations("crates/kds/src/lib.rs", "pub fn f() {}\n");
+        let src = "#![forbid(unsafe_code)]\npub fn f() {}\n";
+        let vs = violations("crates/kds/src/lib.rs", src);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].rule, Rule::CrateHygiene);
+        assert!(vs[0].message.contains("missing_docs"), "{}", vs[0].message);
 
-        let ok = "#![deny(missing_docs)]\npub fn f() {}\n";
+        let ok = "#![deny(missing_docs)]\n#![forbid(unsafe_code)]\npub fn f() {}\n";
         assert_eq!(rules("crates/kds/src/lib.rs", ok), []);
+        assert_eq!(rules("src/lib.rs", ok), []);
         // Non-root modules carry no such requirement.
         assert_eq!(rules("crates/kds/src/tree.rs", "pub fn f() {}\n"), []);
+    }
+
+    #[test]
+    fn forbid_unsafe_is_required_on_lib_roots_but_the_named_exception() {
+        // True positives: a root without the attribute, or with it only
+        // in a comment, or with the weaker `deny` form.
+        for src in [
+            "#![deny(missing_docs)]\npub fn f() {}\n",
+            "#![deny(missing_docs)]\n// #![forbid(unsafe_code)]\npub fn f() {}\n",
+            "#![deny(missing_docs)]\n#![deny(unsafe_code)]\npub fn f() {}\n",
+        ] {
+            for root in ["crates/kds/src/lib.rs", "src/lib.rs"] {
+                let vs = violations(root, src);
+                assert_eq!(vs.len(), 1, "{root}: {src}");
+                assert_eq!(vs[0].rule, Rule::CrateHygiene);
+                assert!(vs[0].message.contains("forbid(unsafe_code)"));
+            }
+        }
+        // True negatives: the exempt crate, and non-root modules.
+        let no_forbid = "#![deny(missing_docs)]\npub fn f() {}\n";
+        assert_eq!(rules("crates/sampling/src/lib.rs", no_forbid), []);
+        assert_eq!(rules("crates/kds/src/tree.rs", "pub fn f() {}\n"), []);
+        // The exemption waives only the unsafe requirement.
+        assert_eq!(
+            rules("crates/sampling/src/lib.rs", "pub fn f() {}\n"),
+            [Rule::CrateHygiene]
+        );
     }
 
     // --- registry ---

@@ -12,6 +12,7 @@
 //! - `IRS_BENCH_SEED`    — RNG seed (default 42)
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use irs_core::{Interval64, PreparedSampler, RangeSampler, WeightedRangeSampler};
 use irs_datagen::{DatasetProfile, QueryWorkload};

@@ -41,6 +41,7 @@
 //! response between an old backend and a new remap.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod persist;
 pub mod planner;

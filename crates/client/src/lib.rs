@@ -71,6 +71,7 @@
 //!   takes, at every shard count.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod stream;
 

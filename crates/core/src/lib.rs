@@ -47,6 +47,7 @@
 //! returned as ids so callers can recover payloads they keep alongside.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod dataset;

@@ -14,6 +14,7 @@
 //! `[1, 100]`).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod csv;
 pub mod profiles;

@@ -61,6 +61,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 mod kind;

@@ -40,6 +40,7 @@
 //! on it, so it has no snapshot codec.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod index;
 

@@ -32,6 +32,7 @@
 //! `DESIGN.md`, "On-disk snapshot format").
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod tree;
 

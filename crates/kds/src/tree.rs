@@ -4,7 +4,7 @@ use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch, WeightedRangeSampler,
 };
-use irs_sampling::{prefetch_read, sample_prefix_range_eytzinger, AliasTable, Eytzinger};
+use irs_sampling::{prefetch_read, sample_prefix_range, AliasTable};
 
 /// How many draws each batched sampling pass resolves at once: enough
 /// to amortize the alias table and RNG plumbing across a chunk, small
@@ -80,11 +80,6 @@ pub struct Kds<E> {
     weight_prefix: Vec<f64>,
     /// Per-point weights in `points` order, for boundary-leaf filtering.
     point_weights: Vec<f64>,
-    /// Derived Eytzinger layout of `weight_prefix` for branchless
-    /// cumulative-weight searches. Never serialized: rebuilt from the
-    /// prefix array at build and decode time (see DESIGN.md, "Hot-path
-    /// memory layout"). Empty iff the index is unweighted.
-    ey_weight_prefix: Eytzinger<f64>,
 }
 
 impl<E: Endpoint> Kds<E> {
@@ -113,15 +108,7 @@ impl<E: Endpoint> Kds<E> {
         }
         kds.point_weights = point_weights;
         kds.weight_prefix = prefix;
-        kds.finalize();
         kds
-    }
-
-    /// Rebuilds the derived hot-path state (the Eytzinger layout of the
-    /// weight prefix array). `O(n)`; called after weighted construction
-    /// and by snapshot decoding.
-    fn finalize(&mut self) {
-        self.ey_weight_prefix = Eytzinger::from_sorted(&self.weight_prefix);
     }
 
     /// Builds with an explicit leaf bucket size (ablation hook).
@@ -143,7 +130,6 @@ impl<E: Endpoint> Kds<E> {
             leaf_size,
             weight_prefix: Vec::new(),
             point_weights: Vec::new(),
-            ey_weight_prefix: Eytzinger::default(),
         };
         if !points.is_empty() {
             let n = points.len();
@@ -368,14 +354,6 @@ impl<E: Endpoint> PreparedSampler for KdsPrepared<'_, E> {
             }
         }
         let alias = AliasTable::new(&weights);
-        // Per-query layout over the pooled boundary matches: O(|partial|)
-        // to build, and every draw that lands in the pseudo-piece becomes
-        // a branchless search instead of a branchy binary search.
-        let ey_partial = if self.weighted && has_partial {
-            Eytzinger::from_sorted(&partial_cum)
-        } else {
-            Eytzinger::default()
-        };
         out.reserve(s);
         // Chunked three-pass draw loop: (1) batched alias draws while the
         // table's cells are hot, (2) per-draw position resolution issuing
@@ -393,8 +371,7 @@ impl<E: Endpoint> PreparedSampler for KdsPrepared<'_, E> {
                 let pos = if k < n_full {
                     let (b, e) = self.full[k];
                     if self.weighted {
-                        sample_prefix_range_eytzinger(
-                            &self.kds.ey_weight_prefix,
+                        sample_prefix_range(
                             &self.kds.weight_prefix,
                             b as usize,
                             e as usize - 1,
@@ -405,13 +382,7 @@ impl<E: Endpoint> PreparedSampler for KdsPrepared<'_, E> {
                     }
                 } else {
                     let j = if self.weighted {
-                        sample_prefix_range_eytzinger(
-                            &ey_partial,
-                            &partial_cum,
-                            0,
-                            partial_cum.len() - 1,
-                            rng,
-                        )
+                        sample_prefix_range(&partial_cum, 0, partial_cum.len() - 1, rng)
                     } else {
                         rand::Rng::random_range(&mut *rng, 0..self.partial.len())
                     };
@@ -470,7 +441,6 @@ impl<E: Endpoint> MemoryFootprint for Kds<E> {
             + vec_bytes(&self.nodes)
             + vec_bytes(&self.weight_prefix)
             + vec_bytes(&self.point_weights)
-            + self.ey_weight_prefix.heap_bytes()
     }
 }
 
@@ -568,19 +538,14 @@ impl<E: Endpoint + Codec> Codec for Kds<E> {
                 what: "kd-tree weight arrays do not match the point array",
             });
         }
-        // Hot-path layouts are derived in memory on decode; the snapshot
-        // stays layout-independent.
-        let mut kds = Kds {
+        Ok(Kds {
             points,
             nodes,
             root,
             leaf_size,
             weight_prefix,
             point_weights,
-            ey_weight_prefix: Eytzinger::default(),
-        };
-        kds.finalize();
-        Ok(kds)
+        })
     }
 }
 

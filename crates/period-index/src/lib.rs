@@ -33,6 +33,7 @@
 //! | Space | `O(n + buckets · levels)` | leveled start-bucket lists |
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use irs_core::{
     vec_bytes, GridEndpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,

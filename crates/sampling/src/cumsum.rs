@@ -7,9 +7,16 @@
 //! The free function [`sample_prefix_range`] draws from a *sub-range*
 //! `[lo, hi]` of an existing prefix array without copying — the operation
 //! AWIT performs per sample against its precomputed cumulative weight
-//! arrays (`Wl`, `Wr`, `AWl`, `AWr`).
+//! arrays (`Wl`, `Wr`, `AWl`, `AWr`). [`sample_prefix_window`] and its
+//! batched form [`sample_prefix_window_fill`] do the same with the
+//! window's base and total mass hoisted by the caller.
+//!
+//! Every form consumes one RNG value per draw and returns the same index
+//! for it. The window forms count the entries below the drawn mass
+//! branchlessly on windows of at most 32 entries and use
+//! `partition_point` on longer ones; `sample_prefix_range` always uses
+//! `partition_point`.
 
-use crate::eytzinger::Eytzinger;
 use rand::{Rng, RngCore};
 
 /// Prefix-sum table over `n` weighted outcomes `0..n`, drawing in
@@ -102,16 +109,6 @@ pub fn sample_prefix_range(
     k.min(hi) // guard against floating-point overshoot
 }
 
-/// Below this window length the windowed scalar search beats the
-/// full-array layout: a branchless Eytzinger descent always walks
-/// `log₂(array)` levels — the bottom ones cache misses on a large
-/// array — while `partition_point` over a short contiguous window
-/// touches a handful of resident cache lines. The crossover sits where
-/// the window stops fitting in a few cache lines; 1024 f64s (8 KiB) is
-/// comfortably past it and keeps the branchless path for the wide
-/// windows it wins on.
-pub const EYTZINGER_WINDOW_MIN: usize = 1024;
-
 /// Windowed draw with the range's mass precomputed: `win` is the
 /// contiguous prefix window `&prefix[lo..=hi]`, `base` the mass before
 /// it (`prefix[lo-1]` or `0.0`), `total` the mass inside it. Returns an
@@ -190,42 +187,6 @@ pub fn sample_prefix_window_fill(
             }
         }
         done += c;
-    }
-}
-
-/// Eytzinger-routed form of [`sample_prefix_range`]: the same
-/// distribution over the same `[lo, hi]` mass window, with the binary
-/// search running branchless over a prebuilt full-array layout of the
-/// *whole* prefix array whenever the window is wide enough to profit
-/// (narrow windows fall back to the windowed scalar search — see
-/// [`EYTZINGER_WINDOW_MIN`]).
-///
-/// Restricting the drawn mass `u` to `(prefix[lo-1], prefix[hi]]` keeps
-/// a full-array search inside `[lo, hi]` automatically (the prefix array
-/// is non-decreasing), so one layout per array serves every sub-range
-/// draw — no per-record layouts needed. The clamp guards floating-point
-/// rounding at both window edges, mirroring `sample_prefix_range`'s
-/// `min(hi)`. Both branches consume exactly one RNG draw, so seeded
-/// replay does not depend on which side of the crossover a record falls.
-#[inline]
-pub fn sample_prefix_range_eytzinger(
-    ey: &Eytzinger<f64>,
-    prefix: &[f64],
-    lo: usize,
-    hi: usize,
-    rng: &mut (impl RngCore + ?Sized),
-) -> usize {
-    debug_assert!(lo <= hi && hi < prefix.len());
-    debug_assert_eq!(ey.len(), prefix.len());
-    let base = if lo == 0 { 0.0 } else { prefix[lo - 1] };
-    let total = prefix[hi] - base;
-    debug_assert!(total > 0.0, "sampling from empty mass range");
-    let u = base + (total - rng.random_range(0.0..total));
-    if hi - lo < EYTZINGER_WINDOW_MIN {
-        let range = &prefix[lo..=hi];
-        (lo + range.partition_point(|&p| p < u)).min(hi)
-    } else {
-        ey.partition_point(|&p| p < u).clamp(lo, hi)
     }
 }
 

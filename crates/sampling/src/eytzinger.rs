@@ -1,49 +1,30 @@
 //! Branchless binary search over an Eytzinger (BFS) array layout.
 //!
-//! A sorted array answers `partition_point` in `O(log n)` compares, but
-//! each probe of a classic binary search lands half a remaining range
-//! away from the last one — every level is a likely cache miss *and* a
-//! 50/50 branch misprediction. The Eytzinger layout stores the same
-//! elements in breadth-first heap order (`root = 1`, children of `k` at
-//! `2k` / `2k+1`), which fixes both:
+//! **Used by no index.** This module, [`sample_prefix_range_eytzinger`]
+//! and [`EYTZINGER_WINDOW_MIN`] are kept only for the frozen benchmark's
+//! `irs_sampling.eytzinger_*` rungs; delete them in the next
+//! benchmark-only change (this file plus its `mod` and `pub use` lines
+//! in `lib.rs`). No index holds a derived layout any more: every
+//! endpoint and cumulative-weight search runs on the sorted authority
+//! arrays (see DESIGN.md, "Hot-path memory layout").
 //!
-//! - the first few levels of every search share a handful of cache
-//!   lines, and deeper levels are prefetched ahead of the descent;
-//! - the descent itself is a single arithmetic recurrence
-//!   (`k = 2k + pred`) with no data-dependent branch, so the pipeline
-//!   never flushes on a mispredicted compare.
-//!
-//! The tree is padded to a *perfect* shape (every level full) with
-//! copies of the maximum element. Padding buys an `O(1)` rank recovery:
-//! after `h` fixed steps the final cursor `j ∈ [2^h, 2^{h+1})` encodes
-//! the whole decision path in its low bits, and `j - 2^h` *is* the
-//! partition point (clamped to `len`, since padding duplicates can only
-//! overshoot past the end — a monotone predicate answers the same on
-//! equal elements).
-//!
-//! These layouts are always **derived** state: built from the sorted
-//! authority arrays at index build/load time, never serialized. The
-//! snapshot format stays layout-independent (see DESIGN.md, "Hot-path
-//! memory layout").
+//! The layout stores a sorted array in breadth-first heap order
+//! (`root = 1`, children of `k` at `2k` / `2k+1`), so the first levels
+//! of every search share a few cache lines and the descent is one
+//! branchless recurrence (`k = 2k + pred`). The tree is padded to a
+//! perfect shape with copies of the maximum element; after `h` fixed
+//! steps the final cursor `j ∈ [2^h, 2^{h+1})` encodes the decision path,
+//! and `j - 2^h`, clamped to `len`, *is* the partition point.
 
-/// Hints the CPU to pull the cache line holding `p` toward L1.
-///
-/// Safe to call with any pointer value — prefetch never faults; a wild
-/// address is simply ignored by the hardware. Compiles to nothing on
-/// architectures without a stable prefetch intrinsic.
-#[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it cannot fault regardless of `p`.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
+use crate::prefetch::prefetch_read;
+use rand::{Rng, RngCore};
 
 /// A sorted array re-laid-out in Eytzinger (BFS) order for branchless
 /// `partition_point` searches.
+///
+/// Used by no index; kept for the frozen benchmark's
+/// `irs_sampling.eytzinger_*` rungs; delete in the next benchmark-only
+/// change.
 ///
 /// Construction copies the sorted input; the original array remains the
 /// authority for positional lookups (ranks returned here index into
@@ -159,10 +140,98 @@ fn fill<T: Copy>(tree: &mut [T], k: usize, sorted: &[T], cursor: &mut usize) {
     fill(tree, 2 * k + 1, sorted, cursor);
 }
 
+/// Window length from which [`sample_prefix_range_eytzinger`] searches
+/// the full-array layout instead of the window itself.
+///
+/// Used by no index; kept for the frozen benchmark's
+/// `irs_sampling.eytzinger_*` rungs; delete in the next benchmark-only
+/// change.
+pub const EYTZINGER_WINDOW_MIN: usize = 1024;
+
+/// Eytzinger-routed form of [`crate::sample_prefix_range`]: the same
+/// draw over the same `[lo, hi]` mass window, searching a full-array
+/// layout of the whole prefix array once the window holds at least
+/// [`EYTZINGER_WINDOW_MIN`] entries.
+///
+/// Restricting the drawn mass `u` to `(prefix[lo-1], prefix[hi]]` keeps
+/// a full-array search inside `[lo, hi]` (the prefix array is
+/// non-decreasing), and the clamp matches `sample_prefix_range`'s
+/// `min(hi)` at both edges, so both forms return the same index for the
+/// same single RNG draw.
+///
+/// Used by no index; kept for the frozen benchmark's
+/// `irs_sampling.eytzinger_*` rungs; delete in the next benchmark-only
+/// change.
+#[inline]
+pub fn sample_prefix_range_eytzinger(
+    ey: &Eytzinger<f64>,
+    prefix: &[f64],
+    lo: usize,
+    hi: usize,
+    rng: &mut (impl RngCore + ?Sized),
+) -> usize {
+    debug_assert!(lo <= hi && hi < prefix.len());
+    debug_assert_eq!(ey.len(), prefix.len());
+    let base = if lo == 0 { 0.0 } else { prefix[lo - 1] };
+    let total = prefix[hi] - base;
+    debug_assert!(total > 0.0, "sampling from empty mass range");
+    let u = base + (total - rng.random_range(0.0..total));
+    if hi - lo < EYTZINGER_WINDOW_MIN {
+        let range = &prefix[lo..=hi];
+        (lo + range.partition_point(|&p| p < u)).min(hi)
+    } else {
+        ey.partition_point(|&p| p < u).clamp(lo, hi)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sample_prefix_range, sample_prefix_window};
     use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn range_draw_matches_the_window_forms_draw_for_draw() {
+        // Wide enough that windows cross EYTZINGER_WINDOW_MIN; integer
+        // weights repeat prefix values' spacing, so ties at the window
+        // edges are exercised too.
+        let weights: Vec<f64> = (0..5000).map(|i| (1 + i % 7) as f64).collect();
+        let mut prefix = Vec::with_capacity(weights.len());
+        let mut acc = 0.0;
+        for &w in &weights {
+            acc += w;
+            prefix.push(acc);
+        }
+        let ey = Eytzinger::from_sorted(&prefix);
+        for (lo, hi) in [
+            (0, 4999),
+            (0, 1500),
+            (1, 1024),
+            (700, 4999),
+            (3, 40),
+            (9, 9),
+        ] {
+            let base = if lo == 0 { 0.0 } else { prefix[lo - 1] };
+            let win = &prefix[lo..=hi];
+            let (mut a, mut b, mut c) = (
+                StdRng::seed_from_u64(lo as u64),
+                StdRng::seed_from_u64(lo as u64),
+                StdRng::seed_from_u64(lo as u64),
+            );
+            for _ in 0..2000 {
+                let want = sample_prefix_range(&prefix, lo, hi, &mut a);
+                assert_eq!(
+                    sample_prefix_range_eytzinger(&ey, &prefix, lo, hi, &mut b),
+                    want
+                );
+                assert_eq!(
+                    lo + sample_prefix_window(win, base, prefix[hi] - base, &mut c),
+                    want
+                );
+            }
+        }
+    }
 
     #[test]
     fn empty_and_singleton_edges() {

@@ -10,22 +10,28 @@
 //!   draw from a *contiguous slice* of a prebuilt prefix-sum array without
 //!   building anything at query time — exactly what AWIT needs to sample
 //!   inside a node record.
-//! - [`Eytzinger`] — a branchless BFS-layout `partition_point`, the
-//!   cache-conscious form of every cumulative-weight and endpoint binary
-//!   search on the read hot path. Derived from the sorted authority
-//!   arrays at build/load time, never serialized.
+//! - [`prefetch_read`] — the cache hint the batched id gathers issue.
 //! - [`stats`] — chi-square goodness-of-fit used by the statistical tests.
+//!
+//! [`Eytzinger`], [`sample_prefix_range_eytzinger`] and
+//! [`EYTZINGER_WINDOW_MIN`] are used by no index; they stay only for the
+//! frozen benchmark's `irs_sampling.eytzinger_*` rungs.
+//!
+//! This is the one workspace crate without `#![forbid(unsafe_code)]`: it
+//! holds the prefetch intrinsic and the Eytzinger descent's unchecked
+//! read.
 
 #![deny(missing_docs)]
 
 pub mod alias;
 pub mod cumsum;
 pub mod eytzinger;
+pub mod prefetch;
 pub mod stats;
 
 pub use alias::AliasTable;
 pub use cumsum::{
-    sample_prefix_range, sample_prefix_range_eytzinger, sample_prefix_window,
-    sample_prefix_window_fill, CumulativeSum, EYTZINGER_WINDOW_MIN,
+    sample_prefix_range, sample_prefix_window, sample_prefix_window_fill, CumulativeSum,
 };
-pub use eytzinger::{prefetch_read, Eytzinger};
+pub use eytzinger::{sample_prefix_range_eytzinger, Eytzinger, EYTZINGER_WINDOW_MIN};
+pub use prefetch::prefetch_read;

@@ -28,6 +28,7 @@
 //! | Space | `O(n log n)` | one copy per canonical node |
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use irs_core::{vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, StabbingQuery};
 

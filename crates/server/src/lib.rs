@@ -48,6 +48,7 @@
 //! model are specified in `DESIGN.md`, "Replication".
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -32,6 +32,7 @@
 //! | Space | `O(n + n/c · active)` | event list + snapshots |
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,

@@ -37,6 +37,7 @@
 //! [`QueryOutput`]: irs_engine::QueryOutput
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod frame;

@@ -89,6 +89,7 @@
 //! methodology.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use irs_ait::{Ait, AitV, Awit, DynamicAwit, ListKind, NodeRecord, RejectionStats};
 pub use irs_catalog::{
