@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | `no-panic` | no `.unwrap()` / `.expect(..)` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` | decode, wire-framing, server-connection, and engine paths |
 //! | `no-index` | no direct slice indexing `x[..]` (use `.get(..)` and a typed error) | byte-decode paths and every `impl Codec for` block |
-//! | `lock-discipline` | every `.read()` / `.write()` / `.lock()` recovers from poisoning (`.unwrap_or_else(\|e\| e.into_inner())` or an explicit match), never bare `.unwrap()` | engine, server, catalog, client |
+//! | `lock-discipline` | every `.read()` / `.write()` / `.lock()` recovers from poisoning (`.unwrap_or_else(\|e\| e.into_inner())` or an explicit match), never bare `.unwrap()` | engine, server, catalog |
 //! | `crate-hygiene` | every workspace library crate carries `#![deny(missing_docs)]` and, except the crates in [`UNSAFE_CRATE_ROOTS`], `#![forbid(unsafe_code)]` | all `crates/*/src/lib.rs` + the root crate |
 //! | `registry` | wire error codes, request/response tags, snapshot role bytes, and the snapshot format version are **append-only**: each is pinned in `contracts/registry.txt`, and renumbering / renaming / removing any pinned entry fails the audit | `contracts/registry.txt` vs. source |
 //! | `pragma` | every waiver is well-formed, names a real rule, carries a reason, and still suppresses something (stale pragmas fail) | everywhere |
@@ -114,7 +114,6 @@ pub const LOCK_DISCIPLINE_DIRS: &[&str] = &[
     "crates/engine/src",
     "crates/server/src",
     "crates/catalog/src",
-    "crates/client/src",
 ];
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! selection**, and **online re-indexing**.
 //!
 //! The paper's index structures each win on a different workload
-//! (query extent, update rate, weighted vs. uniform), but a `Client`
+//! (query extent, update rate, weighted vs. uniform), but an `Engine`
 //! serves exactly one dataset. A [`Catalog`] serves many: each named
 //! collection owns its own backend (its [`IndexKind`], shard count, and
 //! seed), and the catalog handle — `Clone + Send + Sync`, shared by
@@ -25,7 +25,8 @@
 //! - **Online re-index.** [`Catalog::reindex`] rebuilds a collection on
 //!   a different kind while readers keep flowing: the current backend
 //!   is snapshotted, the replacement is built from the live set, and
-//!   the swap is atomic under the collection's writer seat. The
+//!   the swap is atomic under the collection's writer seat (the backend
+//!   engine's [`Engine::writer`] seat). The
 //!   **global-id contract survives**: ids issued before the swap stay
 //!   valid after it, through a per-collection id remap that the query
 //!   and mutation paths translate through.
@@ -34,11 +35,12 @@
 //!   (`catalog.irs`, PR-5 codec); [`Catalog::load`] restores the whole
 //!   tenancy — seeded replay after the round trip is byte-identical.
 //!
-//! Lock order inside a collection is `state` (backend) → `book`
-//! (id bookkeeping), everywhere: queries hold the state read lock
-//! across run *and* translate, so the atomic swap (which takes the
-//! state write lock before touching the book) can never tear a
-//! response between an old backend and a new remap.
+//! Lock order inside a collection is writer seat → `state` (backend) →
+//! `book` (id bookkeeping), everywhere, and nothing waits for the seat
+//! while holding `state`: queries hold the state read lock across run
+//! *and* translate, so the atomic swap (which takes the state write
+//! lock before touching the book) can never tear a response between an
+//! old backend and a new remap.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,9 +53,8 @@ pub use persist::{
     read_catalog_manifest, CatalogManifest, CollectionRecord, CATALOG_MANIFEST_FILE,
 };
 
-use irs_client::{Client, Irs};
 use irs_core::{GridEndpoint, Interval, ItemId, Mutation, QueryError, UpdateError, UpdateOutput};
-use irs_engine::{IndexKind, Query, QueryOutput};
+use irs_engine::{Engine, EngineWriter, IndexKind, Irs, Query, QueryOutput};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -215,10 +216,12 @@ struct Book<E> {
     next_global: ItemId,
 }
 
-/// The swappable backend state: the client plus the kind serving it.
+/// The swappable backend state.
 struct BackendState<E> {
-    client: Client<E>,
-    kind: IndexKind,
+    engine: Engine<E>,
+    /// Bumped by every re-index swap, so a writer that waited on the
+    /// old engine's seat can tell it was replaced.
+    generation: u64,
 }
 
 struct Collection<E> {
@@ -229,31 +232,57 @@ struct Collection<E> {
     auto: Option<WorkloadHints>,
     state: RwLock<BackendState<E>>,
     book: Mutex<Book<E>>,
-    /// The collection's writer seat: mutations and the re-index rebuild
-    /// serialize here, so the live set is frozen while a replacement
-    /// backend is built. Queries never touch it.
-    writer: Mutex<()>,
     reindexing: AtomicBool,
 }
 
 impl<E: GridEndpoint> Collection<E> {
+    fn engine(&self) -> Engine<E> {
+        self.state
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .engine
+            .clone()
+    }
+
     fn heap_bytes(&self) -> usize {
         self.state
             .read()
             .unwrap_or_else(|e| e.into_inner())
-            .client
+            .engine
             .heap_bytes()
+    }
+
+    /// Runs `f` in the collection's writer seat — the current engine's
+    /// [`Engine::writer`] seat. Mutations, re-index and save serialize
+    /// here, so the live set in the book stays in step with the engine.
+    /// The seat is awaited without the state lock held (a re-index
+    /// takes the state write lock while holding the seat); if a
+    /// re-index swapped the engine meanwhile, the claim is retried on
+    /// the new one. Holding the seat rules out further swaps.
+    fn with_writer<R>(&self, f: impl FnOnce(&mut EngineWriter<'_, E>) -> R) -> R {
+        loop {
+            let (engine, generation) = {
+                let st = self.state.read().unwrap_or_else(|e| e.into_inner());
+                (st.engine.clone(), st.generation)
+            };
+            let mut writer = engine.writer();
+            let st = self.state.read().unwrap_or_else(|e| e.into_inner());
+            if st.generation == generation {
+                drop(st);
+                return f(&mut writer);
+            }
+        }
     }
 
     fn info(&self) -> CollectionInfo {
         let st = self.state.read().unwrap_or_else(|e| e.into_inner());
         CollectionInfo {
             name: self.name.clone(),
-            kind: st.kind,
+            kind: st.engine.kind(),
             shards: self.shards,
-            len: st.client.len(),
+            len: st.engine.len(),
             weighted: self.weighted,
-            heap_bytes: st.client.heap_bytes(),
+            heap_bytes: st.engine.heap_bytes(),
             auto: self.auto,
             seed: self.seed,
         }
@@ -390,7 +419,7 @@ impl<E: GridEndpoint> Catalog<E> {
     /// Refuses with a typed [`CatalogError`] on an invalid name, a
     /// duplicate name, a kind that cannot serve the data, invalid
     /// hints, or a build that would cross the budget. `spec.data[i]`
-    /// receives global id `i`, exactly like building a `Client` over
+    /// receives global id `i`, exactly like building an `Engine` over
     /// the same slice.
     pub fn create(&self, spec: CollectionSpec<E>) -> Result<CollectionInfo, CatalogError> {
         validate_collection_name(&spec.name)?;
@@ -418,7 +447,7 @@ impl<E: GridEndpoint> Catalog<E> {
         if let Some(w) = &spec.weights {
             builder = builder.weights(w.clone());
         }
-        let client = builder
+        let engine = builder
             .build(&spec.data)
             .map_err(|e| CatalogError::InvalidSpec {
                 reason: e.to_string(),
@@ -439,13 +468,15 @@ impl<E: GridEndpoint> Catalog<E> {
             seed: spec.seed,
             weighted,
             auto,
-            state: RwLock::new(BackendState { client, kind }),
+            state: RwLock::new(BackendState {
+                engine,
+                generation: 0,
+            }),
             book: Mutex::new(Book {
                 live,
                 remap: None,
                 next_global: spec.data.len() as ItemId,
             }),
-            writer: Mutex::new(()),
             reindexing: AtomicBool::new(false),
         });
 
@@ -515,7 +546,7 @@ impl<E: GridEndpoint> Catalog<E> {
     ) -> Result<Vec<Result<QueryOutput, QueryError>>, CatalogError> {
         let coll = self.get(name)?;
         let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-        let results = st.client.run(queries);
+        let results = st.engine.run(queries);
         Ok(translate_outputs(&coll, results))
     }
 
@@ -531,7 +562,7 @@ impl<E: GridEndpoint> Catalog<E> {
     ) -> Result<Vec<Result<QueryOutput, QueryError>>, CatalogError> {
         let coll = self.get(name)?;
         let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-        let results = st.client.run_seeded(queries, seed);
+        let results = st.engine.run_seeded(queries, seed);
         Ok(translate_outputs(&coll, results))
     }
 
@@ -542,42 +573,38 @@ impl<E: GridEndpoint> Catalog<E> {
     /// An insert batch that would cross the catalog budget is refused
     /// whole with [`CatalogError::BudgetExceeded`] before any mutation
     /// lands; per-mutation failures (unknown id, unsupported kind)
-    /// surface inside the result vector, exactly like `Client::apply`.
+    /// surface inside the result vector, exactly like `Engine::apply`.
     pub fn apply_in(
         &self,
         name: &str,
         muts: &[Mutation<E>],
     ) -> Result<Vec<Result<UpdateOutput, UpdateError>>, CatalogError> {
         let coll = self.get(name)?;
-        let _seat = coll.writer.lock().unwrap_or_else(|e| e.into_inner());
-
-        if let Some(budget) = self.inner.budget {
-            let inserts = muts
-                .iter()
-                .filter(|m| !matches!(m, Mutation::Delete { .. }))
-                .count();
-            if inserts > 0 {
-                let used = self.used_bytes();
-                let requested = inserts * insert_estimate::<E>();
-                if used.saturating_add(requested) > budget {
-                    return Err(CatalogError::BudgetExceeded {
-                        name: name.to_string(),
-                        requested_bytes: requested,
-                        used_bytes: used,
-                        budget_bytes: budget,
-                    });
+        coll.with_writer(|writer| {
+            if let Some(budget) = self.inner.budget {
+                let inserts = muts
+                    .iter()
+                    .filter(|m| !matches!(m, Mutation::Delete { .. }))
+                    .count();
+                if inserts > 0 {
+                    let used = self.used_bytes();
+                    let requested = inserts * insert_estimate::<E>();
+                    if used.saturating_add(requested) > budget {
+                        return Err(CatalogError::BudgetExceeded {
+                            name: name.to_string(),
+                            requested_bytes: requested,
+                            used_bytes: used,
+                            budget_bytes: budget,
+                        });
+                    }
                 }
             }
-        }
-
-        let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-        let mut book = coll.book.lock().unwrap_or_else(|e| e.into_inner());
-        let mut writer = st.client.writer();
-        let mut out = Vec::with_capacity(muts.len());
-        for m in muts {
-            out.push(apply_one(&mut writer, &mut book, *m));
-        }
-        Ok(out)
+            let mut book = coll.book.lock().unwrap_or_else(|e| e.into_inner());
+            Ok(muts
+                .iter()
+                .map(|m| apply_one(writer, &mut book, *m))
+                .collect())
+        })
     }
 
     /// Rebuilds a collection on a different index kind and atomically
@@ -636,9 +663,20 @@ impl<E: GridEndpoint> Catalog<E> {
             }
         }
 
-        // Writers stall here until the swap completes; readers flow.
-        let _seat = coll.writer.lock().unwrap_or_else(|e| e.into_inner());
+        // Writers stall on the seat until the swap completes; readers
+        // flow.
+        coll.with_writer(|seat| self.rebuild(coll, kind, snapshot_dir, seat))
+    }
 
+    /// Steps (2)–(4) of [`Catalog::reindex`], in the collection's writer
+    /// seat.
+    fn rebuild(
+        &self,
+        coll: &Collection<E>,
+        kind: IndexKind,
+        snapshot_dir: Option<&Path>,
+        seat: &mut EngineWriter<'_, E>,
+    ) -> Result<CollectionInfo, CatalogError> {
         // Durability first: the old backend goes to disk before the
         // rebuild, so a crash mid-rebuild loses nothing.
         let scratch;
@@ -651,10 +689,7 @@ impl<E: GridEndpoint> Catalog<E> {
         };
         std::fs::create_dir_all(snap_dir)
             .map_err(|e| CatalogError::Persist(irs_core::PersistError::io(snap_dir, &e)))?;
-        {
-            let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-            st.client.save(snap_dir)?;
-        }
+        seat.save(snap_dir)?;
 
         // The live set is frozen (writer seat held); rebuild in global
         // id order so `data[i]` lands on backend id `i` on any kind.
@@ -709,8 +744,8 @@ impl<E: GridEndpoint> Catalog<E> {
                 remap.to_backend.insert(global, backend as ItemId);
             }
             book.remap = Some(remap);
-            st.client = fresh;
-            st.kind = kind;
+            st.engine = fresh;
+            st.generation += 1;
         }
         if snapshot_dir.is_none() {
             let _ = std::fs::remove_dir_all(snap_dir);
@@ -719,7 +754,7 @@ impl<E: GridEndpoint> Catalog<E> {
     }
 
     /// Saves one collection's backend to `dir` in the single-tenant
-    /// snapshot layout (loadable by `Client::load`) — the back-compat
+    /// snapshot layout (loadable by `Engine::load`) — the back-compat
     /// form of `save` a catalog-fronting server answers plain `Save`
     /// requests with.
     pub fn save_collection_snapshot(
@@ -727,9 +762,8 @@ impl<E: GridEndpoint> Catalog<E> {
         name: &str,
         dir: impl AsRef<Path>,
     ) -> Result<(), CatalogError> {
-        let coll = self.get(name)?;
-        let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-        st.client.save(dir.as_ref())?;
+        // A handle, not the state lock: saving waits for the seat.
+        self.get(name)?.engine().save(dir)?;
         Ok(())
     }
 
@@ -774,7 +808,7 @@ fn scratch_snapshot_dir(name: &str) -> PathBuf {
 /// ids to backend ids on the way in and back on the way out, and keeps
 /// the book in step.
 fn apply_one<E: GridEndpoint>(
-    writer: &mut irs_client::ClientWriter<'_, E>,
+    writer: &mut EngineWriter<'_, E>,
     book: &mut Book<E>,
     m: Mutation<E>,
 ) -> Result<UpdateOutput, UpdateError> {

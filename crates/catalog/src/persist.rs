@@ -6,7 +6,7 @@
 //! <dir>/
 //!   catalog.irs              # ROLE_CATALOG header + manifest section
 //!   collections/
-//!     <name>/                # one PR-5 client snapshot per collection
+//!     <name>/                # one PR-5 engine snapshot per collection
 //!       manifest.irs
 //!       shard-0000.irs …
 //! ```
@@ -17,13 +17,12 @@
 //! which still names the previous snapshots — rather than a new
 //! manifest over missing directories.
 //!
-//! The manifest records what the client snapshots cannot: the budget,
+//! The manifest records what the engine snapshots cannot: the budget,
 //! each collection's planner hints, and the id bookkeeping (live set,
 //! remap, next global id) that keeps the global-id contract intact
 //! across re-indexes *and* restarts.
 
 use crate::{BackendState, Book, Catalog, Collection, IdMap, WorkloadHints};
-use irs_client::Client;
 use irs_core::persist::{
     decode_section, encode_section, read_header, write_file_atomic, write_header, Codec,
     PersistError, Reader, ROLE_CATALOG,
@@ -37,7 +36,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// The catalog manifest's file name inside the save directory.
 pub const CATALOG_MANIFEST_FILE: &str = "catalog.irs";
 
-/// Subdirectory holding the per-collection client snapshots.
+/// Subdirectory holding the per-collection engine snapshots.
 const COLLECTIONS_DIR: &str = "collections";
 
 /// One collection's row in the catalog manifest.
@@ -119,40 +118,48 @@ pub(crate) fn save<E: GridEndpoint>(catalog: &Catalog<E>, dir: &Path) -> Result<
     let subdir = dir.join(COLLECTIONS_DIR);
     std::fs::create_dir_all(&subdir).map_err(|e| PersistError::io(&subdir, &e))?;
 
-    // Holding the map read lock across the save pins the tenancy: no
-    // create/drop can slide between a snapshot and the manifest.
-    let map = catalog
+    // The tenancy as of now: the manifest names exactly the
+    // collections saved below. The map lock is released before any
+    // writer seat is awaited (a seat holder may need the map to check
+    // the budget).
+    let colls: Vec<(String, Arc<Collection<E>>)> = catalog
         .inner
         .collections
         .read()
-        .unwrap_or_else(|e| e.into_inner());
-    let mut records = Vec::with_capacity(map.len());
-    for (name, coll) in map.iter() {
-        let coll_dir = subdir.join(name);
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .map(|(name, coll)| (name.clone(), Arc::clone(coll)))
+        .collect();
+    let mut records = Vec::with_capacity(colls.len());
+    for (name, coll) in colls {
+        let coll_dir = subdir.join(&name);
         std::fs::create_dir_all(&coll_dir).map_err(|e| PersistError::io(&coll_dir, &e))?;
-        // State read lock + book lock = one consistent generation of
+        // Writer seat + book lock = one consistent generation of
         // (backend snapshot, id bookkeeping) per collection.
-        let st = coll.state.read().unwrap_or_else(|e| e.into_inner());
-        let book = coll.book.lock().unwrap_or_else(|e| e.into_inner());
-        st.client.save(&coll_dir)?;
-        records.push(CollectionRecord {
-            name: name.clone(),
-            kind: st.kind.name().to_string(),
-            shards: coll.shards,
-            seed: coll.seed,
-            weighted: coll.weighted,
-            auto: coll
-                .auto
-                .map(|h| (h.update_rate, h.weighted, h.expected_extent)),
-            next_global: book.next_global,
-            remap: book.remap.as_ref().map(|m| {
-                let mut pairs: Vec<(ItemId, ItemId)> =
-                    m.to_global.iter().map(|(&b, &g)| (b, g)).collect();
-                pairs.sort_unstable();
-                pairs
-            }),
-            live: book.live.iter().map(|(&g, &entry)| (g, entry)).collect(),
-        });
+        let record = coll.with_writer(|seat| {
+            let kind = coll.engine().kind();
+            let book = coll.book.lock().unwrap_or_else(|e| e.into_inner());
+            seat.save(&coll_dir)?;
+            Ok::<_, PersistError>(CollectionRecord {
+                name,
+                kind: kind.name().to_string(),
+                shards: coll.shards,
+                seed: coll.seed,
+                weighted: coll.weighted,
+                auto: coll
+                    .auto
+                    .map(|h| (h.update_rate, h.weighted, h.expected_extent)),
+                next_global: book.next_global,
+                remap: book.remap.as_ref().map(|m| {
+                    let mut pairs: Vec<(ItemId, ItemId)> =
+                        m.to_global.iter().map(|(&b, &g)| (b, g)).collect();
+                    pairs.sort_unstable();
+                    pairs
+                }),
+                live: book.live.iter().map(|(&g, &entry)| (g, entry)).collect(),
+            })
+        })?;
+        records.push(record);
     }
 
     let manifest = CatalogManifest::<E> {
@@ -187,16 +194,16 @@ pub(crate) fn load<E: GridEndpoint>(dir: &Path) -> Result<Catalog<E>, CatalogErr
     let mut collections = BTreeMap::new();
     for record in manifest.collections {
         let coll_dir = dir.join(COLLECTIONS_DIR).join(&record.name);
-        let client = Client::<E>::load(&coll_dir)?;
+        let engine = irs_engine::Engine::<E>::load(&coll_dir)?;
         let kind = irs_engine::IndexKind::parse(&record.kind).ok_or(PersistError::UnknownKind {
             name: record.kind.clone(),
         })?;
-        if client.kind() != kind {
+        if engine.kind() != kind {
             return Err(CatalogError::Persist(PersistError::ManifestMismatch {
                 what: "collection snapshot kind disagrees with the catalog manifest",
             }));
         }
-        if client.len() != record.live.len() {
+        if engine.len() != record.live.len() {
             return Err(CatalogError::Persist(PersistError::ManifestMismatch {
                 what: "collection snapshot length disagrees with the catalog live set",
             }));
@@ -221,13 +228,15 @@ pub(crate) fn load<E: GridEndpoint>(dir: &Path) -> Result<Catalog<E>, CatalogErr
                     weighted,
                     expected_extent,
                 }),
-            state: RwLock::new(BackendState { client, kind }),
+            state: RwLock::new(BackendState {
+                engine,
+                generation: 0,
+            }),
             book: Mutex::new(Book {
                 live: record.live.into_iter().collect(),
                 remap,
                 next_global: record.next_global,
             }),
-            writer: Mutex::new(()),
             reindexing: AtomicBool::new(false),
         });
         collections.insert(record.name, collection);

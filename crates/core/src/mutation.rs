@@ -6,8 +6,7 @@
 //! algorithms (one-by-one insertion, pooled batch insertion, deletion)
 //! and the beyond-paper `DynamicAwit`. Every mutable backend in the
 //! workspace — the single-index structures and the sharded
-//! `irs-engine` that `irs-client` fronts — reports update failures
-//! through one taxonomy:
+//! `irs-engine` — reports update failures through one taxonomy:
 //!
 //! - [`Mutation`] — one typed update operation: insert an interval
 //!   (uniform), insert with a weight, or delete by id.

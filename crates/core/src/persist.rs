@@ -29,8 +29,8 @@
 //!   future versions each to their variant.
 //!
 //! Index structures implement [`Codec`] next to their definitions (the
-//! layouts are part of the format spec); `irs-engine` and `irs-client`
-//! build their `save(dir)` / `load(dir)` manifests on top.
+//! layouts are part of the format spec); `irs-engine` builds its
+//! `save(dir)` / `load(dir)` manifests on top.
 
 use crate::interval::{Endpoint, Interval};
 use std::fmt;

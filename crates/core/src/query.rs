@@ -1,9 +1,8 @@
 //! The fallible query vocabulary: typed errors and capability metadata.
 //!
 //! Every query surface in the workspace — the single-index structures
-//! and the sharded `irs-engine` that `irs-client` fronts — reports
-//! failures through one taxonomy instead of panics or stringly-typed
-//! sentinels:
+//! and the sharded `irs-engine` — reports failures through one taxonomy
+//! instead of panics or stringly-typed sentinels:
 //!
 //! - [`QueryError`] — why one *query* could not be answered. An **empty
 //!   result set is not an error**: sampling an empty `q ∩ X` yields
@@ -76,7 +75,7 @@ impl fmt::Display for Operation {
 /// What a query backend can do, as queryable metadata.
 ///
 /// Reported per structure (each `IndexKind` × whether weights were
-/// supplied at build time) by `irs-engine` and `irs-client`, replacing
+/// supplied at build time) by `irs-engine`, replacing
 /// the old doc-comment fallback table. The contract, pinned by the
 /// workspace's capability property tests: an operation claimed here
 /// succeeds, and an operation denied here fails with
@@ -220,9 +219,9 @@ impl std::error::Error for BuildError {}
 /// Validates a weight vector against a dataset up front: the length
 /// must match and every weight must be positive and finite.
 ///
-/// The one shared gate used by `irs-engine`'s `try_new_weighted` and
-/// `irs-client`'s builder, so the rejection policy (and its error
-/// payloads, naming the offending index) cannot drift between layers.
+/// The one shared gate used by `irs-engine`'s `try_new_weighted` (and
+/// so by its builder), so the rejection policy (and its error payloads,
+/// naming the offending index) cannot drift between layers.
 pub fn validate_weights(data_len: usize, weights: &[f64]) -> Result<(), BuildError> {
     if weights.len() != data_len {
         return Err(BuildError::WeightCountMismatch {

@@ -35,8 +35,9 @@
 //!   shard's sub-batch over a channel, and the worker applies it under
 //!   the shard's *write* lock — so a query batch observes each shard
 //!   either before or after a mutation sub-batch, never torn.
-//!   Mutation batches themselves serialize on an internal writer lock,
-//!   shared across clones.
+//!   Mutation batches themselves serialize on one writer seat shared
+//!   across clones ([`Engine::writer`] hands it out as an
+//!   [`EngineWriter`] guard).
 //!
 //! Determinism survives concurrency: [`Engine::run_seeded`] derives
 //! every stream it uses (the allocation stream and one draw stream per
@@ -105,8 +106,10 @@
 use crate::kind::{DynIndex, IndexKind};
 use crate::persist;
 use crate::query::{Query, QueryOutput};
+use crate::stream::SampleStream;
 use irs_core::erased::DynPreparedSampler;
 use irs_core::persist::PersistError;
+use irs_core::wal::{self, ReplicationError, WalReplay, WalWriter};
 use irs_core::{
     splitmix64 as mix, validate_update_weight, validate_weights, BuildError, Capabilities,
     GridEndpoint, Interval, ItemId, Mutation, Operation, QueryError, UpdateError, UpdateOutput,
@@ -116,7 +119,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 
 /// Engine construction knobs.
@@ -132,12 +135,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `kind`, one shard per available CPU, and a fixed
-    /// default seed.
+    /// A config with `kind`, one shard, and a fixed default seed — the
+    /// defaults of [`Irs::builder`] too. Neither depends on the host, so
+    /// an engine built from the defaults replays identically anywhere.
     pub fn new(kind: IndexKind) -> Self {
         EngineConfig {
             kind,
-            shards: crate::throughput::cpu_count(),
+            shards: 1,
             seed: 0x1D5_EA5E,
         }
     }
@@ -153,6 +157,88 @@ impl EngineConfig {
         self.seed = seed;
         self
     }
+}
+
+/// Namespace for the builder entry point: [`Irs::builder`].
+pub struct Irs;
+
+impl Irs {
+    /// Starts configuring an [`Engine`]; finish with
+    /// [`IrsBuilder::build`].
+    pub fn builder() -> IrsBuilder {
+        IrsBuilder {
+            config: EngineConfig::new(IndexKind::Ait),
+            weights: None,
+        }
+    }
+}
+
+/// Configures and builds an [`Engine`]: an [`EngineConfig`] plus
+/// optional weights. Defaults are [`EngineConfig::new`]'s, over
+/// [`IndexKind::Ait`] and no weights.
+#[derive(Clone, Debug)]
+pub struct IrsBuilder {
+    config: EngineConfig,
+    weights: Option<Vec<f64>>,
+}
+
+impl IrsBuilder {
+    /// Selects the index structure (see [`IndexKind`]).
+    pub fn kind(mut self, kind: IndexKind) -> Self {
+        self.config.kind = kind;
+        self
+    }
+
+    /// Sets the shard count ([`EngineConfig::shards`]).
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.config = self.config.shards(shards);
+        self
+    }
+
+    /// Sets the base seed ([`EngineConfig::seed`]).
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.config = self.config.seed(seed);
+        self
+    }
+
+    /// Supplies per-interval weights (`weights[i]` belongs to
+    /// `data[i]`), enabling [`Operation::WeightedSample`] on kinds that
+    /// support it. Validated in [`IrsBuilder::build`].
+    pub fn weights(mut self, weights: impl Into<Vec<f64>>) -> Self {
+        self.weights = Some(weights.into());
+        self
+    }
+
+    /// Builds the engine over `data`: [`Engine::try_new_weighted`] when
+    /// weights were supplied, else [`Engine::try_new`].
+    pub fn build<E: GridEndpoint>(self, data: &[Interval<E>]) -> Result<Engine<E>, BuildError> {
+        match &self.weights {
+            Some(w) => Engine::try_new_weighted(data, w, self.config),
+            None => Engine::try_new(data, self.config),
+        }
+    }
+}
+
+/// A point-in-time description of an [`Engine`], for health and stats
+/// surfaces (notably `irs-server`'s `stats` endpoint).
+///
+/// Taken with [`Engine::stats`]. Each field is read atomically, but not
+/// all fields together: a concurrent mutation may land between the
+/// `len` read and the `shard_lens` read.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EngineStats {
+    /// The configured index kind.
+    pub kind: IndexKind,
+    /// [`irs_core::Codec::type_name`] of the endpoint scalar.
+    pub endpoint: &'static str,
+    /// Number of shards.
+    pub shards: usize,
+    /// Live intervals indexed.
+    pub len: usize,
+    /// Live intervals per shard.
+    pub shard_lens: Vec<usize>,
+    /// Whether per-interval weights were supplied at build time.
+    pub weighted: bool,
 }
 
 /// Per-query phase-1 result computed on one shard.
@@ -202,7 +288,7 @@ struct Shard<E> {
     /// worker takes the write side per sub-batch.
     index: SharedIndex<E>,
     /// Live intervals in this shard — the load the insert router
-    /// balances. Written only under the engine's writer lock; read
+    /// balances. Written only under the engine's writer seat; read
     /// without it, so stats never wait behind a mutation batch.
     len: AtomicUsize,
     /// Raised by the worker's panic guard *before* its channel closes,
@@ -341,14 +427,15 @@ struct EngineShared<E> {
     workers: Vec<JoinHandle<()>>,
     kind: IndexKind,
     /// Live intervals (build-time data plus inserts minus deletes);
-    /// atomic so query-side readers never take the writer lock.
+    /// atomic so query-side readers never take the writer seat.
     len: AtomicUsize,
     weighted: bool,
     base_seed: u64,
     batch_counter: AtomicU64,
-    /// Serializes mutation batches across clones, so the routing
-    /// bookkeeping (`len`, each shard's `len`) has one writer at a
-    /// time. Queries never touch it.
+    /// The writer seat ([`Engine::writer`]): serializes mutation
+    /// batches and saves across clones, so the routing bookkeeping
+    /// (`len`, each shard's `len`) has one writer at a time. Queries
+    /// never touch it.
     writer: Mutex<()>,
     scratch: ScratchPool,
 }
@@ -384,9 +471,10 @@ impl<E> Drop for EngineShared<E> {
 /// `Send + Sync`: clone it into as many threads as you like and call
 /// [`Engine::run`] from all of them — batches execute concurrently on
 /// the calling threads over the shared shard state. Mutations
-/// ([`Engine::apply`] and friends) are serialized internally across all
-/// clones. The shards (and their mutation workers) shut down when the
-/// last clone drops.
+/// ([`Engine::apply`] and friends) serialize across all clones on one
+/// writer seat ([`Engine::writer`]). The shards (and their mutation
+/// workers) shut down when the last clone drops. Build one with
+/// [`Irs::builder`] or [`Engine::try_new`].
 ///
 /// ```
 /// use irs_engine::{Engine, EngineConfig, IndexKind, Query, QueryOutput};
@@ -787,6 +875,188 @@ impl<E: GridEndpoint> Engine<E> {
             .collect()
     }
 
+    /// Claims the engine's single writer seat, blocking until any other
+    /// clone's mutation (or writer guard) finishes.
+    ///
+    /// Queries stay `&self` and concurrent; every mutation — issued
+    /// through the guard or through the `Engine` methods of the same
+    /// names, which each claim the seat for one call — holds this seat
+    /// for its whole batch. Hold the guard to make several calls one
+    /// unit (a log append and its apply, say).
+    ///
+    /// ```
+    /// # use irs_engine::{Irs, IndexKind};
+    /// # use irs_core::Interval;
+    /// let data: Vec<_> = (0..100i64).map(|i| Interval::new(i, i + 5)).collect();
+    /// let engine = Irs::builder().kind(IndexKind::Ait).build(&data)?;
+    /// let shared = engine.clone(); // e.g. handed to another thread
+    /// let id = shared.writer().insert(Interval::new(7, 9))?;
+    /// assert!(engine.search(Interval::new(7, 9))?.contains(&id));
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn writer(&self) -> EngineWriter<'_, E> {
+        EngineWriter {
+            engine: self,
+            _seat: self.inner.writer.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+
+    /// [`EngineWriter::apply`] on a freshly claimed writer seat.
+    pub fn apply(&self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
+        self.writer().apply(muts)
+    }
+
+    /// [`EngineWriter::insert`] on a freshly claimed writer seat.
+    pub fn insert(&self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
+        self.writer().insert(iv)
+    }
+
+    /// [`EngineWriter::insert_weighted`] on a freshly claimed writer
+    /// seat.
+    pub fn insert_weighted(&self, iv: Interval<E>, weight: f64) -> Result<ItemId, UpdateError> {
+        self.writer().insert_weighted(iv, weight)
+    }
+
+    /// [`EngineWriter::remove`] on a freshly claimed writer seat.
+    pub fn remove(&self, id: ItemId) -> Result<(), UpdateError> {
+        self.writer().remove(id)
+    }
+
+    /// [`EngineWriter::extend_batch`] on a freshly claimed writer seat.
+    pub fn extend_batch(&self, ivs: &[Interval<E>]) -> Result<Vec<ItemId>, UpdateError> {
+        self.writer().extend_batch(ivs)
+    }
+
+    /// A point-in-time description of the engine — kind, endpoint
+    /// type, shard layout, live lengths — for health/stats surfaces.
+    /// Never waits behind a mutation: every field is a lock-free read.
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            kind: self.kind(),
+            endpoint: E::type_name(),
+            shards: self.shard_count(),
+            len: self.len(),
+            shard_lens: self.shard_lens(),
+            weighted: self.is_weighted(),
+        }
+    }
+
+    /// A chunked, prepare-amortizing uniform sample stream over `q ∩ X`.
+    ///
+    /// Each refill is one engine batch under the shards' read locks, so
+    /// concurrent writers interleave *between* refills and a refill
+    /// samples the then-current data. Use [`SampleStream::draw_into`]
+    /// to reuse one output buffer across refills. See [`SampleStream`]
+    /// for the termination and error contract.
+    pub fn sample_stream(&self, q: Interval<E>) -> Result<SampleStream<'_, E>, QueryError> {
+        self.stream(q, Operation::UniformSample)
+    }
+
+    /// A chunked, prepare-amortizing *weighted* sample stream over `q ∩ X`.
+    pub fn weighted_sample_stream(
+        &self,
+        q: Interval<E>,
+    ) -> Result<SampleStream<'_, E>, QueryError> {
+        self.stream(q, Operation::WeightedSample)
+    }
+
+    fn stream(&self, q: Interval<E>, op: Operation) -> Result<SampleStream<'_, E>, QueryError> {
+        if !self.capabilities().supports(op) {
+            return Err(self.kind().unsupported_error(self.is_weighted(), op));
+        }
+        Ok(SampleStream::new(self, q, op))
+    }
+
+    /// Marks `shard` failed — the same state a worker-thread panic
+    /// produces, observed by every later query and mutation batch from
+    /// every clone — and fails the current batch wholesale.
+    fn fail_shard(&self, shard: usize, nq: usize) -> Vec<Result<QueryOutput, QueryError>> {
+        self.inner.shards[shard].dead.store(true, Ordering::SeqCst);
+        vec![Err(QueryError::ShardFailed { shard }); nq]
+    }
+
+    /// Convenience: exact `|q ∩ X|`.
+    pub fn count(&self, q: Interval<E>) -> Result<usize, QueryError> {
+        match self.run(&[Query::Count { q }]).swap_remove(0)? {
+            QueryOutput::Count(n) => Ok(n),
+            _ => Err(self.protocol_error(Operation::Count)),
+        }
+    }
+
+    /// Convenience: ids of all intervals overlapping `q`.
+    pub fn search(&self, q: Interval<E>) -> Result<Vec<ItemId>, QueryError> {
+        match self.run(&[Query::Search { q }]).swap_remove(0)? {
+            QueryOutput::Ids(ids) => Ok(ids),
+            _ => Err(self.protocol_error(Operation::Search)),
+        }
+    }
+
+    /// Convenience: ids of all intervals containing `p`.
+    pub fn stab(&self, p: E) -> Result<Vec<ItemId>, QueryError> {
+        match self.run(&[Query::Stab { p }]).swap_remove(0)? {
+            QueryOutput::Ids(ids) => Ok(ids),
+            _ => Err(self.protocol_error(Operation::Stab)),
+        }
+    }
+
+    /// Convenience: `s` uniform samples from `q ∩ X` (empty if the
+    /// result set is empty — that is not an error).
+    pub fn sample(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
+        match self.run(&[Query::Sample { q, s }]).swap_remove(0)? {
+            QueryOutput::Samples(ids) => Ok(ids),
+            _ => Err(self.protocol_error(Operation::UniformSample)),
+        }
+    }
+
+    /// Convenience: `s` weight-proportional samples from `q ∩ X`.
+    pub fn sample_weighted(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
+        match self.run(&[Query::SampleWeighted { q, s }]).swap_remove(0)? {
+            QueryOutput::Samples(ids) => Ok(ids),
+            _ => Err(self.protocol_error(Operation::WeightedSample)),
+        }
+    }
+
+    /// A mismatched output variant can only mean an engine bug; report
+    /// it as an unsupported operation rather than panicking the caller.
+    fn protocol_error(&self, op: Operation) -> QueryError {
+        QueryError::UnsupportedOperation {
+            op,
+            reason: "engine protocol error: mismatched output variant",
+        }
+    }
+
+    /// Test hook: kill one shard's worker thread, simulating an index
+    /// bug, so suites can exercise the [`QueryError::ShardFailed`] and
+    /// non-hanging `Drop` paths. Hidden, not deprecated: not part of
+    /// the supported API.
+    #[doc(hidden)]
+    pub fn crash_shard_for_tests(&self, shard: usize) {
+        let Some(sh) = self.inner.shards.get(shard) else {
+            return;
+        };
+        let _ = sh.tx.send(MutMsg::Crash);
+        // Wait for the worker to actually die. The dead flag is raised
+        // strictly before the channel closes (drop order in the worker
+        // closure), so once a send fails, the next `run` — from any
+        // thread — observes the crash rather than racing it.
+        while sh.tx.send(MutMsg::Crash).is_ok() {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// The engine's single writer seat, claimed with [`Engine::writer`].
+///
+/// Holding an `EngineWriter` excludes every other mutation — from this
+/// clone or any other — for as long as it lives; queries keep running
+/// concurrently and see each shard's slice of a mutation batch
+/// atomically. Drop the guard to release the seat.
+pub struct EngineWriter<'a, E> {
+    engine: &'a Engine<E>,
+    _seat: MutexGuard<'a, ()>,
+}
+
+impl<E: GridEndpoint> EngineWriter<'_, E> {
     /// Applies a batch of typed [`Mutation`]s: one `Result` per
     /// mutation, in order.
     ///
@@ -796,45 +1066,37 @@ impl<E: GridEndpoint> Engine<E> {
     /// scheme (`local·K + shard`), so they are stable for the engine's
     /// lifetime and interchangeable with the ids query results report.
     ///
-    /// Mutation batches serialize on the engine's internal writer lock
-    /// (shared by every clone of the handle), and each shard's
-    /// sub-batch is applied by that shard's worker under the shard's
-    /// *write* lock — so a concurrent query batch observes each shard
-    /// either entirely before or entirely after its sub-batch, never
-    /// torn. Capability gating happens up front: on a kind with
-    /// `capabilities().update == false` every mutation fails with the
-    /// typed [`UpdateError::UnsupportedKind`] and no worker is
+    /// Each shard's sub-batch is applied by that shard's worker under
+    /// the shard's *write* lock — so a concurrent query batch observes
+    /// each shard either entirely before or entirely after its
+    /// sub-batch, never torn. Capability gating happens up front: on a
+    /// kind with `capabilities().update == false` every mutation fails
+    /// with the typed [`UpdateError::UnsupportedKind`] and no worker is
     /// contacted.
-    pub fn apply(&self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
+    pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
         self.mutate(muts, false)
     }
 
-    /// Convenience: inserts one interval immediately (one-by-one
-    /// insertion), returning its stable global id.
-    pub fn insert(&self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        match self
-            .mutate(&[Mutation::Insert { iv }], false)
-            .swap_remove(0)?
-        {
-            UpdateOutput::Inserted(id) => Ok(id),
-            UpdateOutput::Removed => Err(self.mutation_protocol_error()),
-        }
+    /// Inserts one interval immediately (the paper's §III-D one-by-one
+    /// insertion), returning its stable global id. The interval is
+    /// sampleable as soon as this returns; on a weighted update-capable
+    /// engine it joins with weight `1.0`.
+    pub fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
+        self.inserted(Mutation::Insert { iv })
     }
 
-    /// Convenience: inserts one weighted interval (weight validated by
-    /// the same gate as construction weights), returning its global id.
-    pub fn insert_weighted(&self, iv: Interval<E>, weight: f64) -> Result<ItemId, UpdateError> {
-        let muts = [Mutation::InsertWeighted { iv, weight }];
-        match self.mutate(&muts, false).swap_remove(0)? {
-            UpdateOutput::Inserted(id) => Ok(id),
-            UpdateOutput::Removed => Err(self.mutation_protocol_error()),
-        }
+    /// Inserts one weighted interval (Problem 2; weight validated by the
+    /// same gate as construction weights), returning its global id.
+    /// Requires an update-capable kind built with weights.
+    pub fn insert_weighted(&mut self, iv: Interval<E>, weight: f64) -> Result<ItemId, UpdateError> {
+        self.inserted(Mutation::InsertWeighted { iv, weight })
     }
 
-    /// Convenience: deletes the live interval behind `id`. Deleting an
-    /// id that was never issued (or already deleted) is
-    /// [`UpdateError::UnknownId`]; a retired id is never reissued.
-    pub fn remove(&self, id: ItemId) -> Result<(), UpdateError> {
+    /// Removes the live interval behind `id`. After `Ok` the id never
+    /// appears in a query result again and is never reissued; removing
+    /// an id that is not live (never issued, or already removed) is
+    /// [`UpdateError::UnknownId`].
+    pub fn remove(&mut self, id: ItemId) -> Result<(), UpdateError> {
         self.mutate(&[Mutation::Delete { id }], false)
             .swap_remove(0)
             .map(|_| ())
@@ -850,8 +1112,9 @@ impl<E: GridEndpoint> Engine<E> {
     /// unsupported kind), the inserts that did land are rolled back
     /// (best effort — their shards answered, so their deletes route)
     /// and the first error is returned, so an `Err` never strands
-    /// intervals the caller has no ids for.
-    pub fn extend_batch(&self, ivs: &[Interval<E>]) -> Result<Vec<ItemId>, UpdateError> {
+    /// intervals the caller has no ids for. The batch and its rollback
+    /// run under this one seat, so no other mutation lands in between.
+    pub fn extend_batch(&mut self, ivs: &[Interval<E>]) -> Result<Vec<ItemId>, UpdateError> {
         let muts: Vec<Mutation<E>> = ivs.iter().map(|&iv| Mutation::Insert { iv }).collect();
         let mut ids = Vec::with_capacity(ivs.len());
         let mut first_err = None;
@@ -859,7 +1122,7 @@ impl<E: GridEndpoint> Engine<E> {
             match result {
                 Ok(UpdateOutput::Inserted(id)) => ids.push(id),
                 Ok(UpdateOutput::Removed) => {
-                    first_err.get_or_insert(self.mutation_protocol_error());
+                    first_err.get_or_insert(self.protocol_error());
                 }
                 Err(e) => {
                     first_err.get_or_insert(e);
@@ -877,27 +1140,89 @@ impl<E: GridEndpoint> Engine<E> {
         }
     }
 
+    /// [`Engine::save`] under this guard's seat, so a caller can keep
+    /// mutations frozen across the save and whatever it does next.
+    pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), PersistError> {
+        let dir = dir.as_ref();
+        let inner = &*self.engine.inner;
+        if inner.first_dead().is_some() {
+            return Err(PersistError::Unsupported {
+                reason: "a shard has failed; its state cannot be trusted on disk",
+            });
+        }
+        std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, &e))?;
+        let manifest = persist::Manifest {
+            snapshot_id: persist::fresh_snapshot_id(),
+            kind: inner.kind.name().to_string(),
+            endpoint: E::type_name().to_string(),
+            weighted: inner.weighted,
+            shards: inner.shards.len(),
+            seed: inner.base_seed,
+            batch_counter: inner.batch_counter.load(Ordering::SeqCst),
+            stream_counter: 0,
+            len: inner.len.load(Ordering::SeqCst),
+            shard_lens: self.engine.shard_lens(),
+        };
+        // Shard files first, manifest last (each written atomically):
+        // a save that dies partway leaves the previous manifest, whose
+        // snapshot id disagrees with the fresh shard files — a typed
+        // `ManifestMismatch` at load, never a silent mix of two states.
+        for (k, shard) in inner.shards.iter().enumerate() {
+            let guard = shard.index.read().map_err(|_| PersistError::Unsupported {
+                reason: "a shard lock is poisoned; its state cannot be trusted on disk",
+            })?;
+            let mut payload = Vec::new();
+            guard.encode_snapshot(&mut payload)?;
+            drop(guard);
+            let header = persist::ShardHeader {
+                snapshot_id: manifest.snapshot_id,
+                kind: manifest.kind.clone(),
+                endpoint: manifest.endpoint.clone(),
+                shard: k,
+                shards: manifest.shards,
+                weighted: manifest.weighted,
+            };
+            persist::write_shard_file(dir, &header, &payload)?;
+        }
+        persist::write_manifest(dir, &manifest)
+    }
+
+    /// Applies one insert and returns its id.
+    fn inserted(&mut self, m: Mutation<E>) -> Result<ItemId, UpdateError> {
+        match self.mutate(&[m], false).swap_remove(0)? {
+            UpdateOutput::Inserted(id) => Ok(id),
+            UpdateOutput::Removed => Err(self.protocol_error()),
+        }
+    }
+
+    /// A mismatched update output can only mean an engine bug; report
+    /// it as a typed error rather than panicking the caller.
+    fn protocol_error(&self) -> UpdateError {
+        UpdateError::UnsupportedKind {
+            kind: self.engine.inner.kind.name(),
+            reason: "engine protocol error: mismatched update output variant",
+        }
+    }
+
     /// Routes, scatters, and gathers one mutation batch. `buffered`
-    /// selects pooled insertion. Holds the writer lock end to end, so
-    /// batches from different clones serialize and the routing
-    /// bookkeeping stays consistent.
+    /// selects pooled insertion. The seat this guard holds keeps the
+    /// routing bookkeeping (`len`, each shard's `len`) single-writer.
     fn mutate(
-        &self,
+        &mut self,
         muts: &[Mutation<E>],
         buffered: bool,
     ) -> Vec<Result<UpdateOutput, UpdateError>> {
         if muts.is_empty() {
             return Vec::new();
         }
-        let inner = &*self.inner;
+        let inner = &*self.engine.inner;
         let shards = inner.shards.len();
-        let _writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
         let mut results: Vec<Option<Result<UpdateOutput, UpdateError>>> = vec![None; muts.len()];
         let mut owner: Vec<usize> = vec![0; muts.len()];
         let mut per_shard: Vec<Vec<(usize, Mutation<E>)>> = vec![Vec::new(); shards];
         // Route against a projection of live counts, so a batch of
         // inserts spreads across shards instead of piling on one.
-        let mut lens = self.shard_lens();
+        let mut lens = self.engine.shard_lens();
         for (i, m) in muts.iter().enumerate() {
             let op = m.op();
             if !inner.kind.supports_mutation(inner.weighted, op) {
@@ -971,7 +1296,8 @@ impl<E: GridEndpoint> Engine<E> {
                 }
                 results[i] = Some(result);
             }
-            // Single writer (the lock above), so load-then-store is exact.
+            // Single writer (the seat this guard holds), so
+            // load-then-store is exact.
             for counter in [&inner.len, &inner.shards[k].len] {
                 let len = counter.load(Ordering::SeqCst);
                 counter.store(len.saturating_add_signed(delta), Ordering::SeqCst);
@@ -984,92 +1310,6 @@ impl<E: GridEndpoint> Engine<E> {
             .map(|(i, r)| r.unwrap_or(Err(UpdateError::ShardFailed { shard: owner[i] })))
             .collect()
     }
-
-    /// Marks `shard` failed — the same state a worker-thread panic
-    /// produces, observed by every later query and mutation batch from
-    /// every clone — and fails the current batch wholesale.
-    fn fail_shard(&self, shard: usize, nq: usize) -> Vec<Result<QueryOutput, QueryError>> {
-        self.inner.shards[shard].dead.store(true, Ordering::SeqCst);
-        vec![Err(QueryError::ShardFailed { shard }); nq]
-    }
-
-    /// A mismatched update output can only mean an engine bug; report
-    /// it as a typed error rather than panicking the caller.
-    fn mutation_protocol_error(&self) -> UpdateError {
-        UpdateError::UnsupportedKind {
-            kind: self.inner.kind.name(),
-            reason: "engine protocol error: mismatched update output variant",
-        }
-    }
-
-    /// Convenience: exact `|q ∩ X|`.
-    pub fn count(&self, q: Interval<E>) -> Result<usize, QueryError> {
-        match self.run(&[Query::Count { q }]).swap_remove(0)? {
-            QueryOutput::Count(n) => Ok(n),
-            _ => Err(self.protocol_error(Operation::Count)),
-        }
-    }
-
-    /// Convenience: ids of all intervals overlapping `q`.
-    pub fn search(&self, q: Interval<E>) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Search { q }]).swap_remove(0)? {
-            QueryOutput::Ids(ids) => Ok(ids),
-            _ => Err(self.protocol_error(Operation::Search)),
-        }
-    }
-
-    /// Convenience: ids of all intervals containing `p`.
-    pub fn stab(&self, p: E) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Stab { p }]).swap_remove(0)? {
-            QueryOutput::Ids(ids) => Ok(ids),
-            _ => Err(self.protocol_error(Operation::Stab)),
-        }
-    }
-
-    /// Convenience: `s` uniform samples from `q ∩ X` (empty if the
-    /// result set is empty — that is not an error).
-    pub fn sample(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::Sample { q, s }]).swap_remove(0)? {
-            QueryOutput::Samples(ids) => Ok(ids),
-            _ => Err(self.protocol_error(Operation::UniformSample)),
-        }
-    }
-
-    /// Convenience: `s` weight-proportional samples from `q ∩ X`.
-    pub fn sample_weighted(&self, q: Interval<E>, s: usize) -> Result<Vec<ItemId>, QueryError> {
-        match self.run(&[Query::SampleWeighted { q, s }]).swap_remove(0)? {
-            QueryOutput::Samples(ids) => Ok(ids),
-            _ => Err(self.protocol_error(Operation::WeightedSample)),
-        }
-    }
-
-    /// A mismatched output variant can only mean an engine bug; report
-    /// it as an unsupported operation rather than panicking the caller.
-    fn protocol_error(&self, op: Operation) -> QueryError {
-        QueryError::UnsupportedOperation {
-            op,
-            reason: "engine protocol error: mismatched output variant",
-        }
-    }
-
-    /// Test hook: kill one shard's worker thread, simulating an index
-    /// bug, so suites can exercise the [`QueryError::ShardFailed`] and
-    /// non-hanging `Drop` paths. Hidden, not deprecated: not part of
-    /// the supported API.
-    #[doc(hidden)]
-    pub fn crash_shard_for_tests(&self, shard: usize) {
-        let Some(sh) = self.inner.shards.get(shard) else {
-            return;
-        };
-        let _ = sh.tx.send(MutMsg::Crash);
-        // Wait for the worker to actually die. The dead flag is raised
-        // strictly before the channel closes (drop order in the worker
-        // closure), so once a send fails, the next `run` — from any
-        // thread — observes the crash rather than racing it.
-        while sh.tx.send(MutMsg::Crash).is_ok() {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// Snapshot persistence: the directory-level save/load pair. See the
@@ -1079,63 +1319,18 @@ impl<E: GridEndpoint> Engine<E> {
     /// Saves the engine to `dir` (created if absent): a manifest plus
     /// one file per shard, each CRC-framed (see [`crate::persist`]).
     ///
-    /// The snapshot is **consistent**: the engine's writer lock is held
-    /// for the duration, so no mutation batch can land between two
+    /// The snapshot is **consistent**: the writer seat
+    /// ([`Engine::writer`]) is held for the duration, so no mutation batch can land between two
     /// shard files, and the manifest's lengths agree with the shard
     /// payloads. Queries keep running concurrently (each shard is read
     /// under its shared read lock). A loaded copy is byte-equivalent:
     /// [`Engine::run_seeded`] replays identically, and ids issued
     /// before the save stay valid after the load.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), PersistError> {
-        let dir = dir.as_ref();
-        let inner = &*self.inner;
-        if inner.first_dead().is_some() {
-            return Err(PersistError::Unsupported {
-                reason: "a shard has failed; its state cannot be trusted on disk",
-            });
-        }
-        // Freeze mutations (queries proceed): shard payloads, `len`,
-        // and the router's per-shard lengths must agree.
-        let _writer = inner.writer.lock().unwrap_or_else(|e| e.into_inner());
-        std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, &e))?;
-        let manifest = persist::Manifest {
-            snapshot_id: persist::fresh_snapshot_id(),
-            kind: inner.kind.name().to_string(),
-            endpoint: E::type_name().to_string(),
-            weighted: inner.weighted,
-            shards: inner.shards.len(),
-            seed: inner.base_seed,
-            batch_counter: inner.batch_counter.load(Ordering::SeqCst),
-            stream_counter: 0,
-            len: inner.len.load(Ordering::SeqCst),
-            shard_lens: self.shard_lens(),
-        };
-        // Shard files first, manifest last (each written atomically):
-        // a save that dies partway leaves the previous manifest, whose
-        // snapshot id disagrees with the fresh shard files — a typed
-        // `ManifestMismatch` at load, never a silent mix of two states.
-        for (k, shard) in inner.shards.iter().enumerate() {
-            let guard = shard.index.read().map_err(|_| PersistError::Unsupported {
-                reason: "a shard lock is poisoned; its state cannot be trusted on disk",
-            })?;
-            let mut payload = Vec::new();
-            guard.encode_snapshot(&mut payload)?;
-            drop(guard);
-            let header = persist::ShardHeader {
-                snapshot_id: manifest.snapshot_id,
-                kind: manifest.kind.clone(),
-                endpoint: manifest.endpoint.clone(),
-                shard: k,
-                shards: manifest.shards,
-                weighted: manifest.weighted,
-            };
-            persist::write_shard_file(dir, &header, &payload)?;
-        }
-        persist::write_manifest(dir, &manifest)
+        self.writer().save(dir)
     }
 
-    /// Loads an engine from a directory written by [`Engine::save`]
-    /// (which is also what `irs-client`'s `Client::save` calls).
+    /// Loads an engine from a directory written by [`Engine::save`].
     ///
     /// Everything is validated before any shard state is trusted:
     /// magic, format version, per-section CRCs, the manifest/shard
@@ -1170,6 +1365,40 @@ impl<E: GridEndpoint> Engine<E> {
             indexes.push(index);
         }
         Self::from_restored(indexes, kind, &manifest).map_err(|e| PersistError::io(dir, &e))
+    }
+
+    /// Restores an engine to an exact write-ahead-log position: loads
+    /// the snapshot in `snapshot_dir`, recovers the log at `wal_path`
+    /// (truncating any torn tail back to the last valid record), and
+    /// re-applies every logged batch the snapshot predates — batches at
+    /// or before the snapshot's checkpoint sidecar are skipped, so
+    /// nothing is applied twice. Point-in-time recovery is this same
+    /// walk over a shorter log prefix.
+    ///
+    /// Returns the recovered engine, the log writer positioned to
+    /// append (hand it to `irs_server::serve` to resume the writer
+    /// seat), and the replay itself — inspect [`WalReplay::stopped`] to
+    /// learn whether (and exactly how) the log's tail was damaged.
+    /// Replay is deterministic: a batch that failed when first acked
+    /// fails identically here.
+    pub fn recover(
+        snapshot_dir: impl AsRef<Path>,
+        wal_path: impl AsRef<Path>,
+    ) -> Result<(Self, WalWriter<E>, WalReplay<E>), ReplicationError> {
+        let dir = snapshot_dir.as_ref();
+        let engine = Engine::load(dir).map_err(ReplicationError::Persist)?;
+        let checkpoint = wal::read_checkpoint(dir)
+            .map_err(ReplicationError::Persist)?
+            .unwrap_or(0);
+        let (wal, replay) = WalWriter::recover(wal_path)?;
+        let mut writer = engine.writer();
+        for record in &replay.records {
+            if record.seq > checkpoint {
+                let _ = writer.apply(&record.muts);
+            }
+        }
+        drop(writer);
+        Ok((engine, wal, replay))
     }
 
     /// Assembles a live engine around already-decoded shard indexes:

@@ -113,7 +113,8 @@ impl IndexKind {
 
     /// The typed error for an operation this kind (built `weighted` or
     /// not) cannot serve. The single source of unsupported-operation
-    /// payloads, shared by the engine and the client facade.
+    /// payloads, shared by the engine's query path and its sample
+    /// streams.
     pub fn unsupported_error(self, weighted: bool, op: Operation) -> QueryError {
         match op {
             Operation::WeightedSample if matches!(self, IndexKind::Ait | IndexKind::AitV) => {
@@ -157,8 +158,7 @@ impl IndexKind {
 
     /// The typed error for a mutation this kind (built `weighted` or
     /// not) cannot serve. The single source of unsupported-mutation
-    /// payloads, shared by the engine and the client facade — the
-    /// mutation-side twin of [`IndexKind::unsupported_error`].
+    /// payloads — the mutation-side twin of [`IndexKind::unsupported_error`].
     pub fn unsupported_update_error(self, weighted: bool, op: UpdateOp) -> UpdateError {
         if !self.capabilities(weighted).update {
             return UpdateError::UnsupportedKind {
@@ -186,7 +186,7 @@ impl IndexKind {
     ///
     /// Weights are **not** validated here — callers go through
     /// [`irs_core::validate_weights`] first (the engine's `try_new_weighted`
-    /// and the client builder both do).
+    /// and so its builder).
     pub fn build_index<E: GridEndpoint>(
         self,
         data: &[Interval<E>],

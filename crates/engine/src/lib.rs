@@ -2,9 +2,14 @@
 //!
 //! The index structures in this workspace answer one query at a time on
 //! one thread. This crate scales them out: an [`Engine`] partitions the
-//! dataset round-robin into `K` shards, builds one index per shard (the
-//! structure chosen by [`IndexKind`]), and executes
-//! batches of typed [`Query`]s across the shards.
+//! dataset round-robin into `K` shards (one by default), builds one
+//! index per shard (the structure chosen by [`IndexKind`]), and
+//! executes batches of typed [`Query`]s across the shards. The engine
+//! is the one handle applications hold: build it with
+//! [`Irs::builder`] (or [`Engine::try_new`] and an [`EngineConfig`]),
+//! query it with batches, one-shot helpers or chunked
+//! [`SampleStream`]s, and mutate it through its writer seat
+//! ([`Engine::writer`]).
 //!
 //! The engine is a **shared, clonable service**: the handle is a cheap
 //! `Arc` clone (`Clone + Send + Sync`), query batches execute *on the
@@ -31,10 +36,11 @@
 //! (inserts to the least-loaded shard, deletes to the shard decoded
 //! from the global id), with the same typed-error discipline
 //! ([`irs_core::UpdateError`]) and the update-capable kinds declared in
-//! [`IndexKind::capabilities`]. Mutation batches serialize on an
-//! internal writer lock shared by every clone, and each shard's
-//! sub-batch applies under the shard's write lock — queries interleave
-//! *between* sub-batches, never inside one.
+//! [`IndexKind::capabilities`]. Mutation batches serialize on one
+//! writer seat shared by every clone ([`Engine::writer`] hands it out
+//! as an [`EngineWriter`] guard), and each shard's sub-batch applies
+//! under the shard's write lock — queries interleave *between*
+//! sub-batches, never inside one.
 //!
 //! The non-obvious part is keeping sampling *statistically correct*
 //! across shards: the engine first collects exact per-shard result
@@ -45,7 +51,7 @@
 //! architecture diagram.
 //!
 //! ```
-//! use irs_engine::{Engine, EngineConfig, IndexKind, Query};
+//! use irs_engine::{Engine, EngineConfig, IndexKind, Irs, Query};
 //! use irs_core::Interval;
 //!
 //! let data: Vec<_> = (0..1000i64).map(|i| Interval::new(i, i + 20)).collect();
@@ -57,6 +63,16 @@
 //! for result in engine.run(&batch) {
 //!     assert_eq!(result?.samples().unwrap().len(), 4);
 //! }
+//!
+//! // The builder: an `EngineConfig` plus optional weights.
+//! let engine = Irs::builder().kind(IndexKind::Ait).shards(4).seed(7).build(&data)?;
+//! let q = Interval::new(100, 200);
+//! assert_eq!(engine.count(q)?, 121);
+//! assert!(!engine.capabilities().weighted_sample); // no weights supplied
+//! let id = engine.writer().insert(Interval::new(150, 160))?;
+//! assert!(engine.search(q)?.contains(&id));
+//! let drawn: Vec<_> = engine.sample_stream(q)?.take(1_000).collect();
+//! assert_eq!(drawn.len(), 1_000);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -67,9 +83,11 @@ pub mod engine;
 mod kind;
 pub mod persist;
 mod query;
+mod stream;
 pub mod throughput;
 
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig, EngineStats, EngineWriter, Irs, IrsBuilder};
 pub use kind::{DynIndex, IndexKind};
 pub use persist::{inspect_snapshot, Manifest, SnapshotInfo};
 pub use query::{Query, QueryOutput};
+pub use stream::SampleStream;

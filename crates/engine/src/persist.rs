@@ -2,8 +2,7 @@
 //! [`Engine::load`].
 //!
 //! A snapshot is a directory: one `manifest.irs` plus one
-//! `shard-NNNN.irs` per shard (`irs-client` saves and loads through
-//! the engine, so a snapshot loads through either handle). Every file starts with the shared header
+//! `shard-NNNN.irs` per shard. Every file starts with the shared header
 //! ([`irs_core::persist::MAGIC`], format version, a role byte); bodies
 //! are CRC-framed sections (see `DESIGN.md`, "On-disk snapshot format"):
 //!
@@ -67,8 +66,8 @@ pub struct Manifest {
     /// `run` stream continues rather than repeating.
     pub batch_counter: u64,
     /// Reserved: written 0 and ignored at load. Format-1 snapshots
-    /// saved by older `irs-client`s carry a sample-stream counter here;
-    /// stream freshness across a restart now comes from
+    /// saved by the former `irs-client` facade carry a sample-stream
+    /// counter here; stream freshness across a restart now comes from
     /// [`Manifest::batch_counter`] alone. The field stays so
     /// `FORMAT_VERSION` does not move.
     pub stream_counter: u64,

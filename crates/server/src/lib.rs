@@ -7,17 +7,18 @@
 //! with load atomically swapping the serving backend), and
 //! health/stats.
 //!
-//! Two entry points: [`serve`] fronts a backend it is handed (a
-//! [`Client`] or a [`Catalog`], with or without a write-ahead log);
+//! Two entry points: [`serve`] fronts a backend it is handed (an
+//! [`Engine`] or a [`Catalog`], with or without a write-ahead log);
 //! [`serve_replica`] fetches its backend from a primary.
 //!
 //! ## Threading model
 //!
 //! One accept thread plus one thread per connection. Each connection
-//! thread holds a cheap [`Client`] clone of the serving backend — the
-//! same share-the-`Arc` pattern in-process callers use — so reads run
-//! concurrently on connection threads and mutations serialize on the
-//! engine's writer seat exactly as they do in one process.
+//! thread takes a cheap [`Engine`] clone of the serving backend per
+//! request — the same share-the-`Arc` pattern in-process callers use —
+//! so reads run concurrently on connection threads and mutations
+//! serialize on the engine's writer seat exactly as they do in one
+//! process.
 //!
 //! ## Graceful shutdown
 //!
@@ -62,11 +63,10 @@ use irs_catalog::{
     Catalog, CatalogError, CollectionInfo, CollectionSpec, KindSpec, WorkloadHints,
     DEFAULT_COLLECTION,
 };
-use irs_client::Client;
 use irs_core::persist::PersistError;
 use irs_core::wal::{self, ReplicationError, WalTailer, WalWriter};
 use irs_core::{ErrorCode, GridEndpoint, Mutation, WireError};
-use irs_engine::IndexKind;
+use irs_engine::{Engine, IndexKind};
 use irs_wire::frame::{write_frame, FrameReader, ReadEvent};
 use irs_wire::message::{
     decode_message, encode_message, CollectionSummary, LogRecordFrame, ReplicationStatus, Request,
@@ -89,7 +89,7 @@ struct Counters {
     protocol_errors: AtomicU64,
 }
 
-/// What [`serve`] fronts: one anonymous backend (`From<Client<E>>`, the
+/// What [`serve`] fronts: one anonymous backend (`From<Engine<E>>`, the
 /// classic single-tenant daemon) or a whole multi-tenant catalog
 /// (`From<Catalog<E>>`). On a catalog server, collection-tagged
 /// requests (`CreateCollection`, `RunIn`, …) address collections by
@@ -97,9 +97,9 @@ struct Counters {
 /// named [`DEFAULT_COLLECTION`].
 pub struct Serving<E: GridEndpoint>(Backing<E>);
 
-impl<E: GridEndpoint> From<Client<E>> for Serving<E> {
-    fn from(client: Client<E>) -> Self {
-        Serving(Backing::Single(RwLock::new(client)))
+impl<E: GridEndpoint> From<Engine<E>> for Serving<E> {
+    fn from(engine: Engine<E>) -> Self {
+        Serving(Backing::Single(RwLock::new(engine)))
     }
 }
 
@@ -112,8 +112,8 @@ impl<E: GridEndpoint> From<Catalog<E>> for Serving<E> {
 /// The two shapes behind [`Serving`].
 enum Backing<E: GridEndpoint> {
     /// One backend. Read-locked per request (to clone the cheap
-    /// facade), write-locked only by `Load`'s atomic swap.
-    Single(RwLock<Client<E>>),
+    /// handle), write-locked only by `Load`'s atomic swap.
+    Single(RwLock<Engine<E>>),
     /// A catalog of named collections. The lock guards only
     /// `LoadCatalog`'s whole-tenancy swap; all per-collection
     /// concurrency lives inside the catalog itself.
@@ -153,18 +153,6 @@ struct Shared<E: GridEndpoint> {
 }
 
 impl<E: GridEndpoint> Shared<E> {
-    /// A facade clone of the single-tenant backend, or a typed refusal
-    /// on a catalog server (where plain frames route to the `default`
-    /// collection instead).
-    fn single_client(&self) -> Option<Client<E>> {
-        match &self.backing {
-            Backing::Single(client) => {
-                Some(client.read().unwrap_or_else(|e| e.into_inner()).clone())
-            }
-            Backing::Catalog(_) => None,
-        }
-    }
-
     /// A handle clone of the serving catalog, or the typed
     /// catalog-not-serving refusal on a single-tenant server.
     fn catalog(&self) -> Result<Catalog<E>, WireError> {
@@ -178,9 +166,8 @@ impl<E: GridEndpoint> Shared<E> {
 
     fn stats(&self) -> ServerStats {
         let (kind, shards, len, shard_lens, weighted) = match &self.backing {
-            Backing::Single(client) => {
-                let c = client.read().unwrap_or_else(|e| e.into_inner()).clone();
-                let s = c.stats();
+            Backing::Single(slot) => {
+                let s = slot.read().unwrap_or_else(|e| e.into_inner()).stats();
                 (
                     s.kind.name().to_string(),
                     s.shards,
@@ -248,7 +235,7 @@ impl<E: GridEndpoint> ServerHandle<E> {
         self.shared.addr
     }
 
-    /// A facade clone of the serving backend — the same object remote
+    /// A handle clone of the serving backend — the same engine remote
     /// mutations land in, so callers (tests, embedders) can observe
     /// state directly. After [`ServerHandle::join`] returns, this clone
     /// reflects every mutation the server ever acked.
@@ -257,11 +244,14 @@ impl<E: GridEndpoint> ServerHandle<E> {
     ///
     /// On a catalog server, which has no single anonymous backend —
     /// use [`ServerHandle::catalog`].
-    pub fn client(&self) -> Client<E> {
-        self.shared
-            .single_client()
-            // audit: allow(no-panic): documented `# Panics` contract for embedders; never reachable from network input
-            .expect("ServerHandle::client on a catalog server; use ServerHandle::catalog")
+    pub fn client(&self) -> Engine<E> {
+        match &self.shared.backing {
+            Backing::Single(slot) => slot.read().unwrap_or_else(|e| e.into_inner()).clone(),
+            Backing::Catalog(_) => {
+                // audit: allow(no-panic): documented `# Panics` contract for embedders; never reachable from network input
+                panic!("ServerHandle::client on a catalog server; use ServerHandle::catalog")
+            }
+        }
     }
 
     /// A handle clone of the serving catalog, or `None` on a
@@ -298,7 +288,7 @@ impl<E: GridEndpoint> ServerHandle<E> {
     }
 }
 
-/// Serves `serving` — a [`Client`] or a [`Catalog`], by `From` — on
+/// Serves `serving` — an [`Engine`] or a [`Catalog`], by `From` — on
 /// `addr`. Binds and spawns the accept loop, returning immediately;
 /// bind `addr` with port 0 for an OS-assigned ephemeral port (read it
 /// back via [`ServerHandle::local_addr`]).
@@ -311,7 +301,7 @@ impl<E: GridEndpoint> ServerHandle<E> {
 /// into the right collection; catalog DDL (create/drop/reindex) and
 /// `Load` are refused while the log is kept — the mutation log cannot
 /// carry them. The caller owns log recovery: on restart, recover the
-/// log ([`WalWriter::recover`], or `Client::recover` which also
+/// log ([`WalWriter::recover`], or [`Engine::recover`] which also
 /// re-applies the tail) and hand the recovered writer in — the backend
 /// must already reflect every record in the log.
 pub fn serve<E: GridEndpoint>(
@@ -366,8 +356,8 @@ pub fn serve_replica<E: GridEndpoint>(
         let catalog = Catalog::<E>::load(&snap_dir).map_err(|e| WireError::from(&e))?;
         Backing::Catalog(RwLock::new(catalog))
     } else {
-        let client = Client::<E>::load(&snap_dir).map_err(|e| WireError::from(&e))?;
-        Backing::Single(RwLock::new(client))
+        let engine = Engine::<E>::load(&snap_dir).map_err(|e| WireError::from(&e))?;
+        Backing::Single(RwLock::new(engine))
     };
     let wal_writer = WalWriter::<E>::create(dir.join("wal.irs"), snap_seq.saturating_add(1))
         .map_err(|e| WireError::from(&e))?;
@@ -672,8 +662,8 @@ fn refuse_ddl<E: GridEndpoint>(shared: &Shared<E>) -> Option<Response> {
 fn save_backing_to<E: GridEndpoint>(backing: &Backing<E>, dir: &Path) -> Result<(), WireError> {
     match backing {
         Backing::Single(slot) => {
-            let client = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
-            client.save(dir).map_err(|e| WireError::from(&e))
+            let engine = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+            engine.save(dir).map_err(|e| WireError::from(&e))
         }
         Backing::Catalog(slot) => {
             let catalog = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
@@ -890,10 +880,10 @@ fn ingest_frame<E: GridEndpoint>(shared: &Shared<E>, frame: LogRecordFrame) -> b
         .fetch_add(record.muts.len() as u64, Ordering::Relaxed);
     match &shared.backing {
         Backing::Single(slot) => {
-            let mut client = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+            let engine = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
             // Per-mutation failures replay deterministically; the
             // primary already reported them to its caller.
-            let _ = client.apply(&record.muts);
+            let _ = engine.apply(&record.muts);
         }
         Backing::Catalog(slot) => {
             let catalog = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
@@ -986,10 +976,10 @@ fn dispatch<E: GridEndpoint>(payload: &[u8], shared: &Shared<E>) -> (Response, F
                 .fetch_add(queries.len() as u64, Ordering::Relaxed);
             let response = match &shared.backing {
                 Backing::Single(slot) => {
-                    let client = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+                    let engine = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
                     let results = match seed {
-                        Some(seed) => client.run_seeded(&queries, seed),
-                        None => client.run(&queries),
+                        Some(seed) => engine.run_seeded(&queries, seed),
+                        None => engine.run(&queries),
                     };
                     Response::Run(
                         results
@@ -1013,9 +1003,9 @@ fn dispatch<E: GridEndpoint>(payload: &[u8], shared: &Shared<E>) -> (Response, F
                 .fetch_add(muts.len() as u64, Ordering::Relaxed);
             let response = match &shared.backing {
                 Backing::Single(slot) => with_wal(shared, None, &muts, || {
-                    let mut client = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+                    let engine = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
                     Response::Apply(
-                        client
+                        engine
                             .apply(&muts)
                             .iter()
                             .map(|r| r.as_ref().map_err(WireError::from).cloned())
@@ -1041,11 +1031,11 @@ fn dispatch<E: GridEndpoint>(payload: &[u8], shared: &Shared<E>) -> (Response, F
                 .map(|rep| rep.wal.lock().unwrap_or_else(|e| e.into_inner()));
             let result = match &shared.backing {
                 Backing::Single(slot) => {
-                    // Clone the facade, then release the read lock —
+                    // Clone the handle, then release the read lock —
                     // a long snapshot save must not block `Load`'s
                     // write-locked swap.
-                    let client = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
-                    client.save(&dir).map_err(|e| WireError::from(&e))
+                    let engine = slot.read().unwrap_or_else(|e| e.into_inner()).clone();
+                    engine.save(&dir).map_err(|e| WireError::from(&e))
                 }
                 // Back-compat: save the default collection in the
                 // single-tenant snapshot layout.
@@ -1096,7 +1086,7 @@ fn dispatch<E: GridEndpoint>(payload: &[u8], shared: &Shared<E>) -> (Response, F
                 );
             }
             match &shared.backing {
-                Backing::Single(slot) => match Client::<E>::load(&dir) {
+                Backing::Single(slot) => match Engine::<E>::load(&dir) {
                     Ok(fresh) => {
                         *slot.write().unwrap_or_else(|e| e.into_inner()) = fresh;
                         (Response::Ok, Flow::Continue)
@@ -1342,14 +1332,14 @@ fn dispatch<E: GridEndpoint>(payload: &[u8], shared: &Shared<E>) -> (Response, F
 mod tests {
     use super::*;
     use irs_core::Interval;
-    use irs_engine::IndexKind;
+    use irs_engine::Irs;
     use irs_wire::RemoteClient;
 
-    fn demo_client() -> Client<i64> {
+    fn demo_engine() -> Engine<i64> {
         let data: Vec<Interval<i64>> = (0..200)
             .map(|i| Interval::new(i, i + (i % 17) + 1))
             .collect();
-        irs_client::Irs::builder()
+        Irs::builder()
             .kind(IndexKind::Ait)
             .seed(7)
             .build(&data)
@@ -1358,7 +1348,7 @@ mod tests {
 
     #[test]
     fn serve_query_mutate_shutdown_roundtrip() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
+        let handle = serve(demo_engine(), ("127.0.0.1", 0), None).expect("serve");
         let addr = handle.local_addr();
 
         let mut remote = RemoteClient::<i64>::connect(addr).expect("connect");
@@ -1385,7 +1375,7 @@ mod tests {
 
     #[test]
     fn seeded_runs_match_the_in_process_engine_exactly() {
-        let local = demo_client();
+        let local = demo_engine();
         let handle = serve(local.clone(), ("127.0.0.1", 0), None).expect("serve");
         let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
 
@@ -1408,7 +1398,7 @@ mod tests {
 
     #[test]
     fn wrong_endpoint_is_refused_with_a_typed_code() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
+        let handle = serve(demo_engine(), ("127.0.0.1", 0), None).expect("serve");
         // A u32 client aimed at an i64 server.
         let mut remote = RemoteClient::<u32>::connect(handle.local_addr()).expect("connect");
         let err = remote
@@ -1422,7 +1412,7 @@ mod tests {
 
     #[test]
     fn catalog_requests_are_refused_on_single_servers() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
+        let handle = serve(demo_engine(), ("127.0.0.1", 0), None).expect("serve");
         let mut remote = RemoteClient::<i64>::connect(handle.local_addr()).expect("connect");
         let err = remote.list_collections().expect_err("must refuse");
         assert_eq!(err.code, ErrorCode::CatalogNotServing);
@@ -1482,7 +1472,7 @@ mod tests {
 
     #[test]
     fn programmatic_shutdown_drains_idle_connections() {
-        let handle = serve(demo_client(), ("127.0.0.1", 0), None).expect("serve");
+        let handle = serve(demo_engine(), ("127.0.0.1", 0), None).expect("serve");
         // An idle connection that never sends a byte must not wedge the
         // drain: the poll tick notices the flag.
         let _idle = TcpStream::connect(handle.local_addr()).expect("connect");

@@ -1,5 +1,5 @@
-//! The blocking remote client: the network twin of `irs-client`'s
-//! `Client`.
+//! The blocking remote client: the network twin of `irs-engine`'s
+//! `Engine`.
 //!
 //! A [`RemoteClient`] owns one TCP connection and speaks one request /
 //! one response at a time. It mirrors the in-process surface — batch
@@ -214,7 +214,7 @@ impl<E: GridEndpoint> RemoteClient<E> {
 
     /// Applies a batch of mutations under the server's writer seat; one
     /// result per mutation, in order — the remote form of
-    /// `ClientWriter::apply`.
+    /// `EngineWriter::apply`.
     pub fn apply(
         &mut self,
         muts: &[Mutation<E>],

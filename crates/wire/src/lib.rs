@@ -23,7 +23,7 @@
 //!   match the server's — a `u32` client cannot misread an `i64`
 //!   server's replies.
 //! - [`client::RemoteClient`] — the blocking client: the remote twin of
-//!   `irs-client`'s `Client`, with the same batch (`run`/`run_seeded`,
+//!   `irs-engine`'s `Engine`, with the same batch (`run`/`run_seeded`,
 //!   `apply`) and convenience (`count`/`sample`/`insert`/…) surfaces,
 //!   returning [`WireError`]s that carry each failure's stable
 //!   [`ErrorCode`].

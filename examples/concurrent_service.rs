@@ -1,5 +1,5 @@
 //! A multi-threaded query service on one shared engine: the shape the
-//! concurrent read path exists for. One `Client` is built, cloned into
+//! concurrent read path exists for. One `Engine` is built, cloned into
 //! a fleet of worker threads (cheap `Arc` handles), and every worker
 //! serves its own request stream concurrently — counts, searches, and
 //! sample draws all run in parallel on the caller threads, while a
@@ -30,14 +30,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
 
     let t = Instant::now();
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .shards(threads.min(8))
         .seed(99)
         .build(&data)?;
     println!(
         "{n} intervals in {} shards, built in {:?}; serving from {threads} caller threads",
-        client.shard_count(),
+        engine.shard_count(),
         t.elapsed()
     );
 
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t = Instant::now();
         std::thread::scope(|scope| {
             for w in 0..callers {
-                let handle = client.clone(); // moved into the thread
+                let handle = engine.clone(); // moved into the thread
                 let windows = &windows;
                 let served = &served;
                 scope.spawn(move || {
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Live ingest beside the readers. ---
     let stop = AtomicBool::new(false);
     let ingested = std::thread::scope(|scope| {
-        let writer = client.clone();
+        let writer = engine.clone();
         let stop_flag = &stop;
         let ingest = scope.spawn(move || {
             let mut ids = Vec::new();
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ids
         });
         for _ in 0..threads.saturating_sub(1).max(1) {
-            let handle = client.clone();
+            let handle = engine.clone();
             let windows = &windows;
             scope.spawn(move || {
                 for r in 0..200 {
@@ -114,19 +114,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  ingested {} intervals while {} readers ran; len = {}",
         ingested.len(),
         threads.saturating_sub(1).max(1),
-        client.len()
+        engine.len()
     );
-    assert_eq!(client.len(), n + ingested.len());
+    assert_eq!(engine.len(), n + ingested.len());
 
     // --- Determinism: a seeded batch is a pure function of its seed. ---
     let batch: Vec<Query<i64>> = windows
         .iter()
         .map(|&q| Query::Sample { q, s: 64 })
         .collect();
-    let reference = client.run_seeded(&batch, 0xD577);
+    let reference = engine.run_seeded(&batch, 0xD577);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let handle = client.clone();
+            let handle = engine.clone();
             let (batch, reference) = (&batch, &reference);
             scope.spawn(move || {
                 for _ in 0..10 {

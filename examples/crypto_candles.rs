@@ -40,18 +40,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // volume would be a typed BuildError naming the row), then builds
     // an AWIT for volume-proportional IRS.
     let t = Instant::now();
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Awit)
         .weights(volumes.clone())
         .seed(9)
         .build(&data)?;
-    println!("AWIT client built in {:?}", t.elapsed());
+    println!("AWIT engine built in {:?}", t.elapsed());
 
     // "When was BTC inside [30k, 40k]?"
     let band = Interval::new(30_000, 40_000);
     let t = Instant::now();
-    let hits = client.count(band)?;
-    let band_volume: f64 = client
+    let hits = engine.count(band)?;
+    let band_volume: f64 = engine
         .search(band)?
         .iter()
         .map(|&id| volumes[id as usize])
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // should for a "what moved the market in this band" view.
     let s = 20;
     let t = Instant::now();
-    let sample = client.sample_weighted(band, s)?;
+    let sample = engine.sample_weighted(band, s)?;
     println!("{s} volume-weighted candle samples in {:?}:", t.elapsed());
     for id in &sample {
         let iv = data[*id as usize];
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // band's plain average (heavier candles are drawn more often). The
     // big sample comes off a stream — candidate computation ran once,
     // 20,000 draws amortized behind it.
-    let big_sample: Vec<ItemId> = client.weighted_sample_stream(band)?.take(20_000).collect();
+    let big_sample: Vec<ItemId> = engine.weighted_sample_stream(band)?.take(20_000).collect();
     let avg_sampled: f64 = big_sample
         .iter()
         .map(|&id| volumes[id as usize])
@@ -97,9 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the facade stays honest about what this build cannot do:
     // an AWIT holding real volumes refuses *uniform* sampling with a
     // typed error instead of a silently wrong answer.
-    assert!(!client.capabilities().uniform_sample);
+    assert!(!engine.capabilities().uniform_sample);
     assert!(matches!(
-        client.sample(band, 5),
+        engine.sample(band, 5),
         Err(QueryError::UnsupportedOperation { .. })
     ));
     Ok(())

@@ -1,5 +1,5 @@
-//! A fleet-operations dashboard backed by the sharded engine through
-//! the unified facade: one `Client` serves every widget on the page —
+//! A fleet-operations dashboard backed by the sharded engine: one
+//! `Engine` serves every widget on the page —
 //! live counts, a sampled activity histogram, a weighted
 //! "revenue-proportional" sample, and a point-in-time drill-down — as a
 //! single mixed batch per refresh, every answer a typed `Result`.
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let shards = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
     let t = Instant::now();
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Kds)
         .shards(shards)
         .weights(weights.clone())
@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build(&data)?;
     println!(
         "{n} taxi trips indexed into {} {} shards in {:?}",
-        client.shard_count(),
-        client.kind(),
+        engine.shard_count(),
+        engine.kind(),
         t.elapsed()
     );
 
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = Instant::now();
     // Every answer is a typed Result; `?` on the collect surfaces the
     // first failure (unsupported op, dead shard) instead of a panic.
-    let out: Vec<QueryOutput> = client.run(&batch).into_iter().collect::<Result<_, _>>()?;
+    let out: Vec<QueryOutput> = engine.run(&batch).into_iter().collect::<Result<_, _>>()?;
     let refresh = t.elapsed();
 
     println!("\nevening activity (17:00-22:00), count + {s}-trip sample per day:");

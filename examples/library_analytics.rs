@@ -4,11 +4,11 @@
 //! estimates the statistic at a fraction of the cost, and the index keeps
 //! absorbing new transactions through batched insertions.
 //!
-//! The estimation pipeline runs through the `Irs::builder()` facade as
-//! one mixed batch (search + sample per month); the ingestion tail
-//! drives the index directly — the facade's static snapshot reports
-//! `capabilities().update == false`, and querying that metadata is how
-//! a job decides which surface to use.
+//! The estimation pipeline runs through one `Engine` (built with
+//! `Irs::builder()`) as one mixed batch (search + sample per month); the
+//! ingestion tail goes through the same handle's pooled batch insertion,
+//! after checking `capabilities().update` — querying that metadata is
+//! how a job decides whether the kind it runs on can ingest.
 //!
 //! ```sh
 //! cargo run --release --example library_analytics
@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{n} borrow records over {years} years");
 
     let t = Instant::now();
-    let client = Irs::builder().kind(IndexKind::Ait).seed(3).build(&data)?;
-    println!("AIT client built in {:?}", t.elapsed());
+    let engine = Irs::builder().kind(IndexKind::Ait).seed(3).build(&data)?;
+    println!("AIT engine built in {:?}", t.elapsed());
 
     // Ground truth statistic: average borrow duration per month, estimated
     // from s = 500 samples instead of the full month's result set. One
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.push(Query::Search { q });
         batch.push(Query::Sample { q, s });
     }
-    let mut outputs = client.run(&batch).into_iter();
+    let mut outputs = engine.run(&batch).into_iter();
 
     let mean_duration = |ids: &[ItemId]| {
         ids.iter()
@@ -79,20 +79,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sample estimates should track the exact statistic"
     );
 
-    // The library keeps lending. The facade's snapshot is static —
-    // queryable metadata, not a surprise panic — so ingestion drives
-    // the index structure directly via the batched insertion pool
-    // (§III-D) and queries mid-stream.
-    assert!(!client.capabilities().update);
-    let mut ait = Ait::new(&data);
-    let new_borrows = irs::datagen::uniform(5_000, 10 * DAY, 45 * DAY, 77);
+    // The library keeps lending. AIT is update-capable — queryable
+    // metadata, not a surprise panic — so ingestion goes through the
+    // same engine's batched insertion pool (§III-D) and queries see the
+    // new borrows immediately.
+    assert!(engine.capabilities().update);
+    // Shift the new borrows to "today" at the end of the timeline.
+    let new_borrows: Vec<Interval64> = irs::datagen::uniform(5_000, 10 * DAY, 45 * DAY, 77)
+        .into_iter()
+        .map(|iv| Interval::new(iv.lo + domain - 10 * DAY, iv.hi + domain - 10 * DAY))
+        .collect();
     let t = Instant::now();
-    for iv in &new_borrows {
-        // Shift the new borrows to "today" at the end of the timeline.
-        let shifted = Interval::new(iv.lo + domain - 10 * DAY, iv.hi + domain - 10 * DAY);
-        ait.insert_buffered(shifted);
-    }
-    ait.flush_pool();
+    engine.extend_batch(&new_borrows)?;
     println!(
         "\ningested {} new borrows via batch insertion in {:?} ({:.1}µs amortized)",
         new_borrows.len(),
@@ -100,11 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t.elapsed().as_micros() as f64 / new_borrows.len() as f64
     );
     let today = Interval::new(domain - DAY, domain);
-    println!(
-        "records overlapping the last day: {}",
-        ait.range_count(today)
-    );
-    ait.validate()
-        .expect("index invariants hold after ingestion");
+    println!("records overlapping the last day: {}", engine.count(today)?);
+    assert_eq!(engine.len(), data.len() + new_borrows.len());
     Ok(())
 }

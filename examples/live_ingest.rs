@@ -3,7 +3,7 @@
 //! Simulates a trip-tracking service: every tick a batch of fresh trips
 //! arrives (`extend_batch` — the paper's pooled batch insertion), the
 //! oldest window expires (`remove`), and dashboards keep querying
-//! throughout. One `Client`, both directions, typed errors everywhere.
+//! throughout. One `Engine`, both directions, typed errors everywhere.
 //!
 //! ```sh
 //! cargo run --release --example live_ingest
@@ -23,12 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // AIT: the paper's §III-D update algorithms behind the unified API.
     // Swap in `.shards(4)` and the same calls route across shards.
-    let mut client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .seed(7)
         .build(&seed_data)?;
     assert!(
-        client.capabilities().update,
+        engine.capabilities().update,
         "ait must support live updates"
     );
 
@@ -44,34 +44,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for tick in 0..ticks {
         // Ingest: one pooled batch, immediately queryable.
         let arriving = &stream[tick * batch..(tick + 1) * batch];
-        let ids = client.extend_batch(arriving)?;
+        let ids = engine.extend_batch(arriving)?;
         ingested += ids.len();
         live.extend(ids);
 
         // Expire: the window's oldest trips. Their ids never reappear.
         for _ in 0..batch {
             let id = live.pop_front().expect("window is never empty");
-            client.remove(id)?;
+            engine.remove(id)?;
             expired += 1;
         }
 
         // Serve: the dashboard keeps sampling between mutations.
         for &q in &queries {
-            sampled += client.sample(q, 64)?.len();
+            sampled += engine.sample(q, 64)?.len();
         }
 
         if (tick + 1) % 5 == 0 {
             println!(
                 "tick {:>2}: window = {} trips, {} in / {} out, {} samples served",
                 tick + 1,
-                client.len(),
+                engine.len(),
                 ingested,
                 expired,
                 sampled
             );
         }
     }
-    assert_eq!(client.len(), window, "in/out balance must hold the window");
+    assert_eq!(engine.len(), window, "in/out balance must hold the window");
 
     let dt = started.elapsed();
     let ops = (ingested + expired) as f64 / dt.as_secs_f64();
@@ -83,8 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Expired trips are really gone: a removed id is never sampled and
     // never removable twice.
     let gone = live.pop_front().unwrap();
-    client.remove(gone)?;
-    match client.remove(gone) {
+    engine.remove(gone)?;
+    match engine.remove(gone) {
         Err(UpdateError::UnknownId { id }) => {
             println!("retired id {id} stays retired (typed error)")
         }

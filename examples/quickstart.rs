@@ -1,5 +1,5 @@
 //! Quickstart: one facade over every index kind. Build a
-//! [`Client`] per kind with `Irs::builder()`, discover what each kind
+//! [`Engine`] per kind with `Irs::builder()`, discover what each kind
 //! can do from its [`Capabilities`] (no probing, no panics), and run
 //! the same IRS query through all of them.
 //!
@@ -49,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same fallible facade serves every kind.
     for kind in IndexKind::ALL {
         let t = Instant::now();
-        let client = Irs::builder().kind(kind).seed(1).build(&data)?;
+        let engine = Irs::builder().kind(kind).seed(1).build(&data)?;
         let built = t.elapsed();
-        let hits = client.count(q)?;
+        let hits = engine.count(q)?;
         let t = Instant::now();
-        let ids = client.sample(q, s)?;
+        let ids = engine.sample(q, s)?;
         let sampled = t.elapsed();
         assert!(ids.iter().all(|&id| data[id as usize].overlaps(&q)));
         println!(
@@ -64,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Weighted IRS (Problem 2): supply weights, pick a weighted-capable
     // kind, and the same surface serves weight-proportional samples.
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Awit)
         .weights(weights.clone())
         .seed(2)
         .build(&data)?;
     let t = Instant::now();
-    let ids = client.sample_weighted(q, s)?;
+    let ids = engine.sample_weighted(q, s)?;
     println!(
         "\nawit (weighted) {s} weight-proportional samples in {:?}",
         t.elapsed()
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(ids.len(), s);
 
     // A kind that *cannot* serve an operation says so with a typed
-    // error — compare `client.capabilities()` up front, or match on it.
+    // error — compare `engine.capabilities()` up front, or match on it.
     let ait = Irs::builder().kind(IndexKind::Ait).build(&data)?;
     match ait.sample_weighted(q, s) {
         Err(QueryError::UnsupportedOperation { op, reason }) => {
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Prepare-once-draw-many: the stream pays the query's candidate
     // computation once, then draws are O(1)-ish forever.
-    let stream_ids: Vec<ItemId> = client.weighted_sample_stream(q)?.take(5 * s).collect();
+    let stream_ids: Vec<ItemId> = engine.weighted_sample_stream(q)?.take(5 * s).collect();
     assert_eq!(stream_ids.len(), 5 * s);
     println!(
         "sample stream drew {} more weighted samples",

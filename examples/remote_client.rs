@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 200_000;
     println!("building a 4-shard AIT backend over {n} taxi-like intervals...");
     let data = irs::datagen::TAXI.generate(n, 42);
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .shards(4)
         .seed(7)
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- serve ------------------------------------------------------
     // Port 0: the OS picks a free port; real deployments pass a fixed
     // address and run `irs-server` as its own process.
-    let handle = irs::serve(client.clone(), ("127.0.0.1", 0), None)?;
+    let handle = irs::serve(engine.clone(), ("127.0.0.1", 0), None)?;
     let addr = handle.local_addr();
     println!("irs-server listening on {addr}\n");
 
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
     let over_wire = remote.run_seeded(&batch, 99)?;
-    let in_process = client.run_seeded(&batch, 99);
+    let in_process = engine.run_seeded(&batch, 99);
     for (w, l) in over_wire.iter().zip(&in_process) {
         assert_eq!(w.as_ref().unwrap(), l.as_ref().unwrap());
     }

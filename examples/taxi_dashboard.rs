@@ -24,14 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = irs::datagen::clustered(n, WEEK, 14, 5400, 900, 11);
     println!("{n} taxi trips over one week");
 
-    let client = Irs::builder().kind(IndexKind::Ait).seed(5).build(&data)?;
+    let engine = Irs::builder().kind(IndexKind::Ait).seed(5).build(&data)?;
 
     // The dashboard window: day 3, 17:00-22:00.
     let day3 = 3 * 24 * 3600;
     let q = Interval::new(day3 + 17 * 3600, day3 + 22 * 3600);
 
     let t = Instant::now();
-    let active = client.count(q)?;
+    let active = engine.count(q)?;
     println!(
         "\n{} trips active in the window (counted in {:?})",
         active,
@@ -41,13 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sampling 2,000 trips is enough to draw the activity histogram.
     let s = 2000;
     let t = Instant::now();
-    let sample = client.sample(q, s)?;
+    let sample = engine.sample(q, s)?;
     let t_sample = t.elapsed();
 
     // Exact histogram (what a full scan would render) vs sampled estimate:
     // bucket trips by their start hour-of-day.
     let t = Instant::now();
-    let full = client.search(q)?;
+    let full = engine.search(q)?;
     let t_full = t.elapsed();
 
     let hist = |ids: &[ItemId]| {
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The stream paid the query's candidate computation once, so each
     // refresh costs only the draws.
     let t = Instant::now();
-    let refreshed: Vec<ItemId> = client.sample_stream(q)?.take(3 * s).collect();
+    let refreshed: Vec<ItemId> = engine.sample_stream(q)?.take(3 * s).collect();
     println!(
         "three more {s}-trip refreshes streamed in {:?} (prepare-once-draw-many)",
         t.elapsed()

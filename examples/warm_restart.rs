@@ -2,8 +2,8 @@
 //!
 //! A "service" builds a sharded engine over a large dataset, serves
 //! some traffic, ingests a little, and snapshots itself to disk with
-//! [`Client::save`]. The "restarted process" then comes up with
-//! [`Client::load`] — no index construction — and the demo proves the
+//! [`Engine::save`]. The "restarted process" then comes up with
+//! [`Engine::load`] — no index construction — and the demo proves the
 //! restore is *byte-equivalent*: the same seeded batch draws the same
 //! samples, ids issued before the restart still resolve, and new
 //! inserts keep the global-id contract. Finally it demonstrates the
@@ -25,17 +25,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- first life: build, serve, ingest, snapshot -----------------
     let t = Instant::now();
-    let mut client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .shards(4)
         .seed(7)
         .build(&data)?;
     let build = t.elapsed();
-    println!("cold build: {build:.2?} ({} shards)", client.shard_count());
+    println!("cold build: {build:.2?} ({} shards)", engine.shard_count());
 
     let q = Interval::new(5_000_000, 20_000_000);
-    println!("serving: count({q:?}) = {}", client.count(q)?);
-    let early_id = client.insert(Interval::new(6_000_000, 6_500_000))?;
+    println!("serving: count({q:?}) = {}", engine.count(q)?);
+    let early_id = engine.insert(Interval::new(6_000_000, 6_500_000))?;
     println!("ingested one interval before the snapshot: id {early_id}");
 
     let batch = [
@@ -46,16 +46,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s: 4,
         },
     ];
-    let before = client.run_seeded(&batch, 0xC0FFEE);
+    let before = engine.run_seeded(&batch, 0xC0FFEE);
 
     let t = Instant::now();
-    client.save(&dir)?;
+    engine.save(&dir)?;
     println!("snapshot saved to {} in {:.2?}", dir.display(), t.elapsed());
-    drop(client); // the process "dies"
+    drop(engine); // the process "dies"
 
     // ---- second life: load and verify byte-equivalence --------------
     let t = Instant::now();
-    let mut revived = Client::<i64>::load(&dir)?;
+    let revived = Engine::<i64>::load(&dir)?;
     let load = t.elapsed();
     println!("warm restart: {load:.2?} (cold build was {build:.2?}) — no rebuild, state intact");
 
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shard0 = dir.join("shard-0000.irs");
     let bytes = std::fs::read(&shard0)?;
     std::fs::write(&shard0, &bytes[..bytes.len() / 2])?;
-    match Client::<i64>::load(&dir).map(|_| ()) {
+    match Engine::<i64>::load(&dir).map(|_| ()) {
         Err(e @ PersistError::Truncated { .. }) => {
             println!("truncated shard file refused: {e}");
         }

@@ -150,7 +150,7 @@ per-row sample/search QPS deltas plus a geometric-mean summary; the
 matrix comes from the baseline rows, only --seed/--extent apply.
 
 bench-updates measures live-update throughput (Table VII's axes: one-by-one
-insertion, pooled batch insertion, deletion) through the unified client at
+insertion, pooled batch insertion, deletion) through one engine at
 each shard count, emitting both a human table and machine-readable JSONL
 rows (`grep '^{'` to collect).
 
@@ -220,11 +220,11 @@ fn load(path: &str) -> Result<(Vec<Interval64>, Vec<f64>), String> {
 fn cmd_count(opts: &Opts) -> Result<(), String> {
     let (data, _) = load(opts.req("data")?)?;
     let q = Interval::new(opts.num::<i64>("lo")?, opts.num::<i64>("hi")?);
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .build(&data)
         .map_err(|e| e.to_string())?;
-    println!("{}", client.count(q).map_err(|e| e.to_string())?);
+    println!("{}", engine.count(q).map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -244,11 +244,11 @@ fn cmd_sample(opts: &Opts) -> Result<(), String> {
     } else {
         Irs::builder().kind(IndexKind::Ait)
     };
-    let client = builder.seed(seed).build(&data).map_err(|e| e.to_string())?;
+    let engine = builder.seed(seed).build(&data).map_err(|e| e.to_string())?;
     let ids = if weighted {
-        client.sample_weighted(q, s)
+        engine.sample_weighted(q, s)
     } else {
-        client.sample(q, s)
+        engine.sample(q, s)
     }
     .map_err(|e| e.to_string())?;
     if ids.is_empty() {
@@ -267,13 +267,13 @@ fn cmd_sample(opts: &Opts) -> Result<(), String> {
 fn cmd_stab(opts: &Opts) -> Result<(), String> {
     let (data, _) = load(opts.req("data")?)?;
     let p: i64 = opts.num("at")?;
-    let client = Irs::builder()
+    let engine = Irs::builder()
         .kind(IndexKind::Ait)
         .build(&data)
         .map_err(|e| e.to_string())?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for id in client.stab(p).map_err(|e| e.to_string())? {
+    for id in engine.stab(p).map_err(|e| e.to_string())? {
         let iv = data[id as usize];
         writeln!(out, "{}\t{},{}", id, iv.lo, iv.hi).map_err(|e| e.to_string())?;
     }
@@ -298,10 +298,10 @@ fn cmd_snapshot(action: &str, opts: &Opts) -> Result<(), String> {
                 builder = builder.weights(weights);
             }
             let built = std::time::Instant::now();
-            let client = builder.build(&data).map_err(|e| e.to_string())?;
+            let engine = builder.build(&data).map_err(|e| e.to_string())?;
             let build_ms = built.elapsed().as_secs_f64() * 1e3;
             let saved = std::time::Instant::now();
-            client.save(dir).map_err(|e| e.to_string())?;
+            engine.save(dir).map_err(|e| e.to_string())?;
             let save_ms = saved.elapsed().as_secs_f64() * 1e3;
             let bytes: u64 = std::fs::read_dir(dir)
                 .map_err(|e| e.to_string())?
@@ -312,8 +312,8 @@ fn cmd_snapshot(action: &str, opts: &Opts) -> Result<(), String> {
                 "saved {} × {} shard(s) ({} intervals, {bytes} bytes) to {dir} \
                  [build {build_ms:.0} ms, save {save_ms:.0} ms]",
                 kind,
-                client.shard_count(),
-                client.len(),
+                engine.shard_count(),
+                engine.len(),
             );
             Ok(())
         }
@@ -335,18 +335,18 @@ fn cmd_snapshot(action: &str, opts: &Opts) -> Result<(), String> {
         "load" => {
             let dir = opts.req("dir")?;
             let loaded = std::time::Instant::now();
-            let client = Client::<i64>::load(dir).map_err(|e| e.to_string())?;
+            let engine = Engine::<i64>::load(dir).map_err(|e| e.to_string())?;
             let load_ms = loaded.elapsed().as_secs_f64() * 1e3;
             println!(
                 "loaded {} × {} shard(s), {} live intervals [{load_ms:.0} ms]",
-                client.kind(),
-                client.shard_count(),
-                client.len(),
+                engine.kind(),
+                engine.shard_count(),
+                engine.len(),
             );
             if let (Some(_), Some(_)) = (opts.get("lo"), opts.get("hi")) {
                 let q = Interval::new(opts.num::<i64>("lo")?, opts.num::<i64>("hi")?);
                 let s: usize = opts.num_or("s", 10)?;
-                let ids = client.sample(q, s).map_err(|e| e.to_string())?;
+                let ids = engine.sample(q, s).map_err(|e| e.to_string())?;
                 println!("sample({q:?}, {s}) -> {ids:?}");
             }
             Ok(())
@@ -627,7 +627,7 @@ fn cmd_bench_engine_compare(opts: &Opts, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Table VII through the unified client: one-by-one insertion, pooled
+/// Table VII through one engine: one-by-one insertion, pooled
 /// batch insertion, and deletion throughput per shard count, as a human
 /// table plus `JsonRow` JSONL for the bench trajectory.
 fn cmd_bench_updates(opts: &Opts) -> Result<(), String> {
@@ -673,16 +673,16 @@ fn cmd_bench_updates(opts: &Opts) -> Result<(), String> {
         if weighted {
             builder = builder.weights(weights.clone());
         }
-        let mut client = builder.build(&data).map_err(|e| e.to_string())?;
+        let engine = builder.build(&data).map_err(|e| e.to_string())?;
 
         // One-by-one insertion (the expensive path of Table VII).
         let t = std::time::Instant::now();
         let mut ids = Vec::with_capacity(updates);
         for (i, &iv) in fresh.iter().enumerate() {
             let id = if weighted {
-                client.insert_weighted(iv, 1.0 + (i % 100) as f64)
+                engine.insert_weighted(iv, 1.0 + (i % 100) as f64)
             } else {
-                client.insert(iv)
+                engine.insert(iv)
             }
             .map_err(|e| e.to_string())?;
             ids.push(id);
@@ -692,19 +692,19 @@ fn cmd_bench_updates(opts: &Opts) -> Result<(), String> {
         // Deletion of exactly those intervals.
         let t = std::time::Instant::now();
         for &id in &ids {
-            client.remove(id).map_err(|e| e.to_string())?;
+            engine.remove(id).map_err(|e| e.to_string())?;
         }
         let deletes = updates as f64 / t.elapsed().as_secs_f64();
 
-        // Pooled batch insertion on a fresh client (so the pools start
+        // Pooled batch insertion on a fresh engine (so the pools start
         // cold, matching the one-by-one run's starting state).
         let mut builder = Irs::builder().kind(kind).shards(shards).seed(seed);
         if weighted {
             builder = builder.weights(weights.clone());
         }
-        let mut client = builder.build(&data).map_err(|e| e.to_string())?;
+        let engine = builder.build(&data).map_err(|e| e.to_string())?;
         let t = std::time::Instant::now();
-        client.extend_batch(&fresh).map_err(|e| e.to_string())?;
+        engine.extend_batch(&fresh).map_err(|e| e.to_string())?;
         let batched = updates as f64 / t.elapsed().as_secs_f64();
 
         println!("{shards:>7} {one_by_one:>16.0} {batched:>16.0} {deletes:>16.0}");

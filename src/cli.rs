@@ -4,7 +4,7 @@
 //! never read (each command documents what it consumes) — and the one
 //! [`serve`] command both of them run.
 
-use crate::{Catalog, Client, IndexKind, Irs, LogRecord, Serving, WalWriter, DEFAULT_COLLECTION};
+use crate::{Catalog, Engine, IndexKind, Irs, LogRecord, Serving, WalWriter, DEFAULT_COLLECTION};
 use std::path::Path;
 
 /// Flat `--key value` option bag. Boolean flags (`--weighted`) take no
@@ -64,9 +64,9 @@ impl Opts {
 
 /// Builds (from `--data`, with `--kind --shards --weighted --seed`) or
 /// loads (from `--snapshot`) the single backend `serve` fronts.
-fn serve_backend(opts: &Opts) -> Result<Client<i64>, String> {
+fn serve_backend(opts: &Opts) -> Result<Engine<i64>, String> {
     match (opts.get("snapshot"), opts.get("data")) {
-        (Some(dir), None) => Client::load(dir).map_err(|e| e.to_string()),
+        (Some(dir), None) => Engine::load(dir).map_err(|e| e.to_string()),
         (None, Some(path)) => {
             let (data, weights) = crate::datagen::load_csv(path)?;
             let kind = match opts.get("kind") {
@@ -175,11 +175,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
             (catalog.into(), wal, fronting)
         }
         None => {
-            let mut client = serve_backend(opts)?;
+            let engine = serve_backend(opts)?;
             let wal = recover_wal(opts, opts.get("snapshot"), |record| {
-                let _ = client.apply(&record.muts);
+                let _ = engine.apply(&record.muts);
             })?;
-            let stats = client.stats();
+            let stats = engine.stats();
             let fronting = format!(
                 "{} × {} shard(s), {} intervals{}",
                 stats.kind,
@@ -187,7 +187,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
                 stats.len,
                 if stats.weighted { ", weighted" } else { "" },
             );
-            (client.into(), wal, fronting)
+            (engine.into(), wal, fronting)
         }
     };
     let role = match opts.get("wal") {

@@ -20,9 +20,9 @@
 //!
 //! ## Quickstart
 //!
-//! The unified facade ([`Irs`], crate `irs-client`) serves every
+//! One handle, [`Engine`] (built with [`Irs::builder`]), serves every
 //! [`IndexKind`] (the table above without its two enumeration
-//! baselines, plus `DynamicAwit`) and the sharded engine behind one
+//! baselines, plus `DynamicAwit`) at one shard or many, behind one
 //! typed, fallible API:
 //!
 //! ```
@@ -30,21 +30,21 @@
 //!
 //! // 100k synthetic taxi-trip-like intervals.
 //! let data = irs::datagen::TAXI.generate(100_000, 42);
-//! let client = Irs::builder().kind(IndexKind::Ait).seed(7).build(&data)?;
+//! let engine = Irs::builder().kind(IndexKind::Ait).seed(7).build(&data)?;
 //!
 //! // Sample 10 trips active in a time window, in O(log²n + s).
 //! let q = Interval::new(10_000_000, 11_000_000);
-//! let sample_ids = client.sample(q, 10)?;
+//! let sample_ids = engine.sample(q, 10)?;
 //! assert_eq!(sample_ids.len(), 10);
 //! for id in sample_ids {
 //!     assert!(data[id as usize].overlaps(&q));
 //! }
 //!
 //! // Exact result-set size without enumerating it (Corollary 1).
-//! assert!(client.count(q)? > 0);
+//! assert!(engine.count(q)? > 0);
 //!
 //! // Capability discovery instead of probe-and-catch:
-//! assert!(!client.capabilities().weighted_sample); // built without weights
+//! assert!(!engine.capabilities().weighted_sample); // built without weights
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -57,33 +57,34 @@
 //!
 //! Update-capable kinds ([`IndexKind::Ait`] — the paper's §III-D
 //! algorithms — and [`IndexKind::AwitDynamic`] for weighted data) ingest
-//! while they serve, through the same facade:
+//! while they serve, through the same handle:
 //!
 //! ```
 //! use irs::prelude::*;
 //!
 //! let data = irs::datagen::TAXI.generate(10_000, 42);
-//! let mut client = Irs::builder().kind(IndexKind::Ait).shards(4).build(&data)?;
-//! let id = client.insert(Interval::new(500, 900))?;        // immediately sampleable
-//! let batch = client.extend_batch(&data[..100])?;          // pooled batch insertion
-//! client.remove(id)?;                                      // id never reappears
-//! assert_eq!(client.len(), data.len() + 100);
+//! let engine = Irs::builder().kind(IndexKind::Ait).shards(4).build(&data)?;
+//! let id = engine.insert(Interval::new(500, 900))?;        // immediately sampleable
+//! let batch = engine.extend_batch(&data[..100])?;          // pooled batch insertion
+//! engine.remove(id)?;                                      // id never reappears
+//! assert_eq!(engine.len(), data.len() + 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! ## Scaling out
 //!
-//! Every [`Client`] answers through an [`Engine`] (crate
-//! `irs-engine`); `Irs::builder().shards(k)` shards the dataset `K`
-//! ways, and batches of typed [`Query`]s execute on the calling thread over the
-//! shared shard state, with sampling kept distribution-identical to a
-//! single monolithic index via multinomial cross-shard allocation.
-//! Both [`Client`] and [`Engine`] are cheap clonable handles
+//! `Irs::builder().shards(k)` shards the dataset `K` ways (one shard by
+//! default), and batches of typed [`Query`]s execute on the calling
+//! thread over the shared shard state, with sampling kept
+//! distribution-identical to a single monolithic index via multinomial
+//! cross-shard allocation. [`Engine`] is a cheap clonable handle
 //! (`Clone + Send + Sync`), so many threads share one backend and
 //! query it concurrently; mutations funnel through a single writer
-//! seat ([`Client::writer`]).
+//! seat ([`Engine::writer`]). [`Client`] and [`ClientWriter`] are the
+//! former facade's names for [`Engine`] and [`EngineWriter`], kept as
+//! type aliases.
 //!
-//! See the crate-level docs of [`irs_client`], [`irs_ait`], [`irs_hint`],
+//! See the crate-level docs of [`irs_engine`], [`irs_ait`], [`irs_hint`],
 //! [`irs_kds`], and [`irs_interval_tree`] for details, and `DESIGN.md` /
 //! `README.md` in the repository for the architecture and reproduction
 //! methodology.
@@ -95,7 +96,6 @@ pub use irs_ait::{Ait, AitV, Awit, DynamicAwit, ListKind, NodeRecord, RejectionS
 pub use irs_catalog::{
     Catalog, CollectionInfo, CollectionSpec, KindSpec, WorkloadHints, DEFAULT_COLLECTION,
 };
-pub use irs_client::{Client, ClientWriter, Irs, IrsBuilder, SampleStream};
 pub use irs_core::wal::{
     read_checkpoint, read_log, write_checkpoint, LogRecord, ReplicationError, WalReplay, WalTailer,
     WalWriter,
@@ -108,9 +108,17 @@ pub use irs_core::{
     UpdateOp, UpdateOutput, WeightedRangeSampler,
 };
 pub use irs_engine::{
-    inspect_snapshot, DynIndex, Engine, EngineConfig, IndexKind, Manifest, Query, QueryOutput,
-    SnapshotInfo,
+    inspect_snapshot, DynIndex, Engine, EngineConfig, EngineStats, EngineWriter, IndexKind, Irs,
+    IrsBuilder, Manifest, Query, QueryOutput, SampleStream, SnapshotInfo,
 };
+
+/// The former facade's name for [`Engine`], which it only delegated
+/// to. An alias, so code written against `Client` compiles unchanged.
+pub type Client<E> = Engine<E>;
+
+/// The former facade's name for [`EngineWriter`], the writer seat
+/// [`Engine::writer`] hands out.
+pub type ClientWriter<'a, E> = EngineWriter<'a, E>;
 pub use irs_hint::HintM;
 pub use irs_interval_tree::IntervalTree;
 pub use irs_kds::Kds;
@@ -159,15 +167,18 @@ pub mod sampling {
 
 /// One-stop imports for applications.
 pub mod prelude {
+    pub use crate::{Client, ClientWriter};
     pub use irs_ait::{Ait, AitV, Awit, DynamicAwit};
     pub use irs_catalog::{Catalog, CollectionSpec, KindSpec, WorkloadHints};
-    pub use irs_client::{Client, ClientWriter, Irs, IrsBuilder, SampleStream};
     pub use irs_core::{
         BuildError, Capabilities, CatalogError, Interval, Interval64, ItemId, MemoryFootprint,
         Mutation, Operation, PersistError, PreparedSampler, QueryError, RangeCount, RangeSampler,
         RangeSearch, StabbingQuery, UpdateError, UpdateOp, UpdateOutput, WeightedRangeSampler,
     };
-    pub use irs_engine::{Engine, EngineConfig, IndexKind, Query, QueryOutput};
+    pub use irs_engine::{
+        Engine, EngineConfig, EngineWriter, IndexKind, Irs, IrsBuilder, Query, QueryOutput,
+        SampleStream,
+    };
     pub use irs_hint::HintM;
     pub use irs_interval_tree::IntervalTree;
     pub use irs_kds::Kds;

@@ -60,7 +60,7 @@ proptest! {
         for kind in IndexKind::ALL {
             for weighted in [false, true] {
                 for shards in [1usize, 3] {
-                    let mut client = build_client(kind, shards, weighted, &data, 7);
+                    let client = build_client(kind, shards, weighted, &data, 7);
                     let caps = client.capabilities();
                     prop_assert_eq!(caps, kind.capabilities(weighted));
 

@@ -283,3 +283,74 @@ fn facade_capability_errors_are_typed() {
         ));
     }
 }
+
+/// One set of defaults: a builder that sets only the kind and an
+/// engine built from `EngineConfig::new` are the same engine — one
+/// shard and the same seed on every host — so they replay the same
+/// bytes, seeded and unseeded.
+#[test]
+fn builder_and_engine_config_share_defaults() {
+    let data = dataset(3_000, 71);
+    let q = Interval::new(0, irs::datagen::TAXI.domain_size / 3);
+    let batch = [Query::Sample { q, s: 64 }, Query::Count { q }];
+    for kind in [IndexKind::Ait, IndexKind::AitV, IndexKind::Kds] {
+        let built = Irs::builder().kind(kind).build(&data).unwrap();
+        let engine = Engine::try_new(&data, EngineConfig::new(kind)).unwrap();
+        assert_eq!(
+            engine.shard_count(),
+            1,
+            "{kind}: the default is host-independent"
+        );
+        assert_eq!(built.shard_count(), engine.shard_count(), "{kind}");
+        assert_eq!(
+            built.run(&batch),
+            engine.run(&batch),
+            "{kind}: default seed"
+        );
+        assert_eq!(
+            built.run_seeded(&batch, 9),
+            engine.run_seeded(&batch, 9),
+            "{kind}"
+        );
+    }
+}
+
+/// `Client` is `Engine` under its former name: the conversion below is
+/// the identity (it compiles only if the two names are one type), and a
+/// snapshot saved through either name loads through the other and
+/// replays byte-identically.
+#[test]
+fn client_is_an_alias_of_engine() {
+    fn same(e: irs::Engine<i64>) -> irs::Client<i64> {
+        e
+    }
+    let data = dataset(2_000, 73);
+    let q = Interval::new(0, irs::datagen::TAXI.domain_size / 2);
+    let batch = [Query::Sample { q, s: 128 }, Query::Search { q }];
+    let engine = Irs::builder()
+        .kind(IndexKind::Ait)
+        .shards(3)
+        .seed(5)
+        .build(&data)
+        .unwrap();
+    engine.insert(Interval::new(10, 20)).unwrap();
+    let client = same(engine.clone());
+    let dir = std::env::temp_dir().join(format!("irs-facade-alias-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    client.save(&dir).unwrap();
+    let through_engine = irs::Engine::<i64>::load(&dir).unwrap();
+    assert_eq!(
+        through_engine.run_seeded(&batch, 11),
+        engine.run_seeded(&batch, 11)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    engine.save(&dir).unwrap();
+    let through_client = irs::Client::<i64>::load(&dir).unwrap();
+    assert_eq!(
+        through_client.run_seeded(&batch, 11),
+        client.run_seeded(&batch, 11)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -430,7 +430,7 @@ fn stats_return_while_a_mutation_batch_is_in_flight() {
                 .unwrap();
             let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
             let during = std::thread::scope(|scope| {
-                let mut writer = client.clone();
+                let writer = client.clone();
                 let (muts, started, done) = (&muts, &started, &done);
                 scope.spawn(move || {
                     started.store(true, Ordering::SeqCst);

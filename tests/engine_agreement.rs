@@ -565,4 +565,45 @@ fn engine_mutation_errors_are_typed() {
         "per-shard loads must match after rollback: {:?}",
         broken.shard_lens()
     );
+
+    // The batch and its rollback share one writer seat: a clone that
+    // takes the seat between failed batches only ever sees the
+    // pre-batch live count, never the healthy-shard inserts awaiting
+    // their rollback.
+    let broken = Engine::try_new(&data, EngineConfig::new(IndexKind::Ait).shards(4)).unwrap();
+    broken.crash_shard_for_tests(1);
+    let len_before = broken.len();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let seen = std::thread::scope(|scope| {
+        let (watcher, done) = (broken.clone(), &done);
+        let watch = scope.spawn(move || {
+            let mut seen = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let seat = watcher.writer();
+                seen.push(watcher.len());
+                drop(seat);
+                std::thread::yield_now();
+            }
+            seen
+        });
+        for _ in 0..400 {
+            let out = broken.extend_batch(&batch);
+            assert!(
+                matches!(out, Err(UpdateError::ShardFailed { shard: 1 })),
+                "{out:?}"
+            );
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        watch.join().unwrap()
+    });
+    assert!(!seen.is_empty(), "the watcher never got the seat");
+    let torn: Vec<usize> = seen.iter().copied().filter(|&n| n != len_before).collect();
+    assert!(
+        torn.is_empty(),
+        "{} of {} seat holders saw a half-rolled-back batch (len {:?}, want {len_before})",
+        torn.len(),
+        seen.len(),
+        &torn[..torn.len().min(8)]
+    );
+    assert_eq!(broken.len(), len_before);
 }

@@ -48,7 +48,7 @@ fn churn(kind: IndexKind, weighted: bool, shards: usize, seed: u64) {
     if weighted {
         builder = builder.weights(weights.clone());
     }
-    let mut client = builder.build(&data).expect("churn build");
+    let client = builder.build(&data).expect("churn build");
     let caps = client.capabilities();
     assert!(caps.update, "{kind} must claim updates for this suite");
 
@@ -224,7 +224,7 @@ fn backends_agree_after_identical_churn() {
     let q = Interval::new(0, irs::datagen::BOOK.domain_size);
     let mut counts = Vec::new();
     for shards in [1usize, 4] {
-        let mut client = Irs::builder()
+        let client = Irs::builder()
             .kind(IndexKind::Ait)
             .shards(shards)
             .seed(9)

@@ -244,7 +244,7 @@ fn wide_windows_are_pinned() {
 
     for kind in [IndexKind::Awit, IndexKind::Kds, IndexKind::AwitDynamic] {
         for shards in [1usize, 4] {
-            let mut client = Irs::builder()
+            let client = Irs::builder()
                 .kind(kind)
                 .shards(shards)
                 .seed(9)

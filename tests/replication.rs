@@ -157,7 +157,7 @@ fn failover_loses_no_acked_mutation_and_promoted_replica_replays_identically() {
             .build(&data)
             .expect("build")
     };
-    let mut oracle = build();
+    let oracle = build();
 
     let wal = irs::WalWriter::<i64>::create(&wal_path, 1).expect("create wal");
     let primary = irs::serve(build(), ("127.0.0.1", 0), Some(wal)).expect("serve primary");
@@ -470,8 +470,8 @@ proptest! {
                     }
                     b.build(&data).expect("build")
                 };
-                let mut direct = build();
-                let mut replayed = build();
+                let direct = build();
+                let replayed = build();
 
                 // Direct path, mirroring the server: log first, apply second.
                 let mut wal = irs::WalWriter::<i64>::create(&path, 1).expect("create wal");

@@ -121,7 +121,7 @@ fn remote_mutations_honor_the_global_id_contract() {
     // Remote and in-process writers interleave on one backend; ids stay
     // globally unique and every acked insert is immediately queryable.
     let remote_id = remote.insert(Interval::new(-100, -90)).expect("insert");
-    let mut local = client.clone();
+    let local = client.clone();
     let local_id = local.insert(Interval::new(-80, -70)).expect("insert");
     assert_ne!(remote_id, local_id);
     assert_eq!(

@@ -359,7 +359,7 @@ fn recovered_backend_serves_exactly_the_valid_log_prefix() {
     assert_eq!(wal.next_seq(), 4, "the writer resumes after the prefix");
 
     // Oracle: the same snapshot state plus exactly the first 3 batches.
-    let mut oracle = build();
+    let oracle = build();
     for muts in &batches[..3] {
         let _ = oracle.apply(muts);
     }
