@@ -148,11 +148,12 @@ pub enum UpdateError {
         /// The offending value.
         value: f64,
     },
-    /// The worker owning the target shard died; the mutation was not
+    /// The target shard's index panicked; the mutation was not
     /// applied. Matches the query path's `QueryError::ShardFailed`
-    /// semantics: the dead shard keeps erring on every later operation.
+    /// semantics: the failed shard keeps erring on every later
+    /// operation.
     ShardFailed {
-        /// The shard whose worker was observed dead.
+        /// The shard observed failed.
         shard: usize,
     },
 }
@@ -178,7 +179,7 @@ impl fmt::Display for UpdateError {
                 "invalid weight {value} (weights must be positive and finite)"
             ),
             UpdateError::ShardFailed { shard } => {
-                write!(f, "shard {shard} failed: its worker thread died")
+                write!(f, "shard {shard} failed: its index panicked")
             }
         }
     }

@@ -139,13 +139,13 @@ pub enum QueryError {
     /// per-interval weights (or whose weights the structure discards).
     /// Rebuild with weights to enable [`Operation::WeightedSample`].
     NotWeighted,
-    /// A shard worker died (its thread panicked or its channel closed)
-    /// before answering. The batch's results cannot be trusted, so
-    /// every query in the affected batch reports this error; subsequent
-    /// batches on the same engine keep reporting it rather than
-    /// silently dropping the dead shard's data.
+    /// A shard's index panicked (during a query, or mid-mutation,
+    /// which also poisons its lock). The batch's results cannot be
+    /// trusted, so every query in the affected batch reports this
+    /// error; subsequent batches on the same engine keep reporting it
+    /// rather than silently dropping the failed shard's data.
     ShardFailed {
-        /// The shard whose worker was first observed dead.
+        /// The shard first observed failed.
         shard: usize,
     },
 }
@@ -161,7 +161,7 @@ impl fmt::Display for QueryError {
                 "weighted sampling requested, but the backend was built without weights"
             ),
             QueryError::ShardFailed { shard } => {
-                write!(f, "shard {shard} failed: its worker thread died")
+                write!(f, "shard {shard} failed: its index panicked")
             }
         }
     }
@@ -188,10 +188,10 @@ pub enum BuildError {
         /// The offending value.
         value: f64,
     },
-    /// A shard worker died while building its index. The dataset is
-    /// released and no engine is returned.
+    /// A shard's index panicked while it was being built. The dataset
+    /// is released and no engine is returned.
     ShardDied {
-        /// The shard whose builder thread was first observed dead.
+        /// The first shard whose build panicked.
         shard: usize,
     },
 }

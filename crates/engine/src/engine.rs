@@ -1,5 +1,5 @@
 //! The sharded engine: partitioning, the shared-shard concurrent read
-//! path, and worker-thread shard-routed mutations.
+//! path, and shard-routed mutations applied by the writer seat's holder.
 //!
 //! # Sharding and the global-id scheme
 //!
@@ -30,14 +30,16 @@
 //!   phases of the batch right there, and releases. Read locks are
 //!   shared, so `T` caller threads run `T` batches truly concurrently —
 //!   throughput scales with callers, not with an internal queue.
-//! - **Mutations run on the worker threads.** Each shard keeps one
-//!   worker that owns the write side: [`Engine::apply`] routes each
-//!   shard's sub-batch over a channel, and the worker applies it under
-//!   the shard's *write* lock — so a query batch observes each shard
-//!   either before or after a mutation sub-batch, never torn.
-//!   Mutation batches themselves serialize on one writer seat shared
-//!   across clones ([`Engine::writer`] hands it out as an
-//!   [`EngineWriter`] guard).
+//! - **Mutations run on the writer's thread.** Mutation batches
+//!   serialize on one writer seat shared across clones
+//!   ([`Engine::writer`] hands it out as an [`EngineWriter`] guard).
+//!   The seat holder applies each shard's sub-batch under that shard's
+//!   *write* lock — so a query batch observes each shard either before
+//!   or after a mutation sub-batch, never torn. A batch that touches
+//!   several shards splits them into at most one group per CPU: the
+//!   first group applies on the calling thread, each other group on a
+//!   scoped thread joined before the batch returns; a one-shard batch
+//!   spawns nothing. The engine owns no thread.
 //!
 //! Determinism survives concurrency: [`Engine::run_seeded`] derives
 //! every stream it uses (the allocation stream and one draw stream per
@@ -76,32 +78,23 @@
 //!
 //! # Failure model
 //!
-//! Nothing on the query path panics — including when *index code*
-//! does. Operations the engine's kind cannot serve return
+//! Nothing on the query or mutation path panics — including when
+//! *index code* does. Operations the engine's kind cannot serve return
 //! [`QueryError::UnsupportedOperation`] / [`QueryError::NotWeighted`],
 //! consistent with [`Engine::capabilities`]. A shard counts as
-//! **failed** when its index has shown a bug, whichever side surfaced
-//! it first:
+//! **failed** once its index has panicked, in a query's phase 1, its
+//! phase 2, or a mutation sub-batch. All three run index code through
+//! one containment helper, which catches the unwind and raises the
+//! shard's dead flag before the failing call returns; the batch that
+//! observed the panic reports it typed. A panic in a mutation also
+//! poisons the shard's write lock, which it held.
 //!
-//! - its mutation worker died (index panicked mid-mutation, or the
-//!   test crash hook fired): the worker's panic guard raises the
-//!   shard's dead flag strictly before its channel closes, and a panic
-//!   past the write guard additionally poisons the lock;
-//! - its index panicked during a query batch: the calling thread
-//!   contains the unwind (`catch_unwind` around the per-shard phase-1
-//!   and phase-2 work), raises the same dead flag, and the batch that
-//!   observed the panic fails wholesale.
-//!
-//! Either way the verdict is deterministic and engine-wide: every
-//! query of every batch that starts after the crash returns
+//! The verdict is deterministic and engine-wide: every query of every
+//! batch that starts after the crash returns
 //! [`QueryError::ShardFailed`] (a partial cross-shard count or merge
 //! would be silently wrong), and mutations routed to the dead shard
-//! return [`UpdateError::ShardFailed`] without being applied — the
-//! dead flag gates the mutation scatter too, so a shard marked dead on
-//! the query side stops ingesting even though its worker thread still
-//! runs. `Drop` of the last handle never blocks on a dead worker: live
-//! workers exit on the shutdown message and dead ones have already
-//! unwound, so `join` returns immediately either way.
+//! return [`UpdateError::ShardFailed`] without being applied, while
+//! those routed to healthy shards in the same batch stand.
 
 use crate::kind::{DynIndex, IndexKind};
 use crate::persist;
@@ -118,9 +111,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Engine construction knobs.
 #[derive(Clone, Copy, Debug)]
@@ -255,48 +246,34 @@ enum Partial {
 /// One shard's mutation answers: `(position, result)` pairs, in order.
 type MutReplies = Vec<(usize, Result<UpdateOutput, UpdateError>)>;
 
-/// One shard's slice of a mutation batch.
-struct MutJob<E> {
-    /// `(position in the caller's batch, mutation)` pairs, in order.
-    muts: Vec<(usize, Mutation<E>)>,
-    /// Route inserts through the structure's insertion pool (the
-    /// paper's batch insertion) instead of one-by-one.
-    buffered: bool,
-    reply: Sender<(usize, MutReplies)>,
-}
-
-/// Messages to a shard's mutation worker. Queries never touch the
-/// channel — they run on the calling thread against the shared locks.
-enum MutMsg<E> {
-    Mutate(MutJob<E>),
-    Shutdown,
-    /// Test hook: panic the worker, simulating an index bug, to
-    /// exercise the [`QueryError::ShardFailed`] paths.
-    #[allow(dead_code)]
-    Crash,
-}
-
-/// A shard's index behind its reader/writer lock, shared between the
-/// engine handles (read side) and the shard's mutation worker (write
-/// side).
-type SharedIndex<E> = Arc<RwLock<Box<dyn DynIndex<E>>>>;
-
 /// One shard: the index behind its reader/writer lock, its live
-/// length, the mutation worker's channel, and the worker's health flag.
+/// length, and its health flag.
 struct Shard<E> {
-    /// The shard's index. Queries hold the read side; the mutation
-    /// worker takes the write side per sub-batch.
-    index: SharedIndex<E>,
+    /// The shard's index. Queries hold the read side; the writer seat's
+    /// holder takes the write side per sub-batch.
+    index: RwLock<Box<dyn DynIndex<E>>>,
     /// Live intervals in this shard — the load the insert router
     /// balances. Written only under the engine's writer seat; read
     /// without it, so stats never wait behind a mutation batch.
     len: AtomicUsize,
-    /// Raised by the worker's panic guard *before* its channel closes,
-    /// so both crash signals (flag and closed channel) agree by the
-    /// time either is observable.
-    dead: Arc<AtomicBool>,
-    /// The mutation worker's inbox.
-    tx: Sender<MutMsg<E>>,
+    /// Raised by [`Shard::contain`] when the shard's index panics;
+    /// never lowered.
+    dead: AtomicBool,
+}
+
+impl<E> Shard<E> {
+    /// Runs index code with panic containment — the one place a shard
+    /// is marked failed, shared by both query phases and the mutation
+    /// apply. On a panic the dead flag is raised before this returns
+    /// `None`, so every batch that starts afterwards, from any thread,
+    /// observes the failure.
+    fn contain<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        if caught.is_err() {
+            self.dead.store(true, Ordering::SeqCst);
+        }
+        caught.ok()
+    }
 }
 
 /// Reusable per-batch temporaries, recycled through [`ScratchPool`].
@@ -407,24 +384,9 @@ impl ScratchPool {
     }
 }
 
-/// Raises the shard's dead flag if the worker thread unwinds. Declared
-/// as a body local *after* the worker's channel receiver is captured,
-/// so drop order guarantees the flag is visible before the channel
-/// closes (body locals drop before closure captures).
-struct DeadOnPanic(Arc<AtomicBool>);
-
-impl Drop for DeadOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
 /// The state every [`Engine`] clone shares.
 struct EngineShared<E> {
     shards: Vec<Shard<E>>,
-    workers: Vec<JoinHandle<()>>,
     kind: IndexKind,
     /// Live intervals (build-time data plus inserts minus deletes);
     /// atomic so query-side readers never take the writer seat.
@@ -441,27 +403,12 @@ struct EngineShared<E> {
 }
 
 impl<E> EngineShared<E> {
-    /// The first shard whose worker is known dead, if any — checked at
-    /// batch start so a crashed shard fails queries deterministically.
+    /// The first shard marked dead, if any — checked at batch start so
+    /// a crashed shard fails queries deterministically.
     fn first_dead(&self) -> Option<usize> {
         self.shards
             .iter()
             .position(|s| s.dead.load(Ordering::SeqCst))
-    }
-}
-
-impl<E> Drop for EngineShared<E> {
-    fn drop(&mut self) {
-        for shard in &self.shards {
-            // Fails only if the worker is already gone — fine either way.
-            let _ = shard.tx.send(MutMsg::Shutdown);
-        }
-        for handle in self.workers.drain(..) {
-            // A panicked worker yields `Err`; there is nothing to do
-            // with it here, and the join itself cannot block: live
-            // workers exit on Shutdown, dead ones have already unwound.
-            let _ = handle.join();
-        }
     }
 }
 
@@ -472,9 +419,8 @@ impl<E> Drop for EngineShared<E> {
 /// [`Engine::run`] from all of them — batches execute concurrently on
 /// the calling threads over the shared shard state. Mutations
 /// ([`Engine::apply`] and friends) serialize across all clones on one
-/// writer seat ([`Engine::writer`]). The shards (and their mutation
-/// workers) shut down when the last clone drops. Build one with
-/// [`Irs::builder`] or [`Engine::try_new`].
+/// writer seat ([`Engine::writer`]). The shards are freed when the last
+/// clone drops. Build one with [`Irs::builder`] or [`Engine::try_new`].
 ///
 /// ```
 /// use irs_engine::{Engine, EngineConfig, IndexKind, Query, QueryOutput};
@@ -511,8 +457,9 @@ impl<E> Clone for Engine<E> {
 }
 
 impl<E: GridEndpoint> Engine<E> {
-    /// Builds an engine over unweighted intervals. Shard indexes are
-    /// built concurrently, one per worker thread.
+    /// Builds an engine over unweighted intervals. A single shard
+    /// builds on the calling thread; several build concurrently, one
+    /// scoped thread each, joined before this returns.
     pub fn try_new(data: &[Interval<E>], config: EngineConfig) -> Result<Self, BuildError> {
         Self::build(data, None, config)
     }
@@ -541,90 +488,86 @@ impl<E: GridEndpoint> Engine<E> {
         let kind = config.kind;
 
         // Round-robin partition: shard k gets global ids k, k+K, k+2K, …
-        let mut shard_data: Vec<Vec<Interval<E>>> = vec![Vec::new(); shards];
         let shard_lens: Vec<usize> = (0..shards)
             .map(|k| data.len() / shards + usize::from(k < data.len() % shards))
             .collect();
-        let mut shard_weights: Vec<Vec<f64>> = vec![Vec::new(); shards];
-        for (g, iv) in data.iter().enumerate() {
-            shard_data[g % shards].push(*iv);
-            if let Some(w) = weights {
-                shard_weights[g % shards].push(w[g]);
-            }
-        }
-
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let mut txs = Vec::with_capacity(shards);
-        let mut deads = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (shard_id, (local, local_w)) in shard_data.into_iter().zip(shard_weights).enumerate() {
-            let (tx, rx) = mpsc::channel::<MutMsg<E>>();
-            let dead = Arc::new(AtomicBool::new(false));
-            let ready = ready_tx.clone();
-            let dead_flag = Arc::clone(&dead);
-            let has_weights = weights.is_some();
-            let spawned = std::thread::Builder::new()
-                .name(format!("irs-shard-{shard_id}"))
-                .spawn(move || {
-                    let index = kind.build_index(&local, has_weights.then_some(local_w.as_slice()));
-                    // The index owns its own copy; the worker lives as
-                    // long as the engine, so its captures must not.
-                    drop((local, local_w));
-                    let lock = Arc::new(RwLock::new(index));
-                    let _ = ready.send((shard_id, Arc::clone(&lock)));
-                    // Body local: drops (raising the flag) before the
-                    // captured `rx` drops (closing the channel) if the
-                    // worker unwinds — see `DeadOnPanic`.
-                    let _dead_guard = DeadOnPanic(dead_flag);
-                    mutation_worker(&lock, shard_id, shards, &rx);
-                });
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                // Dropping `txs` unblocks the already-started workers,
-                // whose recv fails and whose threads then exit.
-                Err(_) => return Err(BuildError::ShardDied { shard: shard_id }),
-            }
-            txs.push(tx);
-            deads.push(dead);
-        }
-        drop(ready_tx);
-        let mut locks: Vec<Option<SharedIndex<E>>> = (0..shards).map(|_| None).collect();
-        for _ in 0..shards {
-            match ready_rx.recv() {
-                Ok((shard_id, lock)) => locks[shard_id] = Some(lock),
-                Err(_) => {
-                    let shard = locks.iter().position(|l| l.is_none()).unwrap_or(0);
-                    return Err(BuildError::ShardDied { shard });
+        // One shard builds straight from `data`, on the calling thread,
+        // so its index shares a heap with the thread that goes on to
+        // mutate it: built on a thread of its own, `lib-weighted-wide`
+        // (awit-dynamic) applied ~11 % fewer mutations/s. Several
+        // shards build from partition copies, one scoped thread each,
+        // the first one too: the first built on the calling thread
+        // measured ~30 MiB (5 %) more RSS at n = 10^6, K = 4, and two
+        // shards per thread read outliers (652 MiB against ≤ 633).
+        let mut parts = vec![(Vec::new(), Vec::new()); shards];
+        if shards > 1 {
+            for (g, iv) in data.iter().enumerate() {
+                let (local, local_w) = &mut parts[g % shards];
+                local.push(*iv);
+                if let Some(w) = weights {
+                    local_w.push(w[g]);
                 }
             }
         }
-        let shards_vec: Vec<Shard<E>> = locks
-            .into_iter()
-            .zip(shard_lens)
-            .zip(txs)
-            .zip(deads)
-            .map(|(((lock, len), tx), dead)| Shard {
-                // audit: allow(no-panic): every slot was filled above (one ready message per shard id, or we returned ShardDied)
-                index: lock.expect("every shard reported ready"),
+        let jobs = if shards == 1 {
+            vec![(data, weights)]
+        } else {
+            parts
+                .iter()
+                .map(|(local, local_w)| (local.as_slice(), weights.map(|_| local_w.as_slice())))
+                .collect()
+        };
+        // A build that panics is a typed `ShardDied`, not an unwind into
+        // the caller.
+        let built = fan_out(&jobs, shards, shards == 1, |&(local, local_w)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                kind.build_index(local, local_w)
+            }))
+            .ok()
+        });
+        let mut indexes = Vec::with_capacity(shards);
+        for (shard, index) in built.into_iter().enumerate() {
+            indexes.push(index.ok_or(BuildError::ShardDied { shard })?);
+        }
+        Ok(Self::assemble(
+            indexes.into_iter().zip(shard_lens),
+            data.len(),
+            kind,
+            weights.is_some(),
+            config.seed,
+            0,
+        ))
+    }
+
+    /// The one constructor built and loaded engines share: wraps each
+    /// shard's index and live length in the shared state.
+    fn assemble(
+        shards: impl Iterator<Item = (Box<dyn DynIndex<E>>, usize)>,
+        len: usize,
+        kind: IndexKind,
+        weighted: bool,
+        base_seed: u64,
+        batch_counter: u64,
+    ) -> Self {
+        let shards = shards
+            .map(|(index, len)| Shard {
+                index: RwLock::new(index),
                 len: AtomicUsize::new(len),
-                dead,
-                tx,
+                dead: AtomicBool::new(false),
             })
             .collect();
-
-        Ok(Engine {
+        Engine {
             inner: Arc::new(EngineShared {
-                shards: shards_vec,
-                workers,
+                shards,
                 kind,
-                len: AtomicUsize::new(data.len()),
-                weighted: weights.is_some(),
-                base_seed: config.seed,
-                batch_counter: AtomicU64::new(0),
+                len: AtomicUsize::new(len),
+                weighted,
+                base_seed,
+                batch_counter: AtomicU64::new(batch_counter),
                 writer: Mutex::new(()),
                 scratch: ScratchPool::new(),
             }),
-        })
+        }
     }
 
     /// The configured index kind.
@@ -729,18 +672,20 @@ impl<E: GridEndpoint> Engine<E> {
         let caps = inner.kind.capabilities(inner.weighted);
 
         // A crashed shard fails the whole batch, deterministically:
-        // its flag was raised before its channel closed, so any caller
-        // that could observe the crash observes it here.
+        // its flag was raised before the panicking call returned, so
+        // any caller that could observe the crash observes it here.
         if let Some(shard) = inner.first_dead() {
             return vec![Err(QueryError::ShardFailed { shard }); nq];
         }
 
         // Read-lock every shard, in shard order. Ordered acquisition
         // makes the lock graph hierarchical: readers climb shard ids,
-        // writers (the mutation workers) each hold a single lock — so
-        // no reader/writer cycle can form even under a write-preferring
-        // lock. A poisoned lock means a mutation panicked midway: the
-        // shard is torn, which is exactly `ShardFailed`.
+        // while each writer thread (the seat holder, or one of its
+        // scoped threads) holds a single write lock and waits on
+        // nothing while it does — so no reader/writer cycle can form
+        // even under a write-preferring lock. A poisoned lock means a
+        // mutation panicked midway: the shard is torn, which is exactly
+        // `ShardFailed`.
         let mut guards = Vec::with_capacity(shards);
         for (k, shard) in inner.shards.iter().enumerate() {
             match shard.index.read() {
@@ -755,7 +700,7 @@ impl<E: GridEndpoint> Engine<E> {
         // borrow the shard indexes through the read guards above (and
         // drop before them, in reverse declaration order). Index code
         // that panics is contained per shard: the shard is marked dead
-        // (the same state a worker-thread panic produces) and the
+        // (the same containment a mutation panic goes through) and the
         // whole batch — plus every later batch, from every caller —
         // fails with the typed `ShardFailed` instead of unwinding into
         // the caller or silently serving from a buggy index.
@@ -765,7 +710,7 @@ impl<E: GridEndpoint> Engine<E> {
         for (k, guard) in guards.iter().enumerate() {
             let index: &dyn DynIndex<E> = &***guard;
             let to_global = |local: ItemId| -> ItemId { local * shards as ItemId + k as ItemId };
-            let shard_pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let shard_pass = inner.shards[k].contain(|| {
                 let mut partials = Vec::with_capacity(nq);
                 let mut handles = Vec::with_capacity(nq);
                 for query in queries {
@@ -774,13 +719,13 @@ impl<E: GridEndpoint> Engine<E> {
                     handles.push(handle);
                 }
                 (partials, handles)
-            }));
+            });
             match shard_pass {
-                Ok((partials, handles)) => {
+                Some((partials, handles)) => {
                     phase1.push(partials);
                     prepared.push(handles);
                 }
-                Err(_) => return self.fail_shard(k, nq),
+                None => return vec![Err(QueryError::ShardFailed { shard: k }); nq],
             }
         }
 
@@ -843,12 +788,12 @@ impl<E: GridEndpoint> Engine<E> {
                     // Same panic containment as phase 1: a drawing bug
                     // fails the batch (and marks the shard), it does
                     // not unwind into the caller.
-                    let drew = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let drew = inner.shards[k].contain(|| {
                         handle.sample_into_dyn(rng_k as &mut dyn RngCore, n, &mut merged)
-                    }));
-                    if drew.is_err() {
+                    });
+                    if drew.is_none() {
                         inner.scratch.restore(std::mem::take(&mut scratch));
-                        return self.fail_shard(k, nq);
+                        return vec![Err(QueryError::ShardFailed { shard: k }); nq];
                     }
                     for id in &mut merged[start..] {
                         *id = *id * shards as ItemId + k as ItemId;
@@ -967,14 +912,6 @@ impl<E: GridEndpoint> Engine<E> {
         Ok(SampleStream::new(self, q, op))
     }
 
-    /// Marks `shard` failed — the same state a worker-thread panic
-    /// produces, observed by every later query and mutation batch from
-    /// every clone — and fails the current batch wholesale.
-    fn fail_shard(&self, shard: usize, nq: usize) -> Vec<Result<QueryOutput, QueryError>> {
-        self.inner.shards[shard].dead.store(true, Ordering::SeqCst);
-        vec![Err(QueryError::ShardFailed { shard }); nq]
-    }
-
     /// Convenience: exact `|q ∩ X|`.
     pub fn count(&self, q: Interval<E>) -> Result<usize, QueryError> {
         match self.run(&[Query::Count { q }]).swap_remove(0)? {
@@ -1025,23 +962,22 @@ impl<E: GridEndpoint> Engine<E> {
         }
     }
 
-    /// Test hook: kill one shard's worker thread, simulating an index
-    /// bug, so suites can exercise the [`QueryError::ShardFailed`] and
-    /// non-hanging `Drop` paths. Hidden, not deprecated: not part of
-    /// the supported API.
+    /// Test hook: panic inside one shard's mutation containment, under
+    /// the writer seat and the shard's write lock — the state an index
+    /// bug mid-mutation leaves (dead flag raised, lock poisoned) — so
+    /// suites can exercise the [`QueryError::ShardFailed`] paths.
+    /// Hidden, not deprecated: not part of the supported API.
     #[doc(hidden)]
     pub fn crash_shard_for_tests(&self, shard: usize) {
         let Some(sh) = self.inner.shards.get(shard) else {
             return;
         };
-        let _ = sh.tx.send(MutMsg::Crash);
-        // Wait for the worker to actually die. The dead flag is raised
-        // strictly before the channel closes (drop order in the worker
-        // closure), so once a send fails, the next `run` — from any
-        // thread — observes the crash rather than racing it.
-        while sh.tx.send(MutMsg::Crash).is_ok() {
-            std::thread::yield_now();
-        }
+        let _seat = self.writer();
+        sh.contain(|| {
+            let _index = sh.index.write().unwrap_or_else(|e| e.into_inner());
+            // audit: allow(no-panic): deliberate crash hook, reachable only through this test-only entry point
+            panic!("shard {shard}: crash requested by test hook");
+        });
     }
 }
 
@@ -1066,13 +1002,14 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
     /// scheme (`local·K + shard`), so they are stable for the engine's
     /// lifetime and interchangeable with the ids query results report.
     ///
-    /// Each shard's sub-batch is applied by that shard's worker under
-    /// the shard's *write* lock — so a concurrent query batch observes
+    /// Each shard's sub-batch is applied under the shard's *write*
+    /// lock — on this thread, or on a scoped thread (at most one per
+    /// CPU) when the batch spans several shards — so a concurrent query batch observes
     /// each shard either entirely before or entirely after its
     /// sub-batch, never torn. Capability gating happens up front: on a
     /// kind with `capabilities().update == false` every mutation fails
-    /// with the typed [`UpdateError::UnsupportedKind`] and no worker is
-    /// contacted.
+    /// with the typed [`UpdateError::UnsupportedKind`] and no shard is
+    /// touched.
     pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
         self.mutate(muts, false)
     }
@@ -1204,9 +1141,10 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
         }
     }
 
-    /// Routes, scatters, and gathers one mutation batch. `buffered`
-    /// selects pooled insertion. The seat this guard holds keeps the
-    /// routing bookkeeping (`len`, each shard's `len`) single-writer.
+    /// Routes one mutation batch and applies each shard's sub-batch.
+    /// `buffered` selects pooled insertion. The seat this guard holds
+    /// keeps the routing bookkeeping (`len`, each shard's `len`) and
+    /// the shards' write locks single-writer.
     fn mutate(
         &mut self,
         muts: &[Mutation<E>],
@@ -1247,45 +1185,37 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
             per_shard[target].push((i, *m));
         }
 
-        // Scatter each shard its sub-batch. A shard whose dead flag is
-        // raised (its worker panicked, or its index panicked on the
-        // query path) gets nothing: its mutations fail typed, without
-        // being applied — even if the worker thread itself is still
-        // alive. Otherwise a send that fails means the worker is dead,
-        // with the same verdict.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for (k, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if inner.shards[k].dead.load(Ordering::SeqCst) {
-                for (i, _) in batch {
-                    results[i] = Some(Err(UpdateError::ShardFailed { shard: k }));
-                }
-                continue;
-            }
-            let positions: Vec<usize> = batch.iter().map(|&(i, _)| i).collect();
-            let sent = inner.shards[k].tx.send(MutMsg::Mutate(MutJob {
-                muts: batch,
-                buffered,
-                reply: reply_tx.clone(),
-            }));
-            if sent.is_err() {
-                for i in positions {
-                    results[i] = Some(Err(UpdateError::ShardFailed { shard: k }));
-                }
-            } else {
-                expected += 1;
-            }
-        }
-        drop(reply_tx);
+        // A shard whose dead flag is raised (its index panicked, on any
+        // path) gets nothing, and one that panics mid-batch answers
+        // nothing: either way its mutations fall through, unapplied, to
+        // the `ShardFailed` fallback below.
+        let jobs: Vec<_> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(k, batch)| !batch.is_empty() && !inner.shards[*k].dead.load(Ordering::SeqCst))
+            .collect();
+        // At most one thread per CPU: one per shard applied 4-shard
+        // wire `Apply` frames of 16 inserts ~27 % slower on a 2-CPU
+        // host. Read once: each `available_parallelism` call reads
+        // cgroup files (~12 µs).
+        static CPUS: OnceLock<usize> = OnceLock::new();
+        let cpus =
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let applied = fan_out(&jobs, cpus, true, |(k, batch)| {
+            let shard = &inner.shards[*k];
+            shard.contain(|| {
+                // Only the seat holder takes a write lock, and it found
+                // the dead flag lowered under this seat. A panic under
+                // the lock raises the flag, so the lock is not poisoned
+                // here and `into_inner` is a formality.
+                let mut index = shard.index.write().unwrap_or_else(|e| e.into_inner());
+                apply_sub_batch(index.as_mut(), *k, shards, batch, buffered)
+            })
+        });
 
-        // Gather. A shard that dies mid-batch closes the reply channel;
-        // its positions fall through to the `ShardFailed` fallback.
-        for _ in 0..expected {
-            let Ok((k, entries)) = reply_rx.recv() else {
-                break;
+        for ((k, _), entries) in jobs.iter().zip(applied) {
+            let Some(entries) = entries else {
+                continue;
             };
             let mut delta = 0isize;
             for (i, result) in entries {
@@ -1298,7 +1228,7 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
             }
             // Single writer (the seat this guard holds), so
             // load-then-store is exact.
-            for counter in [&inner.len, &inner.shards[k].len] {
+            for counter in [&inner.len, &inner.shards[*k].len] {
                 let len = counter.load(Ordering::SeqCst);
                 counter.store(len.saturating_add_signed(delta), Ordering::SeqCst);
             }
@@ -1364,7 +1294,14 @@ impl<E: GridEndpoint> Engine<E> {
             }
             indexes.push(index);
         }
-        Self::from_restored(indexes, kind, &manifest).map_err(|e| PersistError::io(dir, &e))
+        Ok(Self::assemble(
+            indexes.into_iter().zip(manifest.shard_lens.iter().copied()),
+            manifest.len,
+            kind,
+            manifest.weighted,
+            manifest.seed,
+            manifest.batch_counter,
+        ))
     }
 
     /// Restores an engine to an exact write-ahead-log position: loads
@@ -1399,56 +1336,6 @@ impl<E: GridEndpoint> Engine<E> {
         }
         drop(writer);
         Ok((engine, wal, replay))
-    }
-
-    /// Assembles a live engine around already-decoded shard indexes:
-    /// the locks, dead flags, and one mutation worker per shard — the
-    /// same runtime state [`Engine::try_new`] builds, minus the index
-    /// construction.
-    fn from_restored(
-        indexes: Vec<Box<dyn DynIndex<E>>>,
-        kind: IndexKind,
-        manifest: &persist::Manifest,
-    ) -> std::io::Result<Self> {
-        let shards = indexes.len();
-        let mut shards_vec = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for (shard_id, (index, &len)) in indexes.into_iter().zip(&manifest.shard_lens).enumerate() {
-            let lock = Arc::new(RwLock::new(index));
-            let (tx, rx) = mpsc::channel::<MutMsg<E>>();
-            let dead = Arc::new(AtomicBool::new(false));
-            let dead_flag = Arc::clone(&dead);
-            let worker_lock = Arc::clone(&lock);
-            let handle = std::thread::Builder::new()
-                .name(format!("irs-shard-{shard_id}"))
-                .spawn(move || {
-                    // Body local: drops (raising the flag) before the
-                    // captured `rx` drops (closing the channel) if the
-                    // worker unwinds — see `DeadOnPanic`.
-                    let _dead_guard = DeadOnPanic(dead_flag);
-                    mutation_worker(&worker_lock, shard_id, shards, &rx);
-                })?;
-            workers.push(handle);
-            shards_vec.push(Shard {
-                index: lock,
-                len: AtomicUsize::new(len),
-                dead,
-                tx,
-            });
-        }
-        Ok(Engine {
-            inner: Arc::new(EngineShared {
-                shards: shards_vec,
-                workers,
-                kind,
-                len: AtomicUsize::new(manifest.len),
-                weighted: manifest.weighted,
-                base_seed: manifest.seed,
-                batch_counter: AtomicU64::new(manifest.batch_counter),
-                writer: Mutex::new(()),
-                scratch: ScratchPool::new(),
-            }),
-        })
     }
 }
 
@@ -1497,54 +1384,65 @@ fn shuffle(rng: &mut SmallRng, v: &mut [ItemId]) {
     }
 }
 
-/// The per-shard mutation worker: owns the write side of its shard's
-/// lock and applies mutation sub-batches until shutdown. Queries never
-/// pass through here — they run on caller threads under the read side.
-/// Local ids are translated to global ids with the round-robin stride
-/// mapping before leaving the shard.
-fn mutation_worker<E: GridEndpoint>(
-    lock: &RwLock<Box<dyn DynIndex<E>>>,
-    shard_id: usize,
-    shards: usize,
-    rx: &Receiver<MutMsg<E>>,
-) {
-    loop {
-        match rx.recv() {
-            Ok(MutMsg::Mutate(job)) => {
-                // Write-lock for the whole sub-batch: concurrent query
-                // batches see this shard entirely before or entirely
-                // after it. Only this worker ever writes the lock, and
-                // a panic kills the worker, so the lock cannot be
-                // poisoned by the time this succeeds — `into_inner` is
-                // a formality, not a recovery path.
-                let mut guard = lock.write().unwrap_or_else(|e| e.into_inner());
-                apply_mut_job(guard.as_mut(), shard_id, shards, job);
-            }
-            // audit: allow(no-panic): deliberate crash hook, reachable only through the test-only crash_shard entry point
-            Ok(MutMsg::Crash) => panic!("shard {shard_id}: crash requested by test hook"),
-            Ok(MutMsg::Shutdown) | Err(_) => return,
+/// Runs `f` over every job and returns the answers in job order. The
+/// jobs are split into at most `groups` contiguous groups; with
+/// `first_on_caller` the first group runs on the calling thread, and
+/// every other group runs on a scoped thread (named
+/// `irs-engine-<group>`) joined before this returns. `f` contains its
+/// own panics and answers `None` for a job that failed; a scoped thread
+/// that unwinds anyway answers `None` for its whole group. A group
+/// whose thread cannot be spawned runs on the calling thread instead.
+fn fan_out<T: Sync, R: Send>(
+    jobs: &[T],
+    groups: usize,
+    first_on_caller: bool,
+    f: impl Fn(&T) -> Option<R> + Sync,
+) -> Vec<Option<R>> {
+    let groups: Vec<&[T]> = jobs
+        .chunks(jobs.len().div_ceil(groups.max(1)).max(1))
+        .collect();
+    let (inline, threaded) = groups.split_at(usize::from(first_on_caller).min(groups.len()));
+    let run = &|group: &[T]| group.iter().map(&f).collect::<Vec<_>>();
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = threaded
+            .iter()
+            .enumerate()
+            .map(|(g, &group)| {
+                let thread = std::thread::Builder::new()
+                    .name(format!("irs-engine-{}", inline.len() + g))
+                    .spawn_scoped(scope, move || run(group));
+                (group, thread)
+            })
+            .collect();
+        let mut answers: Vec<Option<R>> = inline.iter().flat_map(|&group| run(group)).collect();
+        for (group, thread) in spawned {
+            answers.extend(match thread {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|_| group.iter().map(|_| None).collect()),
+                Err(_) => run(group),
+            });
         }
-    }
+        answers
+    })
 }
 
-/// Applies one shard's slice of a mutation batch, translating ids
-/// between the shard-local space and the engine's global scheme
-/// (`g = local·K + k`) in both directions.
-fn apply_mut_job<E: GridEndpoint>(
+/// Applies one shard's slice of a mutation batch — `(position in the
+/// caller's batch, mutation)` pairs — and answers `(position, result)`
+/// pairs, translating ids between the shard-local space and the
+/// engine's global scheme (`g = local·K + k`) in both directions.
+/// `buffered` routes inserts through the structure's insertion pool
+/// (the paper's batch insertion) instead of one-by-one.
+fn apply_sub_batch<E: GridEndpoint>(
     index: &mut dyn DynIndex<E>,
     shard_id: usize,
     shards: usize,
-    job: MutJob<E>,
-) {
-    let MutJob {
-        muts,
-        buffered,
-        reply,
-    } = job;
+    muts: &[(usize, Mutation<E>)],
+    buffered: bool,
+) -> MutReplies {
     let to_global = |local: ItemId| -> ItemId { local * shards as ItemId + shard_id as ItemId };
-    let entries: Vec<(usize, Result<UpdateOutput, UpdateError>)> = muts
-        .into_iter()
-        .map(|(pos, m)| {
+    muts.iter()
+        .map(|&(pos, m)| {
             let result = match m {
                 Mutation::Insert { iv } => if buffered {
                     index.insert_buffered(iv)
@@ -1567,8 +1465,7 @@ fn apply_mut_job<E: GridEndpoint>(
             };
             (pos, result)
         })
-        .collect();
-    let _ = reply.send((shard_id, entries));
+        .collect()
 }
 
 /// Phase 1 for a single query on one shard.

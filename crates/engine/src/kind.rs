@@ -1,7 +1,7 @@
 //! Index selection, capability metadata, and the object-safe index facade.
 //!
 //! Every backend owns one or more index structures chosen by
-//! [`IndexKind`]. Caller threads (queries) and mutation workers talk
+//! [`IndexKind`]. Caller threads, for queries and mutations alike, talk
 //! to them through [`DynIndex`], an object-safe `Send + Sync` trait whose sampling
 //! handles are the erased [`DynPreparedSampler`]s from `irs-core`, so a
 //! single driver loop serves every kind — and out-of-tree
@@ -291,8 +291,8 @@ impl std::fmt::Display for IndexKind {
 ///
 /// The engine drives every shard through this trait; build one with
 /// [`IndexKind::build_index`]. `search_into`, `count`, and `stab_into`
-/// report ids local to the slice the index was built from (a shard
-/// worker translates them to dataset-global ids; over the full dataset
+/// report ids local to the slice the index was built from (the engine
+/// translates them to dataset-global ids; over the full dataset
 /// they already *are* global).
 ///
 /// The trait also carries the *mutable companion surface*: fallible
@@ -584,7 +584,7 @@ impl<E: GridEndpoint> DynIndex<E> for DynAwitShard<E> {
 
     fn insert_weighted(&mut self, iv: Interval<E>, w: f64) -> Result<ItemId, UpdateError> {
         // Callers validate; re-check here because `DynamicAwit::insert`
-        // asserts on bad weights, and a panic would kill the worker.
+        // asserts on bad weights, and a panic would fail the shard.
         validate_update_weight(w)?;
         Ok(self.idx.insert(iv, w))
     }

@@ -16,23 +16,24 @@
 //! calling thread* under shared per-shard read locks, and many caller
 //! threads therefore run batches truly concurrently — throughput
 //! scales with callers (`irs-cli bench-engine --threads` plots the
-//! curve). Shard worker threads remain only on the write path:
-//! mutations are routed to the owning shard's worker and applied under
-//! that shard's write lock, so a query batch never observes a torn
-//! shard. See the [`engine`] module docs for the concurrency model.
+//! curve). The engine owns no thread: mutations are applied by the
+//! thread holding the writer seat, under the owning shard's write lock,
+//! so a query batch never observes a torn shard. See the [`engine`]
+//! module docs for the concurrency model.
 //!
 //! The API is **fallible end to end**: [`Engine::run`] returns one
 //! `Result<QueryOutput, QueryError>` per query, construction goes
 //! through [`Engine::try_new`] / [`Engine::try_new_weighted`] (weights
 //! validated up front into a typed [`irs_core::BuildError`]), and what
 //! an engine can serve is queryable via [`Engine::capabilities`] —
-//! nothing on the query path panics, and a dead shard worker surfaces
-//! as [`irs_core::QueryError::ShardFailed`] instead of an abort. (The
+//! nothing on the query path panics, and a shard whose index panicked
+//! surfaces as [`irs_core::QueryError::ShardFailed`] instead of an
+//! abort. (The
 //! pre-`QueryError` shims — `Request`, `Response`, `Engine::execute` —
 //! lived for one release and are now gone.)
 //!
 //! The engine is **mutable** as well as queryable: [`Engine::apply`]
-//! routes typed [`irs_core::Mutation`]s to the owning shard workers
+//! routes typed [`irs_core::Mutation`]s to their owning shards
 //! (inserts to the least-loaded shard, deletes to the shard decoded
 //! from the global id), with the same typed-error discipline
 //! ([`irs_core::UpdateError`]) and the update-capable kinds declared in

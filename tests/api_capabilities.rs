@@ -143,8 +143,8 @@ proptest! {
     }
 }
 
-/// An empty batch is answered with an empty result vector — no worker
-/// round-trip, no error — on every backend.
+/// An empty batch is answered with an empty result vector — no lock
+/// taken, no error — on every backend.
 #[test]
 fn empty_batches_yield_empty_results() {
     let data = irs::datagen::TAXI.generate(200, 5);

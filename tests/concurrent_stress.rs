@@ -346,7 +346,7 @@ fn crashed_shard_is_deterministic_under_concurrent_callers() {
         }
     });
     assert_eq!(engine.count(q), Err(QueryError::ShardFailed { shard: 1 }));
-    // Drop of the last handles must not hang on the dead worker.
+    // Drop of the last handles must not hang.
     drop(engine);
 }
 
@@ -433,8 +433,13 @@ fn stats_return_while_a_mutation_batch_is_in_flight() {
                 let writer = client.clone();
                 let (muts, started, done) = (&muts, &started, &done);
                 scope.spawn(move || {
+                    // Hold the seat before signalling, so every
+                    // stats() call the poller counts competes with a
+                    // held seat — in debug builds too, where the
+                    // poller would otherwise often win the seat race.
+                    let mut seat = writer.writer();
                     started.store(true, Ordering::SeqCst);
-                    let results = writer.apply(muts);
+                    let results = seat.apply(muts);
                     done.store(true, Ordering::SeqCst);
                     assert!(results.iter().all(Result::is_ok));
                 });
@@ -469,7 +474,7 @@ fn stats_return_while_a_mutation_batch_is_in_flight() {
 }
 
 /// Empty batches return immediately — even on an engine whose every
-/// shard is dead, where any lock or channel touch would surface as an
+/// shard is dead, where any lock or dead-flag check would surface as an
 /// error (the deterministic dead-shard check runs *after* the
 /// empty-batch fast path).
 #[test]

@@ -383,9 +383,9 @@ fn tiny_datasets_tolerate_excess_shards() {
     }
 }
 
-/// A dead shard worker surfaces as `ShardFailed` on the batch that
-/// observes it and on every subsequent batch — and dropping the engine
-/// afterwards must not hang on the dead worker's join.
+/// A dead shard surfaces as `ShardFailed` on the batch that observes
+/// it and on every subsequent batch — and dropping the engine
+/// afterwards must not hang.
 #[test]
 fn dead_shard_surfaces_as_error_and_drop_does_not_hang() {
     let data = dataset(800, 71);
@@ -409,8 +409,7 @@ fn dead_shard_surfaces_as_error_and_drop_does_not_hang() {
     );
     assert_eq!(engine.count(q), Err(QueryError::ShardFailed { shard: 1 }));
 
-    // Drop must return: live workers exit on shutdown, the dead one has
-    // already unwound. (A hang here fails the test by timeout.)
+    // Drop must return. (A hang here fails the test by timeout.)
     drop(engine);
 }
 
@@ -485,7 +484,7 @@ fn engine_mutations_route_and_ids_stay_stable() {
     assert_eq!(out[2], Err(UpdateError::UnknownId { id: 999_999 }));
 }
 
-/// Mutations on a static kind fail typed without touching any worker,
+/// Mutations on a static kind fail typed without touching any shard,
 /// and a dead shard surfaces as `UpdateError::ShardFailed` on the
 /// mutation path exactly as `QueryError::ShardFailed` does on queries.
 #[test]
@@ -528,6 +527,7 @@ fn engine_mutation_errors_are_typed() {
     let broken =
         Engine::try_new(&data, EngineConfig::new(IndexKind::Ait).shards(3).seed(7)).unwrap();
     broken.crash_shard_for_tests(1);
+    let (len_before, lens_before) = (broken.len(), broken.shard_lens());
     let out = broken.apply(&[
         Mutation::Insert {
             iv: Interval::new(0, 1),
@@ -544,6 +544,25 @@ fn engine_mutation_errors_are_typed() {
             .any(|r| matches!(r, Err(UpdateError::ShardFailed { shard: 1 }))),
         "least-loaded routing must eventually hit the dead shard: {out:?}"
     );
+    // The healthy shards' inserts in that mixed batch stand: counted,
+    // not on the dead shard, and live in their shards' indexes. (A
+    // query cannot show them — the dead shard fails every batch — so a
+    // remove that finds each id is the evidence.)
+    let landed: Vec<ItemId> = out
+        .iter()
+        .filter_map(|r| match r {
+            Ok(UpdateOutput::Inserted(id)) => Some(*id),
+            _ => None,
+        })
+        .collect();
+    assert!(!landed.is_empty(), "{out:?}");
+    assert_eq!(broken.len(), len_before + landed.len(), "{out:?}");
+    assert_eq!(broken.shard_lens()[1], lens_before[1], "{out:?}");
+    for &id in &landed {
+        assert_ne!(id % 3, 1, "an Ok insert landed on the dead shard");
+        assert_eq!(broken.remove(id), Ok(()), "id {id} is not live");
+    }
+    assert_eq!(broken.len(), len_before);
 
     // `extend_batch` is all-or-nothing: with a dead shard in the mix it
     // errs, rolls back the inserts that landed on healthy shards, and
@@ -606,4 +625,56 @@ fn engine_mutation_errors_are_typed() {
         &torn[..torn.len().min(8)]
     );
     assert_eq!(broken.len(), len_before);
+}
+
+/// An idle engine holds no threads: neither a catalog of sharded
+/// collections nor a loaded engine keeps one alive between calls, and
+/// the threads a build or a multi-shard batch borrows are gone once it
+/// returns. Every thread the engine and the server spawn is named
+/// `irs-…`; other tests in this binary borrow such threads for a
+/// moment, so the check polls for an instant at which none is alive. A thread an idle engine
+/// kept would be alive at every instant.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_engines_hold_no_threads() {
+    let data = dataset(400, 0x1D1E);
+    let catalog = Catalog::<i64>::new();
+    for c in 0..16 {
+        catalog
+            .create(
+                CollectionSpec::new(format!("idle-{c}"))
+                    .kind(KindSpec::Fixed(IndexKind::Ait))
+                    .shards(4)
+                    .data(data.clone()),
+            )
+            .unwrap();
+    }
+    let dir = std::env::temp_dir().join(format!("irs-idle-threads-{}", std::process::id()));
+    let built = Engine::try_new(&data, EngineConfig::new(IndexKind::Ait).shards(4)).unwrap();
+    built.extend_batch(&data[..64]).unwrap();
+    built.save(&dir).unwrap();
+    drop(built);
+    let loaded = Engine::<i64>::load(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(loaded.shard_count(), 4);
+
+    let irs_threads = || -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("irs-"))
+            .collect()
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut alive = irs_threads();
+    while !alive.is_empty() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        alive = irs_threads();
+    }
+    assert!(
+        alive.is_empty(),
+        "{} irs- threads alive beside idle engines: {alive:?}",
+        alive.len()
+    );
+    drop((catalog, loaded));
 }
