@@ -15,7 +15,9 @@ use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSearch, WeightedRangeSampler,
 };
-use irs_sampling::{prefetch_read, sample_prefix_window, sample_prefix_window_fill, AliasTable};
+use irs_sampling::{
+    prefetch_read, sample_prefix_window_fill, window_index, window_mass, AliasTable,
+};
 
 /// An AWIT node: the four sorted lists plus their cumulative weight
 /// arrays, index-aligned (`w_*[j] = Σ_{k≤j} w(list[k])`).
@@ -307,7 +309,7 @@ impl<E: Endpoint> RangeCount<E> for Awit<E> {
 /// How many draws each batched sampling pass resolves at once: enough
 /// to amortize the alias table and RNG plumbing across a chunk, small
 /// enough that the per-chunk scratch lives in two stack cache lines.
-const DRAW_CHUNK: usize = 64;
+pub(crate) const DRAW_CHUNK: usize = 64;
 
 /// One record's draw context, resolved once per query at prepare time:
 /// the record's run of the list, its prefix window, and the window's
@@ -331,12 +333,20 @@ pub struct AwitPrepared<'a, E> {
 }
 
 impl<'a, E: Endpoint> AwitPrepared<'a, E> {
-    /// One weight-proportional draw from record `k` (an index into
-    /// [`AwitPrepared::records`]), via the cumulative-sum method on the
-    /// prebuilt prefix array. `O(log n)`.
-    pub(crate) fn sample_record<R: rand::RngCore + ?Sized>(&self, k: usize, rng: &mut R) -> ItemId {
+    /// The mass of one weight-proportional draw from record `k` (an
+    /// index into [`AwitPrepared::records`]): uniform over the record's
+    /// prefix window, consuming the RNG exactly as
+    /// [`irs_sampling::sample_prefix_window`] does.
+    pub(crate) fn record_mass<R: rand::RngCore + ?Sized>(&self, k: usize, rng: &mut R) -> f64 {
         let r = &self.runs[k];
-        r.run[sample_prefix_window(r.win, r.base, r.total, rng)].id
+        window_mass(r.base, r.total, rng)
+    }
+
+    /// Where a draw of mass `u` from record `k` lands, via the
+    /// cumulative-sum method on the prebuilt prefix array. `O(log n)`.
+    pub(crate) fn record_key(&self, k: usize, u: f64) -> &Key<E> {
+        let r = &self.runs[k];
+        &r.run[window_index(r.win, u)]
     }
 
     /// The node records (white-box inspection).

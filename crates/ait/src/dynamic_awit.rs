@@ -18,12 +18,12 @@
 //!   [`Awit`] is rebuilt, keeping updates amortized `O(n/log n)` and the
 //!   query-time overhead `O(log² n)`.
 
-use crate::awit::{Awit, AwitPrepared};
+use crate::awit::{Awit, AwitPrepared, DRAW_CHUNK};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSearch, WeightedRangeSampler,
 };
-use irs_sampling::AliasTable;
+use irs_sampling::{prefetch_read, AliasTable};
 use std::collections::HashMap;
 
 /// Weighted IRS index with insert/delete support (extension of §IV; see
@@ -288,6 +288,18 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
         weights.extend(self.pool_matches.iter().map(|&(_, w)| w));
         let alias = AliasTable::new(&weights);
 
+        // Attempts run in chunks, each in three passes: (1) every
+        // attempt's alias draw and in-record mass, consuming the RNG
+        // exactly as a draw-at-a-time loop does; (2) the window searches,
+        // each prefetching the key it lands on; (3) key → public id →
+        // tombstone check, in attempt order. Only the memory-bound passes
+        // are batched, so a chunk's cache misses overlap instead of
+        // serializing, and seeded replay is unchanged. A chunk never holds
+        // more attempts than are still due: each accepted one yields one
+        // sample, so a draw-at-a-time loop would run at least
+        // `s - produced` more before its budget check could stop it.
+        let mut ks = [0usize; DRAW_CHUNK];
+        let mut us = [0.0f64; DRAW_CHUNK];
         let mut produced = 0usize;
         let mut budget: u64 = 256 + 64 * s as u64;
         while produced < s {
@@ -304,19 +316,33 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
                 }
                 break;
             }
-            budget -= 1;
-            let k = alias.sample(rng);
-            if k < n_rec {
-                let pos = self.inner.sample_record(k, rng);
-                let id = self.parent.slot_ids[pos as usize];
-                if self.parent.tombstones.contains_key(&id) {
+            let c = (s - produced).min(DRAW_CHUNK).min(budget as usize);
+            budget -= c as u64;
+            for (k, u) in ks[..c].iter_mut().zip(&mut us[..c]) {
+                *k = alias.sample(rng);
+                if *k < n_rec {
+                    *u = self.inner.record_mass(*k, rng);
+                }
+            }
+            let mut keys = [None; DRAW_CHUNK];
+            for ((key, &k), &u) in keys.iter_mut().zip(&ks[..c]).zip(&us[..c]) {
+                if k < n_rec {
+                    let found = self.inner.record_key(k, u);
+                    prefetch_read(found);
+                    *key = Some(found);
+                }
+            }
+            for (key, &k) in keys[..c].iter().zip(&ks[..c]) {
+                let id = match key {
+                    Some(key) => self.parent.slot_ids[key.id as usize],
+                    None => self.pool_matches[k - n_rec].0,
+                };
+                if key.is_some() && self.parent.tombstones.contains_key(&id) {
                     continue; // rejected: conditional law stays exact
                 }
                 out.push(id);
-            } else {
-                out.push(self.pool_matches[k - n_rec].0);
+                produced += 1;
             }
-            produced += 1;
         }
     }
 }
@@ -507,6 +533,67 @@ mod tests {
             chi_square_ok(&counts, &expected, draws as u64),
             "dynamic weighted sampling deviates from w/Σw"
         );
+    }
+
+    /// The draw-at-a-time form of `sample_into`: one attempt, one RNG
+    /// pass, one lookup at a time. The batched form must match it id for
+    /// id, including where the budget runs out and the enumeration
+    /// fallback takes over.
+    fn one_at_a_time(p: &DynamicAwitPrepared<'_, i64>, rng: &mut StdRng, s: usize) -> Vec<ItemId> {
+        let n_rec = p.inner.records.len();
+        let mut weights = p.inner.record_weights.clone();
+        weights.extend(p.pool_matches.iter().map(|&(_, w)| w));
+        let alias = AliasTable::new(&weights);
+        let (mut out, mut budget) = (Vec::new(), 256 + 64 * s);
+        while out.len() < s {
+            if budget == 0 {
+                let (ids, ws) = p.enumerate_live();
+                let exact = AliasTable::new(&ws);
+                out.extend((out.len()..s).map(|_| ids[exact.sample(rng)]));
+                break;
+            }
+            budget -= 1;
+            let k = alias.sample(rng);
+            if k >= n_rec {
+                out.push(p.pool_matches[k - n_rec].0);
+            } else {
+                let u = p.inner.record_mass(k, rng);
+                let id = p.parent.slot_ids[p.inner.record_key(k, u).id as usize];
+                if !p.parent.tombstones.contains_key(&id) {
+                    out.push(id);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batched_draws_match_one_at_a_time() {
+        let data: Vec<_> = (0..200).map(|i| iv(i, i + 300)).collect();
+        // Heavy tombstoned mass: live draws are rare enough that larger
+        // samples exhaust the attempt budget and fall back mid-sample.
+        let weights: Vec<f64> = (0..200)
+            .map(|i| if i < 50 { 1000.0 } else { 1.0 })
+            .collect();
+        let mut idx = DynamicAwit::new(&data, &weights);
+        for id in 0..50u32 {
+            assert!(idx.delete(data[id as usize], id));
+        }
+        for k in 0..4 {
+            idx.insert(iv(140 + k, 160 + k), 2.0);
+        }
+        assert_eq!(idx.tombstone_len(), 50, "no rebuild folded the tombstones");
+        let p = idx.prepare_weighted(iv(150, 250));
+        for s in [1, 63, 64, 65, 300] {
+            for seed in 0..4 {
+                let mut batched = Vec::new();
+                p.sample_into(&mut StdRng::seed_from_u64(seed), s, &mut batched);
+                assert_eq!(
+                    batched,
+                    one_at_a_time(&p, &mut StdRng::seed_from_u64(seed), s)
+                );
+            }
+        }
     }
 
     #[test]

@@ -112,11 +112,13 @@ pub fn sample_prefix_range(
 /// Windowed draw with the range's mass precomputed: `win` is the
 /// contiguous prefix window `&prefix[lo..=hi]`, `base` the mass before
 /// it (`prefix[lo-1]` or `0.0`), `total` the mass inside it. Returns an
-/// *offset into `win`*. Callers that draw many times from the same
-/// window (AWIT's per-record sampling) hoist the two `prefix` reads
-/// that [`sample_prefix_range`] performs per draw — on a large prefix
-/// array those are two random cache misses per sample. Consumes exactly
-/// one RNG draw, like every other form.
+/// *offset into `win`*, and is exactly
+/// `window_index(win, window_mass(base, total, rng))`. Indexes call the
+/// two halves, [`window_mass`] and [`window_index`], so that they can
+/// hoist the two `prefix` reads [`sample_prefix_range`] performs per
+/// draw and draw many masses before searching for any. This one-call
+/// form is kept for the frozen benchmark harness. Consumes exactly one
+/// RNG draw, like every other form.
 #[inline]
 pub fn sample_prefix_window(
     win: &[f64],
@@ -124,9 +126,24 @@ pub fn sample_prefix_window(
     total: f64,
     rng: &mut (impl RngCore + ?Sized),
 ) -> usize {
-    debug_assert!(!win.is_empty());
+    window_index(win, window_mass(base, total, rng))
+}
+
+/// The RNG half of [`sample_prefix_window`]: the mass value `u` its
+/// search looks for, uniform in `(base, base + total]`. Consumes exactly
+/// the one RNG draw [`sample_prefix_window`] does, so a caller can draw
+/// many `u`s in stream order and search for them later.
+#[inline]
+pub fn window_mass(base: f64, total: f64, rng: &mut (impl RngCore + ?Sized)) -> f64 {
     debug_assert!(total > 0.0, "sampling from empty mass range");
-    let u = base + (total - rng.random_range(0.0..total));
+    base + (total - rng.random_range(0.0..total))
+}
+
+/// The search half of [`sample_prefix_window`]: the offset in `win` of
+/// the first prefix entry `>= u`, clamped to the window.
+#[inline]
+pub fn window_index(win: &[f64], u: f64) -> usize {
+    debug_assert!(!win.is_empty());
     if win.len() <= 32 {
         // Branchless count of entries below `u` — equal to
         // `partition_point` on a non-decreasing window, but with no
@@ -161,30 +178,15 @@ pub fn sample_prefix_window_fill(
     rng: &mut (impl RngCore + ?Sized),
     out: &mut [u32],
 ) {
-    debug_assert!(!win.is_empty());
-    debug_assert!(total > 0.0, "sampling from empty mass range");
     let mut us = [0.0f64; 64];
     let mut done = 0usize;
     while done < out.len() {
         let c = (out.len() - done).min(64);
-        let chunk = &mut out[done..done + c];
         for u in &mut us[..c] {
-            *u = base + (total - rng.random_range(0.0..total));
+            *u = window_mass(base, total, rng);
         }
-        if win.len() <= 32 {
-            // Short windows: branchless linear count (see
-            // [`sample_prefix_window`]).
-            for (slot, &u) in chunk.iter_mut().zip(&us[..c]) {
-                let mut idx = 0u32;
-                for &p in win {
-                    idx += u32::from(p < u);
-                }
-                *slot = idx.min(win.len() as u32 - 1);
-            }
-        } else {
-            for (slot, &u) in chunk.iter_mut().zip(&us[..c]) {
-                *slot = win.partition_point(|&p| p < u).min(win.len() - 1) as u32;
-            }
+        for (slot, &u) in out[done..done + c].iter_mut().zip(&us[..c]) {
+            *slot = window_index(win, u) as u32;
         }
         done += c;
     }

@@ -31,7 +31,8 @@ pub mod stats;
 
 pub use alias::AliasTable;
 pub use cumsum::{
-    sample_prefix_range, sample_prefix_window, sample_prefix_window_fill, CumulativeSum,
+    sample_prefix_range, sample_prefix_window, sample_prefix_window_fill, window_index,
+    window_mass, CumulativeSum,
 };
 pub use eytzinger::{sample_prefix_range_eytzinger, Eytzinger, EYTZINGER_WINDOW_MIN};
 pub use prefetch::prefetch_read;
