@@ -92,6 +92,14 @@ impl<E: Endpoint> NodeFactory<E> for AitFactory {
     }
 }
 
+/// How many buffered updates an index over `n` intervals absorbs before
+/// it rebuilds: `⌈log₂ n⌉²`, at least 16. AIT's insertion pool and
+/// `DynamicAwit`'s pool and tombstones share it.
+pub(crate) fn pool_capacity_for(n: usize) -> usize {
+    let lg = (n.max(2) as f64).log2().ceil() as usize;
+    (lg * lg).max(16)
+}
+
 /// The Augmented Interval Tree (AIT) of §III.
 ///
 /// Exact independent range sampling in `O(log² n + s)`, range counting in
@@ -143,7 +151,7 @@ impl<E: Endpoint> Ait<E> {
     pub(crate) fn from_entries(entries: Vec<BuildEntry<E>>, next_id: ItemId) -> Self {
         let len = entries.len();
         let built = build_tree(&AitFactory, entries);
-        let pool_capacity = Self::pool_capacity_for(len);
+        let pool_capacity = pool_capacity_for(len);
         Ait {
             nodes: built.nodes,
             root: built.root,
@@ -153,11 +161,6 @@ impl<E: Endpoint> Ait<E> {
             pool: Vec::new(),
             pool_capacity,
         }
-    }
-
-    pub(crate) fn pool_capacity_for(n: usize) -> usize {
-        let lg = (n.max(2) as f64).log2().ceil() as usize;
-        (lg * lg).max(16)
     }
 
     /// Number of intervals indexed (including any still in the pool).

@@ -262,24 +262,11 @@ impl<E: Endpoint> Awit<E> {
         }
     }
 
-    /// Total weight of a record via its prefix array: two lookups, `O(1)`
-    /// (the key AWIT property — no access to the intervals themselves).
-    fn record_weight(&self, rec: &NodeRecord) -> f64 {
-        let prefix = self.nodes[rec.node as usize].prefix(rec.kind);
-        let base = if rec.start == 0 {
-            0.0
-        } else {
-            prefix[rec.start as usize - 1]
-        };
-        prefix[rec.end as usize] - base
-    }
-
     /// Sum of weights over `q ∩ X` in `O(log² n)` — the weighted analogue
-    /// of range counting.
+    /// of range counting: two prefix-array lookups per record, never the
+    /// intervals themselves (the key AWIT property).
     pub fn range_weight(&self, q: Interval<E>) -> f64 {
-        let mut records = Vec::new();
-        self.collect_records(q, &mut records);
-        records.iter().map(|r| self.record_weight(r)).sum()
+        self.prepare_weighted(q).total_weight()
     }
 }
 
@@ -347,6 +334,12 @@ impl<'a, E: Endpoint> AwitPrepared<'a, E> {
     pub(crate) fn record_key(&self, k: usize, u: f64) -> &Key<E> {
         let r = &self.runs[k];
         &r.run[window_index(r.win, u)]
+    }
+
+    /// The AWIT positions (`Key.id`) of `q ∩ X`, record by record: the
+    /// order [`RangeSearch`] reports them in.
+    pub(crate) fn positions(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.runs.iter().flat_map(|r| r.run.iter().map(|k| k.id))
     }
 
     /// The node records (white-box inspection).

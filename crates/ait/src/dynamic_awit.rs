@@ -18,13 +18,13 @@
 //!   [`Awit`] is rebuilt, keeping updates amortized `O(n/log n)` and the
 //!   query-time overhead `O(log² n)`.
 
+use crate::ait::pool_capacity_for;
 use crate::awit::{Awit, AwitPrepared, DRAW_CHUNK};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSearch, WeightedRangeSampler,
 };
 use irs_sampling::{prefetch_read, AliasTable};
-use std::collections::HashMap;
 
 /// Weighted IRS index with insert/delete support (extension of §IV; see
 /// module docs). Sampling stays exactly weight-proportional over the live
@@ -46,16 +46,20 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug)]
 pub struct DynamicAwit<E> {
+    /// Built over the resident intervals in position order: its `Key.id`
+    /// values are positions into `slot_ids` and `records`.
     pub(crate) awit: Awit<E>,
-    /// AWIT position → public id (the AWIT is always built over a dense
-    /// snapshot; ids survive rebuilds through this table).
+    /// AWIT position → public id, strictly increasing (ids survive
+    /// rebuilds through this table, and lookups by id binary-search it).
     pub(crate) slot_ids: Vec<ItemId>,
-    /// Live-or-tombstoned intervals resident in the AWIT, by public id.
-    pub(crate) resident: HashMap<ItemId, (Interval<E>, f64)>,
+    /// `records[p]` is the interval and weight of `slot_ids[p]`, live or
+    /// tombstoned.
+    pub(crate) records: Vec<(Interval<E>, f64)>,
     /// Buffered insertions not yet merged into the AWIT.
     pub(crate) pool: Vec<(Interval<E>, ItemId, f64)>,
-    /// Public ids deleted logically but still physically in the AWIT.
-    pub(crate) tombstones: HashMap<ItemId, Interval<E>>,
+    /// AWIT positions of logically deleted residents, ascending; a
+    /// rebuild drops them once there are `update_capacity`.
+    pub(crate) tombstoned: Vec<u32>,
     pub(crate) next_id: ItemId,
     pub(crate) update_capacity: usize,
 }
@@ -65,31 +69,20 @@ impl<E: Endpoint> DynamicAwit<E> {
     /// [`Awit`]).
     pub fn new(data: &[Interval<E>], weights: &[f64]) -> Self {
         assert_eq!(data.len(), weights.len(), "weights must align with data");
-        let resident = data
-            .iter()
-            .zip(weights)
-            .enumerate()
-            .map(|(i, (&iv, &w))| (i as ItemId, (iv, w)))
-            .collect();
         DynamicAwit {
             awit: Awit::new(data, weights),
             slot_ids: (0..data.len() as ItemId).collect(),
-            resident,
+            records: data.iter().copied().zip(weights.iter().copied()).collect(),
             pool: Vec::new(),
-            tombstones: HashMap::new(),
+            tombstoned: Vec::new(),
             next_id: data.len() as ItemId,
-            update_capacity: Self::capacity_for(data.len()),
+            update_capacity: pool_capacity_for(data.len()),
         }
-    }
-
-    fn capacity_for(n: usize) -> usize {
-        let lg = (n.max(2) as f64).log2().ceil() as usize;
-        (lg * lg).max(16)
     }
 
     /// Number of live intervals.
     pub fn len(&self) -> usize {
-        self.resident.len() + self.pool.len() - self.tombstones.len()
+        self.records.len() + self.pool.len() - self.tombstoned.len()
     }
 
     /// Whether no intervals are live.
@@ -104,7 +97,11 @@ impl<E: Endpoint> DynamicAwit<E> {
 
     /// Logically deleted intervals still resident in the AWIT.
     pub fn tombstone_len(&self) -> usize {
-        self.tombstones.len()
+        self.tombstoned.len()
+    }
+
+    pub(crate) fn is_tombstoned(&self, pos: u32) -> bool {
+        self.tombstoned.binary_search(&pos).is_ok()
     }
 
     /// Inserts a weighted interval, returning its id. Amortized
@@ -131,96 +128,70 @@ impl<E: Endpoint> DynamicAwit<E> {
         if let Some(&(iv, _, w)) = self.pool.iter().find(|&&(_, pid, _)| pid == id) {
             return Some((iv, w));
         }
-        if self.tombstones.contains_key(&id) {
-            return None;
-        }
-        self.resident.get(&id).copied()
+        let pos = self.slot_ids.binary_search(&id).ok()?;
+        (!self.is_tombstoned(pos as u32)).then_some(self.records[pos])
     }
 
     /// Deletes the live interval behind `id`, returning whether it was
     /// live — [`DynamicAwit::delete`] without the caller having to carry
     /// the interval around.
     pub fn delete_by_id(&mut self, id: ItemId) -> bool {
-        match self.get(id) {
-            Some((iv, _)) => self.delete(iv, id),
-            None => false,
+        if let Some(at) = self.pool.iter().position(|&(_, pid, _)| pid == id) {
+            self.pool.swap_remove(at);
+            return true;
         }
+        let Ok(pos) = self.slot_ids.binary_search(&id) else {
+            return false;
+        };
+        let Err(at) = self.tombstoned.binary_search(&(pos as u32)) else {
+            return false;
+        };
+        self.tombstoned.insert(at, pos as u32);
+        if self.tombstoned.len() >= self.update_capacity {
+            self.rebuild();
+        }
+        true
     }
 
     /// Deletes `(iv, id)`, returning whether it was live.
     pub fn delete(&mut self, iv: Interval<E>, id: ItemId) -> bool {
-        if let Some(pos) = self
-            .pool
-            .iter()
-            .position(|&(piv, pid, _)| pid == id && piv == iv)
-        {
-            self.pool.swap_remove(pos);
-            return true;
-        }
-        if self.tombstones.contains_key(&id) {
-            return false;
-        }
-        match self.resident.get(&id) {
-            Some(&(riv, _)) if riv == iv => {
-                self.tombstones.insert(id, iv);
-                if self.tombstones.len() >= self.update_capacity {
-                    self.rebuild();
-                }
-                true
-            }
-            _ => false,
-        }
+        self.get(id).is_some_and(|(live, _)| live == iv) && self.delete_by_id(id)
     }
 
     /// Folds the pool in and drops tombstones by rebuilding the AWIT.
     pub fn rebuild(&mut self) {
-        for (id, _) in self.tombstones.drain() {
-            self.resident.remove(&id);
-        }
-        for &(iv, id, w) in &self.pool {
-            self.resident.insert(id, (iv, w));
-        }
-        self.pool.clear();
-        let mut ids: Vec<ItemId> = self.resident.keys().copied().collect();
-        ids.sort_unstable();
-        let data: Vec<Interval<E>> = ids.iter().map(|id| self.resident[id].0).collect();
-        let weights: Vec<f64> = ids.iter().map(|id| self.resident[id].1).collect();
+        let mut pool = std::mem::take(&mut self.pool);
+        // Every pool id was issued after every resident's, so the pool,
+        // sorted by id, follows the live residents and the slot table
+        // stays strictly increasing.
+        pool.sort_unstable_by_key(|&(_, id, _)| id);
+        let n = self.len() + pool.len();
+        let mut live = (Vec::with_capacity(n), Vec::with_capacity(n));
+        live.extend(
+            (self.slot_ids.iter().zip(&self.records).enumerate())
+                .filter(|&(pos, _)| !self.is_tombstoned(pos as u32))
+                .map(|(_, (&id, &rec))| (id, rec))
+                .chain(pool.into_iter().map(|(iv, id, w)| (id, (iv, w)))),
+        );
+        (self.slot_ids, self.records) = live;
+        let (data, weights): (Vec<Interval<E>>, Vec<f64>) = self.records.iter().copied().unzip();
         self.awit = Awit::new(&data, &weights);
-        self.slot_ids = ids;
-        self.update_capacity = Self::capacity_for(self.resident.len().max(1));
+        self.tombstoned.clear();
+        self.update_capacity = pool_capacity_for(self.records.len());
     }
 
-    /// Sum of live weights overlapping `q`: `O(log² n)` plus the bounded
-    /// pool/tombstone scans.
+    /// Sum of live weights overlapping `q`: the mass
+    /// [`DynamicAwitPrepared::total_weight`] reports.
     pub fn range_weight(&self, q: Interval<E>) -> f64 {
-        let mut w = self.awit.range_weight(q);
-        for (id, iv) in &self.tombstones {
-            if iv.overlaps(&q) {
-                w -= self.resident[id].1;
-            }
-        }
-        for &(iv, _, pw) in &self.pool {
-            if iv.overlaps(&q) {
-                w += pw;
-            }
-        }
-        w.max(0.0)
-    }
-
-    fn tombstoned_in(&self, q: Interval<E>) -> usize {
-        self.tombstones
-            .values()
-            .filter(|iv| iv.overlaps(&q))
-            .count()
+        self.prepare_weighted(q).total_weight()
     }
 }
 
 impl<E: Endpoint> RangeSearch<E> for DynamicAwit<E> {
     fn range_search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         for pos in self.awit.range_search(q) {
-            let id = self.slot_ids[pos as usize];
-            if !self.tombstones.contains_key(&id) {
-                out.push(id);
+            if !self.is_tombstoned(pos) {
+                out.push(self.slot_ids[pos as usize]);
             }
         }
         for &(iv, id, _) in &self.pool {
@@ -233,35 +204,40 @@ impl<E: Endpoint> RangeSearch<E> for DynamicAwit<E> {
 
 impl<E: Endpoint> RangeCount<E> for DynamicAwit<E> {
     fn range_count(&self, q: Interval<E>) -> usize {
-        let pool = self
-            .pool
-            .iter()
-            .filter(|(iv, _, _)| iv.overlaps(&q))
-            .count();
-        self.awit.range_count(q) - self.tombstoned_in(q) + pool
+        self.prepare_weighted(q).candidate_count()
     }
 }
 
-/// Phase-2 handle: the AWIT records plus the matching pool entries and the
-/// tombstone view needed for rejection.
+/// Phase-2 handle: the AWIT records plus the matching pool entries, and
+/// the live count and mass, which take the tombstones out once here.
 pub struct DynamicAwitPrepared<'a, E> {
     parent: &'a DynamicAwit<E>,
     inner: AwitPrepared<'a, E>,
     /// `(public id, weight)` of pool entries overlapping the query.
     pool_matches: Vec<(ItemId, f64)>,
-    q: Interval<E>,
+    /// Live intervals overlapping the query.
+    live: usize,
+    /// Their summed weight.
+    mass: f64,
 }
 
 impl<E: Endpoint> DynamicAwitPrepared<'_, E> {
-    /// Exact live candidates with weights — the enumeration fallback.
+    /// Total weight of the live intervals overlapping the query: the
+    /// AWIT records' mass, less each overlapping tombstone's weight in
+    /// id order, plus each pool match's weight in pool order. A fixed
+    /// order makes it the same bits on every run.
+    pub fn total_weight(&self) -> f64 {
+        self.mass
+    }
+
+    /// Exact live candidates with weights — the enumeration fallback,
+    /// read off the records this handle's one tree walk found.
     fn enumerate_live(&self) -> (Vec<ItemId>, Vec<f64>) {
-        let mut ids = Vec::new();
-        let mut ws = Vec::new();
-        for pos in self.parent.awit.range_search(self.q) {
-            let id = self.parent.slot_ids[pos as usize];
-            if !self.parent.tombstones.contains_key(&id) {
-                ids.push(id);
-                ws.push(self.parent.resident[&id].1);
+        let (mut ids, mut ws) = (Vec::new(), Vec::new());
+        for pos in self.inner.positions() {
+            if !self.parent.is_tombstoned(pos) {
+                ids.push(self.parent.slot_ids[pos as usize]);
+                ws.push(self.parent.records[pos as usize].1);
             }
         }
         for &(id, w) in &self.pool_matches {
@@ -274,7 +250,7 @@ impl<E: Endpoint> DynamicAwitPrepared<'_, E> {
 
 impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
     fn candidate_count(&self) -> usize {
-        self.inner.candidate_count() - self.parent.tombstoned_in(self.q) + self.pool_matches.len()
+        self.live
     }
 
     fn sample_into<R: rand::RngCore + ?Sized>(&self, rng: &mut R, s: usize, out: &mut Vec<ItemId>) {
@@ -291,13 +267,14 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
         // Attempts run in chunks, each in three passes: (1) every
         // attempt's alias draw and in-record mass, consuming the RNG
         // exactly as a draw-at-a-time loop does; (2) the window searches,
-        // each prefetching the key it lands on; (3) key → public id →
-        // tombstone check, in attempt order. Only the memory-bound passes
-        // are batched, so a chunk's cache misses overlap instead of
-        // serializing, and seeded replay is unchanged. A chunk never holds
-        // more attempts than are still due: each accepted one yields one
-        // sample, so a draw-at-a-time loop would run at least
-        // `s - produced` more before its budget check could stop it.
+        // each prefetching the key it lands on; (3) tombstone check on the
+        // key's AWIT position, then key → public id, in attempt order.
+        // Only the memory-bound passes are batched, so a chunk's cache
+        // misses overlap instead of serializing, and seeded replay is
+        // unchanged. A chunk never holds more attempts than are still due:
+        // each accepted one yields one sample, so a draw-at-a-time loop
+        // would run at least `s - produced` more before its budget check
+        // could stop it.
         let mut ks = [0usize; DRAW_CHUNK];
         let mut us = [0.0f64; DRAW_CHUNK];
         let mut produced = 0usize;
@@ -334,12 +311,11 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
             }
             for (key, &k) in keys[..c].iter().zip(&ks[..c]) {
                 let id = match key {
+                    // Rejected: the conditional law stays exact.
+                    Some(key) if self.parent.is_tombstoned(key.id) => continue,
                     Some(key) => self.parent.slot_ids[key.id as usize],
                     None => self.pool_matches[k - n_rec].0,
                 };
-                if key.is_some() && self.parent.tombstones.contains_key(&id) {
-                    continue; // rejected: conditional law stays exact
-                }
                 out.push(id);
                 produced += 1;
             }
@@ -352,17 +328,30 @@ impl<E: Endpoint> WeightedRangeSampler<E> for DynamicAwit<E> {
 
     fn prepare_weighted(&self, q: Interval<E>) -> DynamicAwitPrepared<'_, E> {
         let inner = self.awit.prepare_weighted(q);
-        let pool_matches = self
+        let pool_matches: Vec<(ItemId, f64)> = self
             .pool
             .iter()
             .filter(|(iv, _, _)| iv.overlaps(&q))
             .map(|&(_, id, w)| (id, w))
             .collect();
+        // The records still hold the tombstoned intervals: take them out
+        // in position (= id) order, then add the pool matches.
+        let mut live = inner.candidate_count() + pool_matches.len();
+        let mut mass = inner.total_weight();
+        for &pos in &self.tombstoned {
+            let (iv, w) = self.records[pos as usize];
+            if iv.overlaps(&q) {
+                live -= 1;
+                mass -= w;
+            }
+        }
+        mass = pool_matches.iter().fold(mass, |m, &(_, w)| m + w);
         DynamicAwitPrepared {
             parent: self,
             inner,
             pool_matches,
-            q,
+            live,
+            mass: mass.max(0.0),
         }
     }
 }
@@ -371,9 +360,9 @@ impl<E: Endpoint> MemoryFootprint for DynamicAwit<E> {
     fn heap_bytes(&self) -> usize {
         self.awit.heap_bytes()
             + vec_bytes(&self.slot_ids)
+            + vec_bytes(&self.records)
             + vec_bytes(&self.pool)
-            + self.resident.capacity() * (std::mem::size_of::<(ItemId, (Interval<E>, f64))>() + 8)
-            + self.tombstones.capacity() * (std::mem::size_of::<(ItemId, Interval<E>)>() + 8)
+            + vec_bytes(&self.tombstoned)
     }
 }
 
@@ -558,9 +547,9 @@ mod tests {
                 out.push(p.pool_matches[k - n_rec].0);
             } else {
                 let u = p.inner.record_mass(k, rng);
-                let id = p.parent.slot_ids[p.inner.record_key(k, u).id as usize];
-                if !p.parent.tombstones.contains_key(&id) {
-                    out.push(id);
+                let pos = p.inner.record_key(k, u).id;
+                if !p.parent.is_tombstoned(pos) {
+                    out.push(p.parent.slot_ids[pos as usize]);
                 }
             }
         }
@@ -594,6 +583,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn rebuild_appends_an_unordered_pool_in_id_order() {
+        let mut idx = DynamicAwit::new(&[iv(0, 3), iv(1, 4), iv(2, 5)], &[1.0; 3]);
+        let pooled: Vec<ItemId> = (0..6).map(|k| idx.insert(iv(k, k + 9), 2.0)).collect();
+        // A pool delete swap-removes, so the pool is no longer in id order.
+        assert!(idx.delete_by_id(pooled[1]) && idx.delete_by_id(1));
+        idx.rebuild();
+        assert_eq!(idx.slot_ids, [0, 2, 3, 5, 6, 7, 8]);
+        assert_eq!(idx.get(pooled[3]), Some((iv(3, 12), 2.0)));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! Decoding trusts nothing: framing and CRC are checked by the caller
 //! ([`irs_core::persist::read_section`]), and the impls here re-validate
 //! the structural invariants that keep queries panic-free (child
-//! indexes in range, tombstones resident, aligned list/prefix lengths).
+//! indexes in range, tombstones resident, aligned list/prefix lengths,
+//! id-sorted slot tables) and the id allocator's (no stored id at or
+//! above `next_id`, which the next insert would reissue).
 
 use crate::ait::{Ait, AitNode};
 use crate::aitv::AitV;
@@ -112,7 +114,7 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
             check_link(node.left, nodes.len(), "AIT child link out of range")?;
             check_link(node.right, nodes.len(), "AIT child link out of range")?;
         }
-        Ok(Ait {
+        let ait = Ait {
             nodes,
             root,
             len: usize::decode(r)?,
@@ -120,7 +122,18 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
             next_id: ItemId::decode(r)?,
             pool: Vec::decode(r)?,
             pool_capacity: usize::decode(r)?,
-        })
+        };
+        // Every stored id sits in exactly one node's `l_lo` or in the
+        // pool; one at or above `next_id` would be issued again by the
+        // next insert.
+        let mut ids = (ait.nodes.iter().flat_map(|n| &n.l_lo).map(|k| k.id))
+            .chain(ait.pool.iter().map(|&(_, id)| id));
+        if ids.any(|id| id >= ait.next_id) {
+            return Err(PersistError::Corrupt {
+                what: "AIT: stored id at or above next_id",
+            });
+        }
+        Ok(ait)
     }
 }
 
@@ -235,62 +248,85 @@ impl<E: Endpoint + Codec> Codec for DynamicAwit<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.awit.encode_into(out);
         self.slot_ids.encode_into(out);
-        // HashMaps iterate in arbitrary order; snapshots must be
-        // deterministic bytes, so both maps are written sorted by id.
-        let mut resident: Vec<(ItemId, (Interval<E>, f64))> =
-            self.resident.iter().map(|(&id, &v)| (id, v)).collect();
-        resident.sort_unstable_by_key(|&(id, _)| id);
-        resident.encode_into(out);
+        // The resident set and the tombstones are written as
+        // `(id, record)` and `(id, interval)` lists. Both walk positions
+        // in order, so both come out sorted by id.
+        self.slot_ids.len().encode_into(out);
+        for (id, record) in self.slot_ids.iter().zip(&self.records) {
+            id.encode_into(out);
+            record.encode_into(out);
+        }
         self.pool.encode_into(out);
-        let mut tombstones: Vec<(ItemId, Interval<E>)> =
-            self.tombstones.iter().map(|(&id, &iv)| (id, iv)).collect();
-        tombstones.sort_unstable_by_key(|&(id, _)| id);
-        tombstones.encode_into(out);
+        self.tombstoned.len().encode_into(out);
+        for (pos, (id, (iv, _))) in self.slot_ids.iter().zip(&self.records).enumerate() {
+            if self.is_tombstoned(pos as u32) {
+                id.encode_into(out);
+                iv.encode_into(out);
+            }
+        }
         self.next_id.encode_into(out);
         self.update_capacity.encode_into(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let corrupt = |what| Err(PersistError::Corrupt { what });
         let awit = Awit::decode(r)?;
         let slot_ids: Vec<ItemId> = Vec::decode(r)?;
-        let resident_vec: Vec<(ItemId, (Interval<E>, f64))> = Vec::decode(r)?;
+        let resident: Vec<(ItemId, (Interval<E>, f64))> = Vec::decode(r)?;
         let pool: Vec<(Interval<E>, ItemId, f64)> = Vec::decode(r)?;
-        let tombstones_vec: Vec<(ItemId, Interval<E>)> = Vec::decode(r)?;
+        let tombstones: Vec<(ItemId, Interval<E>)> = Vec::decode(r)?;
         let next_id = ItemId::decode(r)?;
         let update_capacity = usize::decode(r)?;
 
-        if slot_ids.len() != awit.len() || slot_ids.len() != resident_vec.len() {
-            return Err(PersistError::Corrupt {
-                what: "dynamic AWIT: slot table does not match its resident set",
-            });
+        if slot_ids.len() != awit.len() || slot_ids.len() != resident.len() {
+            return corrupt("dynamic AWIT: slot table does not match its resident set");
         }
         // AWIT list ids are positions into `slot_ids`; a draw resolves
         // `slot_ids[pos]`, so every stored position must be in range.
         if !awit_ids_below(&awit, slot_ids.len()) {
-            return Err(PersistError::Corrupt {
-                what: "dynamic AWIT: slot position out of range",
-            });
+            return corrupt("dynamic AWIT: slot position out of range");
         }
-        let resident: std::collections::HashMap<_, _> = resident_vec.into_iter().collect();
-        let tombstones: std::collections::HashMap<_, _> = tombstones_vec.into_iter().collect();
-        // Sampling rejects tombstoned draws by looking the id up in
-        // `resident`; a tombstone outside it would panic at query time.
-        if !tombstones.keys().all(|id| resident.contains_key(id)) {
-            return Err(PersistError::Corrupt {
-                what: "dynamic AWIT: tombstoned id is not resident",
-            });
+        // Lookups by id binary-search the slot table.
+        if !slot_ids.is_sorted_by(|a, b| a < b) {
+            return corrupt("dynamic AWIT: slot ids are not strictly increasing");
         }
-        if !slot_ids.iter().all(|id| resident.contains_key(id)) {
-            return Err(PersistError::Corrupt {
-                what: "dynamic AWIT: slot id is not resident",
-            });
+        let (resident_ids, records): (Vec<ItemId>, Vec<_>) = resident.into_iter().unzip();
+        if resident_ids != slot_ids {
+            return corrupt("dynamic AWIT: resident ids are not the slot ids");
+        }
+        let mut tombstoned: Vec<u32> = Vec::with_capacity(tombstones.len());
+        for (id, iv) in tombstones {
+            match slot_ids.binary_search(&id) {
+                Err(_) => return corrupt("dynamic AWIT: tombstoned id is not resident"),
+                Ok(pos) if records.get(pos).map(|&(riv, _)| riv) != Some(iv) => {
+                    return corrupt("dynamic AWIT: tombstone interval differs from its resident")
+                }
+                Ok(pos) => tombstoned.push(pos as u32),
+            }
+        }
+        if !tombstoned.is_sorted_by(|a, b| a < b) {
+            return corrupt("dynamic AWIT: tombstones are not in strictly increasing id order");
+        }
+        // Each pool id was issued once, after every resident's: a rebuild
+        // appends the sorted pool to the slot table.
+        let mut pool_ids: Vec<ItemId> = pool.iter().map(|&(_, id, _)| id).collect();
+        pool_ids.sort_unstable();
+        let above_slots = pool_ids.first().is_none_or(|id| Some(id) > slot_ids.last());
+        if !above_slots || !pool_ids.is_sorted_by(|a, b| a < b) {
+            return corrupt("dynamic AWIT: pool id is repeated or not above every slot id");
+        }
+        // A stored id at or above `next_id` would be issued again by the
+        // next insert.
+        let max_id = pool_ids.last().or(slot_ids.last());
+        if max_id.is_some_and(|&id| id >= next_id) {
+            return corrupt("dynamic AWIT: stored id at or above next_id");
         }
         Ok(DynamicAwit {
             awit,
             slot_ids,
-            resident,
+            records,
             pool,
-            tombstones,
+            tombstoned,
             next_id,
             update_capacity,
         })

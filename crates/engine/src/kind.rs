@@ -327,7 +327,8 @@ pub trait DynIndex<E>: Send + Sync {
     ///
     /// Weighted handles report their allocation mass through
     /// [`DynPreparedSampler::total_weight`], read off the phase-1 state
-    /// (AWIT: cumulative arrays; KDS: prefix sums over the
+    /// (AWIT: cumulative arrays; `DynamicAwit`: the same, less its
+    /// tombstones plus its pool; KDS: prefix sums over the
     /// decomposition) — never by re-running the search.
     fn prepare_weighted<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>>;
 
@@ -340,11 +341,11 @@ pub trait DynIndex<E>: Send + Sync {
 
     /// Inserts `iv` through the structure's insertion pool (the paper's
     /// batch insertion): immediately visible to queries, merged into the
-    /// tree in bulk once the pool fills. Kinds without a pool serve this
-    /// as [`DynIndex::insert`]. Default: unsupported.
+    /// tree in bulk once the pool fills. Default: [`DynIndex::insert`],
+    /// which serves kinds whose inserts are always pooled and refuses
+    /// for static ones.
     fn insert_buffered(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        let _ = iv;
-        Err(static_snapshot_error())
+        self.insert(iv)
     }
 
     /// Inserts `iv` with weight `w` (already validated by the caller
@@ -403,37 +404,6 @@ fn static_snapshot_error() -> UpdateError {
 /// Shared fallback: a stabbing query is a degenerate range search.
 fn stab_via_search<E: Endpoint, I: RangeSearch<E>>(idx: &I, p: E, out: &mut Vec<ItemId>) {
     idx.range_search_into(Interval::point(p), out);
-}
-
-impl<E: GridEndpoint> DynIndex<E> for Ait<E> {
-    fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
-        self.range_search_into(q, out);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        MemoryFootprint::heap_bytes(self)
-    }
-
-    fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
-        self.encode_into(out);
-        Ok(())
-    }
-
-    fn count(&self, q: Interval<E>) -> usize {
-        self.range_count(q)
-    }
-
-    fn stab_into(&self, p: E, out: &mut Vec<ItemId>) {
-        StabbingQuery::stab_into(self, p, out);
-    }
-
-    fn prepare<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
-        Some(Box::new(Erased(RangeSampler::prepare(self, q))))
-    }
-
-    fn prepare_weighted<'a>(&'a self, _q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
-        None
-    }
 }
 
 /// AIT shard with the §III-D update surface: the tree plus a live
@@ -524,7 +494,8 @@ impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
 /// `DynamicAwit` shard: weighted IRS with amortized updates. Serves
 /// *uniform* requests only when built with uniform weights (then the
 /// two problems coincide), exactly like the static [`AwitShard`] — and
-/// unit-weight inserts preserve that uniformity.
+/// unit-weight inserts preserve that uniformity. Weighted handles carry
+/// the live mass their own prepare computed, like [`AwitShard`]'s.
 struct DynAwitShard<E> {
     idx: DynamicAwit<E>,
     uniform: bool,
@@ -567,18 +538,14 @@ impl<E: GridEndpoint> DynIndex<E> for DynAwitShard<E> {
 
     fn prepare_weighted<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>> {
         let prepared = self.idx.prepare_weighted(q);
-        // Live mass: AWIT cumulative arrays minus tombstoned weight plus
-        // pool matches — exactly what allocation must see.
-        let mass = self.idx.range_weight(q);
+        // Computed once by the prepare: AWIT arrays less tombstones plus pool.
+        let mass = prepared.total_weight();
         Some(Box::new(WithMass(Erased(prepared), mass)))
     }
 
+    // DynamicAwit insertions are inherently pooled, so this also serves
+    // `insert_buffered`.
     fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        Ok(self.idx.insert(iv, 1.0))
-    }
-
-    fn insert_buffered(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        // DynamicAwit insertions are inherently pooled.
         Ok(self.idx.insert(iv, 1.0))
     }
 

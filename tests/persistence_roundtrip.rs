@@ -482,3 +482,221 @@ fn post_restart_streams_are_fresh_not_replays() {
         );
     }
 }
+
+/// `DynamicAwit`'s live mass subtracts its tombstones in id order, so
+/// every decode of the same bytes reports the same bits: the mass drives
+/// the multinomial allocation across shards, which must not depend on a
+/// hash seed.
+#[test]
+fn dynamic_awit_mass_is_bit_identical_across_decodes() {
+    use irs::{Codec, DynamicAwit};
+    let data = dataset(4000, 31);
+    // Weights over eight decades, so the order of the subtractions shows
+    // in the rounding.
+    let weights: Vec<f64> = (0..data.len())
+        .map(|i| 1e-4 * 10f64.powf((i * 7919 % 1000) as f64 / 125.0))
+        .collect();
+    let mut idx = DynamicAwit::new(&data, &weights);
+    for id in (0..data.len() as ItemId).step_by(28).take(140) {
+        assert!(idx.delete_by_id(id));
+    }
+    assert_eq!(idx.tombstone_len(), 140, "no rebuild folded the tombstones");
+    let mut bytes = Vec::new();
+    idx.encode_into(&mut bytes);
+    let windows: Vec<Interval64> = queries(&data, 14, 0x3A55).into_iter().take(40).collect();
+    let masses = |idx: &DynamicAwit<i64>| -> Vec<u64> {
+        windows
+            .iter()
+            .map(|&q| idx.range_weight(q).to_bits())
+            .collect()
+    };
+    let expect = masses(&idx);
+    for decode in 0..30 {
+        let mut r = irs_core::persist::Reader::new(&bytes);
+        let copy = DynamicAwit::<i64>::decode(&mut r).unwrap();
+        assert_eq!(masses(&copy), expect, "decode {decode}: masses moved");
+    }
+}
+
+/// Writes a one-shard snapshot whose index section is `payload`, forged
+/// by the caller, and loads it.
+fn load_forged_shard(
+    tag: &str,
+    kind: &str,
+    weighted: bool,
+    payload: &[u8],
+) -> Result<(), PersistError> {
+    let dir = SnapDir::new(tag);
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let manifest = irs_engine::persist::Manifest {
+        snapshot_id: 7,
+        kind: kind.to_string(),
+        endpoint: "i64".to_string(),
+        weighted,
+        shards: 1,
+        seed: 0,
+        batch_counter: 0,
+        stream_counter: 0,
+        len: 0,
+        shard_lens: vec![0],
+    };
+    let header = irs_engine::persist::ShardHeader {
+        snapshot_id: 7,
+        kind: manifest.kind.clone(),
+        endpoint: manifest.endpoint.clone(),
+        shard: 0,
+        shards: 1,
+        weighted,
+    };
+    irs_engine::persist::write_shard_file(dir.path(), &header, payload).unwrap();
+    irs_engine::persist::write_manifest(dir.path(), &manifest).unwrap();
+    Engine::<i64>::load(dir.path()).map(|_| ())
+}
+
+/// An `ait` snapshot whose `next_id` is at or below a stored id is
+/// refused: the next insert would reissue that live id. The id sits in
+/// a node list (`next_id` 0, or the largest built id) or in the pool.
+#[test]
+fn ait_next_id_must_exceed_every_stored_id() {
+    use irs::Codec;
+    let data = dataset(300, 32);
+    let mut ait = irs::Ait::new(&data);
+    let pooled = ait.insert_buffered(Interval::new(5, 9));
+    let mut payload = Vec::new();
+    ait.encode_into(&mut payload);
+    // The tail is `next_id` (u32), the one-entry pool (u64 length, then
+    // interval + id) and `pool_capacity` (u64).
+    let at = payload.len() - 8 - (8 + 16 + 4) - 4;
+    assert_eq!(payload[at..at + 4], (pooled + 1).to_le_bytes());
+    assert_eq!(
+        load_forged_shard("ait-next-id-ok", "ait", false, &payload),
+        Ok(())
+    );
+    for forged in [0, data.len() as ItemId - 1, pooled] {
+        payload[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+        assert_eq!(
+            load_forged_shard(&format!("ait-next-id-{forged}"), "ait", false, &payload),
+            Err(PersistError::Corrupt {
+                what: "AIT: stored id at or above next_id"
+            }),
+            "next_id {forged}"
+        );
+    }
+}
+
+/// The fields of an `awit-dynamic` index section, in encoding order, so
+/// a test can forge one of them. `valid` holds 40 residents (id 3
+/// tombstoned) and a pool of ids 40 and 41.
+struct DynAwitParts {
+    data: Vec<Interval64>,
+    slot_ids: Vec<ItemId>,
+    resident: Vec<(ItemId, (Interval64, f64))>,
+    pool: Vec<(Interval64, ItemId, f64)>,
+    tombstones: Vec<(ItemId, Interval64)>,
+    next_id: ItemId,
+}
+
+impl DynAwitParts {
+    fn valid() -> Self {
+        let data = dataset(40, 33);
+        DynAwitParts {
+            slot_ids: (0..40).collect(),
+            resident: (0..40).map(|id| (id, (data[id as usize], 1.5))).collect(),
+            pool: vec![
+                (Interval::new(10, 20), 40, 2.0),
+                (Interval::new(30, 40), 41, 3.0),
+            ],
+            tombstones: vec![(3, data[3])],
+            next_id: 42,
+            data,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        use irs::Codec;
+        let mut out = Vec::new();
+        irs::Awit::new(&self.data, &vec![1.5; self.data.len()]).encode_into(&mut out);
+        self.slot_ids.encode_into(&mut out);
+        self.resident.encode_into(&mut out);
+        self.pool.encode_into(&mut out);
+        self.tombstones.encode_into(&mut out);
+        self.next_id.encode_into(&mut out);
+        36usize.encode_into(&mut out); // update capacity
+        out
+    }
+}
+
+/// Loads [`DynAwitParts::valid`] with `forge` applied, and asserts the
+/// refusal names `what`.
+fn assert_dyn_awit_refused(tag: &str, forge: impl FnOnce(&mut DynAwitParts), what: &'static str) {
+    let valid = DynAwitParts::valid().encode();
+    assert_eq!(
+        load_forged_shard(&format!("{tag}-valid"), "awit-dynamic", true, &valid),
+        Ok(())
+    );
+    let mut parts = DynAwitParts::valid();
+    forge(&mut parts);
+    assert_eq!(
+        load_forged_shard(tag, "awit-dynamic", true, &parts.encode()),
+        Err(PersistError::Corrupt { what })
+    );
+}
+
+#[test]
+fn dynamic_awit_slot_ids_must_strictly_increase() {
+    assert_dyn_awit_refused(
+        "dyn-slot-order",
+        |p| {
+            p.slot_ids.swap(0, 1);
+            p.resident.swap(0, 1);
+        },
+        "dynamic AWIT: slot ids are not strictly increasing",
+    );
+}
+
+#[test]
+fn dynamic_awit_resident_ids_must_be_the_slot_ids() {
+    assert_dyn_awit_refused(
+        "dyn-resident-ids",
+        |p| p.resident[5].0 = 500,
+        "dynamic AWIT: resident ids are not the slot ids",
+    );
+}
+
+#[test]
+fn dynamic_awit_tombstone_must_match_its_resident() {
+    assert_dyn_awit_refused(
+        "dyn-tomb-iv",
+        |p| p.tombstones[0].1 = p.data[4],
+        "dynamic AWIT: tombstone interval differs from its resident",
+    );
+    assert_dyn_awit_refused(
+        "dyn-tomb-order",
+        |p| p.tombstones = vec![(7, p.data[7]), (3, p.data[3])],
+        "dynamic AWIT: tombstones are not in strictly increasing id order",
+    );
+}
+
+#[test]
+fn dynamic_awit_pool_ids_must_be_fresh() {
+    let what = "dynamic AWIT: pool id is repeated or not above every slot id";
+    assert_dyn_awit_refused("dyn-pool-dup", |p| p.pool[1].1 = 40, what);
+    assert_dyn_awit_refused("dyn-pool-resident", |p| p.pool[1].1 = 7, what);
+    assert_dyn_awit_refused(
+        "dyn-pool-next-id",
+        |p| p.next_id = 41,
+        "dynamic AWIT: stored id at or above next_id",
+    );
+}
+
+#[test]
+fn dynamic_awit_slot_ids_must_be_below_next_id() {
+    assert_dyn_awit_refused(
+        "dyn-slot-next-id",
+        |p| {
+            p.pool.clear();
+            p.next_id = 0;
+        },
+        "dynamic AWIT: stored id at or above next_id",
+    );
+}
