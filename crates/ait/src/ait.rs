@@ -1,40 +1,76 @@
 //! The Augmented Interval Tree and Algorithm 1 (§III-A, §III-B).
+//!
+//! Each node keeps its four sorted lists as two column sets: `lo` holds
+//! `ALl` then `Ll`, `hi` holds `ALr` then `Lr`, and one `split` marks
+//! where both `L` runs begin. Algorithm 1's binary searches read only
+//! the `keys` columns; draws and gathers read only the `ids` columns.
+//! Records index into one run with run-relative offsets, so the layout
+//! is invisible to records, draws and snapshots.
 
-use crate::build::{build_tree, BuildEntry, Key, NodeFactory, NIL};
+use crate::build::{build_tree, BuildEntry, Cols, NodeFactory, NIL};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch,
 };
 use irs_sampling::{prefetch_read, AliasTable};
+use std::ops::Range;
 
 /// One AIT node: the interval-tree lists (`Ll`, `Lr`) plus the augmented
-/// subtree lists (`ALl`, `ALr`). Lists store `(endpoint, id)` pairs — each
-/// query case compares exactly one endpoint, so storing whole intervals
-/// would double the footprint for nothing.
+/// subtree lists (`ALl`, `ALr`), as two column sets. `lo` holds `ALl`
+/// then `Ll` (left endpoints), `hi` holds `ALr` then `Lr` (right
+/// endpoints); `|ALl| = |ALr| = split` and `|Ll| = |Lr|`, so one field
+/// marks both boundaries. Lists store `(endpoint, id)` pairs — each query
+/// case compares exactly one endpoint, so storing whole intervals would
+/// double the footprint for nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct AitNode<E> {
     pub center: E,
-    /// `Ll`: intervals stabbed by `center`, sorted by left endpoint.
-    pub l_lo: Vec<Key<E>>,
-    /// `Lr`: the same intervals, sorted by right endpoint.
-    pub l_hi: Vec<Key<E>>,
-    /// `ALl`: *all* intervals of this subtree, sorted by left endpoint.
-    pub al_lo: Vec<Key<E>>,
-    /// `ALr`: all subtree intervals, sorted by right endpoint.
-    pub al_hi: Vec<Key<E>>,
+    /// `ALl` (`..split`): *all* intervals of this subtree, then `Ll`
+    /// (`split..`): the intervals stabbed by `center`; each run sorted by
+    /// left endpoint.
+    pub lo: Cols<E>,
+    /// `ALr` then `Lr`: the same two sets, each sorted by right endpoint.
+    pub hi: Cols<E>,
+    /// `|AL|`: where each side's `L` run begins.
+    pub split: u32,
     pub left: u32,
     pub right: u32,
 }
 
 impl<E: Endpoint> AitNode<E> {
-    pub(crate) fn list(&self, kind: ListKind) -> &[Key<E>] {
+    /// The column set holding `kind`'s run, and the run's span in it.
+    fn locate(&self, kind: ListKind) -> (&Cols<E>, Range<usize>) {
+        let split = self.split as usize;
         match kind {
-            ListKind::Lo => &self.l_lo,
-            ListKind::Hi => &self.l_hi,
-            ListKind::AllHi => &self.al_hi,
-            ListKind::AllLo => &self.al_lo,
+            ListKind::Lo => (&self.lo, split..self.lo.keys.len()),
+            ListKind::Hi => (&self.hi, split..self.hi.keys.len()),
+            ListKind::AllHi => (&self.hi, 0..split),
+            ListKind::AllLo => (&self.lo, 0..split),
         }
+    }
+
+    /// The sorted endpoints of list `kind`.
+    pub(crate) fn keys(&self, kind: ListKind) -> &[E] {
+        let (cols, span) = self.locate(kind);
+        &cols.keys[span]
+    }
+
+    /// The ids of list `kind`, aligned with [`AitNode::keys`].
+    pub(crate) fn ids(&self, kind: ListKind) -> &[ItemId] {
+        let (cols, span) = self.locate(kind);
+        &cols.ids[span]
+    }
+
+    /// `|Ll| = |Lr|`: how many intervals the center stabs.
+    pub(crate) fn l_len(&self) -> usize {
+        self.lo.keys.len() - self.split as usize
+    }
+}
+
+impl<E> AsRef<AitNode<E>> for AitNode<E> {
+    fn as_ref(&self) -> &AitNode<E> {
+        self
     }
 }
 
@@ -53,34 +89,9 @@ impl<E: Endpoint> NodeFactory<E> for AitFactory {
     ) -> AitNode<E> {
         AitNode {
             center,
-            l_lo: here_lo
-                .iter()
-                .map(|e| Key {
-                    key: e.iv.lo,
-                    id: e.id,
-                })
-                .collect(),
-            l_hi: here_hi
-                .iter()
-                .map(|e| Key {
-                    key: e.iv.hi,
-                    id: e.id,
-                })
-                .collect(),
-            al_lo: all_lo
-                .iter()
-                .map(|e| Key {
-                    key: e.iv.lo,
-                    id: e.id,
-                })
-                .collect(),
-            al_hi: all_hi
-                .iter()
-                .map(|e| Key {
-                    key: e.iv.hi,
-                    id: e.id,
-                })
-                .collect(),
+            lo: Cols::of_runs(all_lo, here_lo, |iv| iv.lo),
+            hi: Cols::of_runs(all_hi, here_hi, |iv| iv.hi),
+            split: all_lo.len() as u32,
             left: NIL,
             right: NIL,
         }
@@ -89,6 +100,96 @@ impl<E: Endpoint> NodeFactory<E> for AitFactory {
     fn set_children(node: &mut AitNode<E>, left: u32, right: u32) {
         node.left = left;
         node.right = right;
+    }
+}
+
+/// Core of Algorithm 1 (lines 1–21), shared by the AIT and the AWIT
+/// (whose nodes wrap an [`AitNode`]): walks at most one root-to-leaf
+/// path, running one binary search per visited node over its `keys`
+/// column, and stops the first time the query interval stabs a center
+/// (case 3) — where the two children's augmented lists finish the job.
+/// Produces the record set `R` in `O(log² n)`.
+pub(crate) fn collect_tree_records<E: Endpoint, N: AsRef<AitNode<E>>>(
+    nodes: &[N],
+    root: u32,
+    q: Interval<E>,
+    records: &mut Vec<NodeRecord>,
+) {
+    let mut at = root;
+    while at != NIL {
+        let node = nodes[at as usize].as_ref();
+        // Pull the next level toward L1 while this node's binary
+        // search runs — whichever way the case split goes, the child
+        // header is resident by the time the descent arrives.
+        if node.left != NIL {
+            prefetch_read(&nodes[node.left as usize]);
+        }
+        if node.right != NIL {
+            prefetch_read(&nodes[node.right as usize]);
+        }
+        if q.hi < node.center {
+            // Case 1: q lies left of the center. Ll[0..j) overlaps.
+            let j = node.keys(ListKind::Lo).partition_point(|&k| k <= q.hi);
+            if j >= 1 {
+                records.push(NodeRecord {
+                    node: at,
+                    kind: ListKind::Lo,
+                    start: 0,
+                    end: (j - 1) as u32,
+                });
+            }
+            at = node.left;
+        } else if node.center < q.lo {
+            // Case 2: q lies right of the center. Lr[j..] overlaps.
+            let l_hi = node.keys(ListKind::Hi);
+            let j = l_hi.partition_point(|&k| k < q.lo);
+            if j < l_hi.len() {
+                records.push(NodeRecord {
+                    node: at,
+                    kind: ListKind::Hi,
+                    start: j as u32,
+                    end: (l_hi.len() - 1) as u32,
+                });
+            }
+            at = node.right;
+        } else {
+            // Case 3: q stabs the center — all of Ll overlaps, and the
+            // children's augmented lists cover both whole subtrees, so
+            // no further descent is ever needed (the key AIT property).
+            if node.l_len() > 0 {
+                records.push(NodeRecord {
+                    node: at,
+                    kind: ListKind::Lo,
+                    start: 0,
+                    end: (node.l_len() - 1) as u32,
+                });
+            }
+            if node.left != NIL {
+                let al_hi = nodes[node.left as usize].as_ref().keys(ListKind::AllHi);
+                let j = al_hi.partition_point(|&k| k < q.lo);
+                if j < al_hi.len() {
+                    records.push(NodeRecord {
+                        node: node.left,
+                        kind: ListKind::AllHi,
+                        start: j as u32,
+                        end: (al_hi.len() - 1) as u32,
+                    });
+                }
+            }
+            if node.right != NIL {
+                let al_lo = nodes[node.right as usize].as_ref().keys(ListKind::AllLo);
+                let j = al_lo.partition_point(|&k| k <= q.hi);
+                if j >= 1 {
+                    records.push(NodeRecord {
+                        node: node.right,
+                        kind: ListKind::AllLo,
+                        start: 0,
+                        end: (j - 1) as u32,
+                    });
+                }
+            }
+            break;
+        }
     }
 }
 
@@ -178,11 +279,8 @@ impl<E: Endpoint> Ait<E> {
         self.height
     }
 
-    /// Core of Algorithm 1 (lines 1–21): walks at most one root-to-leaf
-    /// path, running one binary search per visited node, and stops the
-    /// first time the query interval stabs a center (case 3) — where the
-    /// two children's augmented lists finish the job. Produces the record
-    /// set `R` in `O(log² n)`.
+    /// Algorithm 1's record set `R` over the tree
+    /// ([`collect_tree_records`]), in `O(log² n)`.
     ///
     /// Pool entries (batched insertions not yet merged) are scanned
     /// linearly and reported through `pool_matches`.
@@ -197,82 +295,7 @@ impl<E: Endpoint> Ait<E> {
                 pool_matches.push(*id);
             }
         }
-        let nodes = self.nodes.as_slice();
-        let mut at = self.root;
-        while at != NIL {
-            let node = &nodes[at as usize];
-            // Pull the next level toward L1 while this node's binary
-            // search runs — whichever way the case split goes, the child
-            // header is resident by the time the descent arrives.
-            if node.left != NIL {
-                prefetch_read(&nodes[node.left as usize]);
-            }
-            if node.right != NIL {
-                prefetch_read(&nodes[node.right as usize]);
-            }
-            if q.hi < node.center {
-                // Case 1: q lies left of the center. Ll[0..j) overlaps.
-                let j = node.l_lo.partition_point(|k| k.key <= q.hi);
-                if j >= 1 {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Lo,
-                        start: 0,
-                        end: (j - 1) as u32,
-                    });
-                }
-                at = node.left;
-            } else if node.center < q.lo {
-                // Case 2: q lies right of the center. Lr[j..] overlaps.
-                let j = node.l_hi.partition_point(|k| k.key < q.lo);
-                if j < node.l_hi.len() {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Hi,
-                        start: j as u32,
-                        end: (node.l_hi.len() - 1) as u32,
-                    });
-                }
-                at = node.right;
-            } else {
-                // Case 3: q stabs the center — all of Ll overlaps, and the
-                // children's augmented lists cover both whole subtrees, so
-                // no further descent is ever needed (the key AIT property).
-                if !node.l_lo.is_empty() {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Lo,
-                        start: 0,
-                        end: (node.l_lo.len() - 1) as u32,
-                    });
-                }
-                if node.left != NIL {
-                    let child = &nodes[node.left as usize];
-                    let j = child.al_hi.partition_point(|k| k.key < q.lo);
-                    if j < child.al_hi.len() {
-                        records.push(NodeRecord {
-                            node: node.left,
-                            kind: ListKind::AllHi,
-                            start: j as u32,
-                            end: (child.al_hi.len() - 1) as u32,
-                        });
-                    }
-                }
-                if node.right != NIL {
-                    let child = &nodes[node.right as usize];
-                    let j = child.al_lo.partition_point(|k| k.key <= q.hi);
-                    if j >= 1 {
-                        records.push(NodeRecord {
-                            node: node.right,
-                            kind: ListKind::AllLo,
-                            start: 0,
-                            end: (j - 1) as u32,
-                        });
-                    }
-                }
-                break;
-            }
-        }
+        collect_tree_records(&self.nodes, self.root, q, records);
     }
 
     /// Structural invariant checker used by tests and debug assertions.
@@ -281,8 +304,8 @@ impl<E: Endpoint> Ait<E> {
     /// `AL` = union of subtree `L`s, center stabbing, and the strict
     /// left/right separation of children.
     pub fn validate(&self) -> Result<(), String> {
-        fn ids_sorted<E: Endpoint>(list: &[Key<E>]) -> Vec<ItemId> {
-            let mut ids: Vec<ItemId> = list.iter().map(|k| k.id).collect();
+        fn ids_sorted(ids: &[ItemId]) -> Vec<ItemId> {
+            let mut ids = ids.to_vec();
             ids.sort_unstable();
             ids
         }
@@ -291,42 +314,61 @@ impl<E: Endpoint> Ait<E> {
                 return Ok(Vec::new());
             }
             let node = &ait.nodes[at as usize];
-            for (name, list) in [
-                ("Ll", &node.l_lo),
-                ("Lr", &node.l_hi),
-                ("ALl", &node.al_lo),
-                ("ALr", &node.al_hi),
+            for side in [&node.lo, &node.hi] {
+                if side.keys.len() != side.ids.len() || side.keys.len() < node.split as usize {
+                    return Err(format!("node {at}: column lengths disagree"));
+                }
+            }
+            if node.lo.keys.len() != node.hi.keys.len() {
+                return Err(format!("node {at}: lo/hi column lengths disagree"));
+            }
+            for (name, kind) in [
+                ("Ll", ListKind::Lo),
+                ("Lr", ListKind::Hi),
+                ("ALl", ListKind::AllLo),
+                ("ALr", ListKind::AllHi),
             ] {
-                if !list.windows(2).all(|w| w[0].key <= w[1].key) {
+                if !node.keys(kind).is_sorted() {
                     return Err(format!("node {at}: {name} not sorted"));
                 }
             }
-            if ids_sorted(&node.l_lo) != ids_sorted(&node.l_hi) {
+            let l_lo = node.keys(ListKind::Lo);
+            if ids_sorted(node.ids(ListKind::Lo)) != ids_sorted(node.ids(ListKind::Hi)) {
                 return Err(format!("node {at}: Ll/Lr id mismatch"));
             }
-            if node.l_lo.iter().any(|k| k.key > node.center) {
+            if l_lo.iter().any(|&k| k > node.center) {
                 return Err(format!("node {at}: Ll entry starts after center"));
             }
-            if node.l_hi.iter().any(|k| k.key < node.center) {
+            if node.keys(ListKind::Hi).iter().any(|&k| k < node.center) {
                 return Err(format!("node {at}: Lr entry ends before center"));
             }
             if node.left != NIL {
                 let child = &ait.nodes[node.left as usize];
-                if child.al_hi.last().is_some_and(|k| k.key >= node.center) {
+                if child
+                    .keys(ListKind::AllHi)
+                    .last()
+                    .is_some_and(|&k| k >= node.center)
+                {
                     return Err(format!("node {at}: left subtree crosses center"));
                 }
             }
             if node.right != NIL {
                 let child = &ait.nodes[node.right as usize];
-                if child.al_lo.first().is_some_and(|k| k.key <= node.center) {
+                if child
+                    .keys(ListKind::AllLo)
+                    .first()
+                    .is_some_and(|&k| k <= node.center)
+                {
                     return Err(format!("node {at}: right subtree crosses center"));
                 }
             }
-            let mut subtree = ids_sorted(&node.l_lo);
+            let mut subtree = ids_sorted(node.ids(ListKind::Lo));
             subtree.extend(walk(ait, node.left)?);
             subtree.extend(walk(ait, node.right)?);
             subtree.sort_unstable();
-            if subtree != ids_sorted(&node.al_lo) || subtree != ids_sorted(&node.al_hi) {
+            if subtree != ids_sorted(node.ids(ListKind::AllLo))
+                || subtree != ids_sorted(node.ids(ListKind::AllHi))
+            {
                 return Err(format!(
                     "node {at}: AL lists disagree with subtree contents"
                 ));
@@ -352,12 +394,8 @@ impl<E: Endpoint> RangeSearch<E> for Ait<E> {
         let mut pool_matches = Vec::new();
         self.collect_records(q, &mut records, &mut pool_matches);
         for rec in &records {
-            let list = self.nodes[rec.node as usize].list(rec.kind);
-            out.extend(
-                list[rec.start as usize..=rec.end as usize]
-                    .iter()
-                    .map(|k| k.id),
-            );
+            let ids = self.nodes[rec.node as usize].ids(rec.kind);
+            out.extend_from_slice(&ids[rec.start as usize..=rec.end as usize]);
         }
         out.extend_from_slice(&pool_matches);
     }
@@ -380,13 +418,14 @@ const DRAW_CHUNK: usize = 64;
 
 /// Phase-2 handle of the AIT: the record set `R` plus any pool matches.
 /// Sampling builds a Walker alias over record sizes (`O(log n)`) and then
-/// draws each sample in `O(1)`. `runs` resolves each record to its list
-/// slice once, so a draw is a uniform pick into a slice instead of a
-/// node dereference plus `ListKind` dispatch.
+/// draws each sample in `O(1)`. `runs` resolves each record to its run
+/// of the `ids` column once, so a draw is a uniform pick into a slice
+/// instead of a node dereference plus `ListKind` dispatch.
 pub struct AitPrepared<'a, E> {
     records: Vec<NodeRecord>,
     pool_matches: Vec<ItemId>,
-    runs: Vec<&'a [Key<E>]>,
+    runs: Vec<&'a [ItemId]>,
+    _endpoint: std::marker::PhantomData<E>,
 }
 
 impl<'a, E: Endpoint> AitPrepared<'a, E> {
@@ -416,7 +455,7 @@ impl<E: Endpoint> PreparedSampler for AitPrepared<'_, E> {
         let alias = AliasTable::new(&weights);
         // Chunked three-pass draws: all record choices first (the alias
         // cells stay hot), then every in-record offset (issuing a gather
-        // prefetch of the chosen key), then the id gather over lines the
+        // prefetch of the chosen id), then the id gather over lines the
         // prefetch already pulled in. Pool picks need no offset draw.
         out.reserve(s);
         let mut ks = [0u32; DRAW_CHUNK];
@@ -436,7 +475,7 @@ impl<E: Endpoint> PreparedSampler for AitPrepared<'_, E> {
             for (&k, &offset) in ks[..c].iter().zip(offs.iter()) {
                 let k = k as usize;
                 if k < n_rec {
-                    out.push(self.runs[k][offset as usize].id);
+                    out.push(self.runs[k][offset as usize]);
                 } else {
                     out.push(self.pool_matches[k - n_rec]);
                 }
@@ -507,14 +546,14 @@ impl<E: Endpoint> RangeSampler<E> for Ait<E> {
         let runs = records
             .iter()
             .map(|rec| {
-                let list = self.nodes[rec.node as usize].list(rec.kind);
-                &list[rec.start as usize..=rec.end as usize]
+                &self.nodes[rec.node as usize].ids(rec.kind)[rec.start as usize..=rec.end as usize]
             })
             .collect();
         AitPrepared {
             records,
             pool_matches,
             runs,
+            _endpoint: std::marker::PhantomData,
         }
     }
 }
@@ -533,10 +572,7 @@ impl<E: Endpoint> MemoryFootprint for Ait<E> {
     fn heap_bytes(&self) -> usize {
         let mut bytes = self.nodes.capacity() * std::mem::size_of::<AitNode<E>>();
         for node in &self.nodes {
-            bytes += vec_bytes(&node.l_lo)
-                + vec_bytes(&node.l_hi)
-                + vec_bytes(&node.al_lo)
-                + vec_bytes(&node.al_hi);
+            bytes += node.lo.heap_bytes() + node.hi.heap_bytes();
         }
         bytes + vec_bytes(&self.pool)
     }
@@ -702,6 +738,31 @@ mod tests {
         // AL lists replicate each interval once per level: expect clearly
         // more than 10x growth for 10x data.
         assert!(fb > fs * 10, "footprint {fs} -> {fb} not superlinear");
+    }
+
+    #[test]
+    fn heap_bytes_are_node_slots_plus_twelve_bytes_per_entry() {
+        let data: Vec<_> = (0..3000).map(|i| iv(i % 977, i % 977 + i % 61)).collect();
+        let ait = Ait::new(&data);
+        assert_eq!(std::mem::size_of::<AitNode<i64>>(), 120);
+        let entries: usize = ait
+            .nodes
+            .iter()
+            .map(|n| n.lo.keys.len() + n.hi.keys.len())
+            .sum();
+        assert_eq!(
+            entries,
+            2 * ait
+                .nodes
+                .iter()
+                .map(|n| n.split as usize + n.l_len())
+                .sum::<usize>()
+        );
+        assert_eq!(
+            ait.heap_bytes(),
+            ait.nodes.len() * 120 + entries * 12,
+            "a built tree holds its node slots and its entries at exact capacity"
+        );
     }
 
     proptest! {

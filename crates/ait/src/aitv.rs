@@ -13,7 +13,6 @@
 //! `aitv_rejections` bench).
 
 use crate::ait::Ait;
-use crate::build::Key;
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeSampler,
 };
@@ -120,10 +119,10 @@ impl<E: Endpoint> AitV<E> {
 pub struct AitVPrepared<'a, E> {
     aitv: &'a AitV<E>,
     q: Interval<E>,
-    /// Each record resolved to its list slice of the virtual AIT, so a
-    /// rejection attempt reads the bucket id straight from the slice
-    /// instead of dereferencing the node per draw.
-    runs: Vec<&'a [Key<E>]>,
+    /// Each record resolved to its run of the virtual AIT's `ids`
+    /// column, so a rejection attempt reads the bucket id straight from
+    /// the slice instead of dereferencing the node per draw.
+    runs: Vec<&'a [ItemId]>,
     /// Alias table over the records' lengths, built once in phase 1
     /// (`None` iff `records` is empty).
     alias: Option<AliasTable>,
@@ -157,9 +156,8 @@ impl<'a, E: Endpoint> AitVPrepared<'a, E> {
     fn enumerate_exact(&self) -> Vec<ItemId> {
         let mut out = Vec::new();
         for run in &self.runs {
-            for key in *run {
-                let bucket = key.id as usize;
-                for &id in self.aitv.bucket_members(bucket) {
+            for &bucket in *run {
+                for &id in self.aitv.bucket_members(bucket as usize) {
                     if self.aitv.data[id as usize].overlaps(&self.q) {
                         out.push(id);
                     }
@@ -178,7 +176,7 @@ impl<E: Endpoint> PreparedSampler for AitVPrepared<'_, E> {
             .iter()
             .map(|run| {
                 run.iter()
-                    .map(|k| self.aitv.bucket_members(k.id as usize).len())
+                    .map(|&bucket| self.aitv.bucket_members(bucket as usize).len())
                     .sum::<usize>()
             })
             .sum()
@@ -220,7 +218,7 @@ impl<E: Endpoint> PreparedSampler for AitVPrepared<'_, E> {
             stats.attempts += 1;
             let run = self.runs[alias.sample(rng)];
             let offset = rand::Rng::random_range(&mut *rng, 0..run.len());
-            let bucket = run[offset].id as usize;
+            let bucket = run[offset] as usize;
             let members = self.aitv.bucket_members(bucket);
             // Uniformity requires every bucket slot to carry equal mass, so
             // short tail buckets are topped up with "pseudo-intervals"
@@ -267,8 +265,8 @@ impl<E: Endpoint> RangeSampler<E> for AitV<E> {
         let runs = records
             .iter()
             .map(|rec| {
-                let list = self.virtual_ait.nodes[rec.node as usize].list(rec.kind);
-                &list[rec.start as usize..=rec.end as usize]
+                let ids = self.virtual_ait.nodes[rec.node as usize].ids(rec.kind);
+                &ids[rec.start as usize..=rec.end as usize]
             })
             .collect();
         AitVPrepared {

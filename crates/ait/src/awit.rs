@@ -1,7 +1,10 @@
 //! AWIT (§IV): the Augmented *Weighted* Interval Tree.
 //!
 //! Same shape as the AIT, but every sorted list carries a cumulative weight
-//! array (`Wl`, `Wr`, `AWl`, `AWr`). A node record's total weight is then
+//! array (`Wl`, `Wr`, `AWl`, `AWr`). A node wraps an AIT node (its key and
+//! id columns) and keeps the weights as one prefix column beside each
+//! column set, `AWl` then `Wl` and `AWr` then `Wr`, with the sums
+//! restarting where the `L` run begins. A node record's total weight is then
 //! two array lookups, so the per-query alias over `R` still costs
 //! `O(log n)`; drawing *inside* a record uses the cumulative-sum method on
 //! the prebuilt prefix array (`O(log n)` per draw, no per-query structure
@@ -9,7 +12,8 @@
 //! space (Corollaries 4 and 5). Updates are not supported (§IV's
 //! discussion: a single insertion shifts entire prefix arrays).
 
-use crate::build::{build_tree, BuildEntry, Key, NodeFactory, NIL};
+use crate::ait::{collect_tree_records, AitFactory, AitNode};
+use crate::build::{build_tree, BuildEntry, NodeFactory};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
@@ -19,65 +23,52 @@ use irs_sampling::{
     prefetch_read, sample_prefix_window_fill, window_index, window_mass, AliasTable,
 };
 
-/// An AWIT node: the four sorted lists plus their cumulative weight
-/// arrays, index-aligned (`w_*[j] = Σ_{k≤j} w(list[k])`).
+/// An AWIT node: the AIT node's two column sets plus a cumulative
+/// weight column beside each. `w_lo` holds `AWl` then `Wl`, aligned with
+/// `lists.lo`; `w_hi` holds `AWr` then `Wr`, aligned with `lists.hi`.
+/// Each prefix run restarts at the `split` boundary, so within a run
+/// `w[j] = Σ_{k≤j} w(list[k])`.
 #[derive(Debug)]
 pub(crate) struct AwitNode<E> {
-    pub(crate) center: E,
-    pub(crate) l_lo: Vec<Key<E>>,
-    pub(crate) l_hi: Vec<Key<E>>,
-    pub(crate) al_lo: Vec<Key<E>>,
-    pub(crate) al_hi: Vec<Key<E>>,
-    /// `Wl`: cumulative weights of `l_lo`.
-    pub(crate) w_l_lo: Vec<f64>,
-    /// `Wr`: cumulative weights of `l_hi`.
-    pub(crate) w_l_hi: Vec<f64>,
-    /// `AWl`: cumulative weights of `al_lo`.
-    pub(crate) w_al_lo: Vec<f64>,
-    /// `AWr`: cumulative weights of `al_hi`.
-    pub(crate) w_al_hi: Vec<f64>,
-    pub(crate) left: u32,
-    pub(crate) right: u32,
+    pub(crate) lists: AitNode<E>,
+    /// `AWl` then `Wl`: cumulative weights of the `lo` runs.
+    pub(crate) w_lo: Vec<f64>,
+    /// `AWr` then `Wr`: cumulative weights of the `hi` runs.
+    pub(crate) w_hi: Vec<f64>,
+}
+
+impl<E> AsRef<AitNode<E>> for AwitNode<E> {
+    fn as_ref(&self) -> &AitNode<E> {
+        &self.lists
+    }
 }
 
 impl<E: Endpoint> AwitNode<E> {
-    fn list(&self, kind: ListKind) -> &[Key<E>] {
+    /// The prefix run of list `kind`, aligned with its ids.
+    pub(crate) fn prefix(&self, kind: ListKind) -> &[f64] {
+        let split = self.lists.split as usize;
         match kind {
-            ListKind::Lo => &self.l_lo,
-            ListKind::Hi => &self.l_hi,
-            ListKind::AllHi => &self.al_hi,
-            ListKind::AllLo => &self.al_lo,
-        }
-    }
-
-    fn prefix(&self, kind: ListKind) -> &[f64] {
-        match kind {
-            ListKind::Lo => &self.w_l_lo,
-            ListKind::Hi => &self.w_l_hi,
-            ListKind::AllHi => &self.w_al_hi,
-            ListKind::AllLo => &self.w_al_lo,
+            ListKind::Lo => &self.w_lo[split..],
+            ListKind::Hi => &self.w_hi[split..],
+            ListKind::AllHi => &self.w_hi[..split],
+            ListKind::AllLo => &self.w_lo[..split],
         }
     }
 }
 
 struct AwitFactory;
 
-fn keys_and_prefix<E: Endpoint>(
-    entries: &[BuildEntry<E>],
-    key_of: impl Fn(&BuildEntry<E>) -> E,
-) -> (Vec<Key<E>>, Vec<f64>) {
-    let mut keys = Vec::with_capacity(entries.len());
-    let mut prefix = Vec::with_capacity(entries.len());
-    let mut acc = 0.0;
-    for e in entries {
-        keys.push(Key {
-            key: key_of(e),
-            id: e.id,
-        });
-        acc += e.w;
-        prefix.push(acc);
+/// The prefix sums of `all`, then, restarting from zero, of `here`.
+fn prefix_runs<E>(all: &[BuildEntry<E>], here: &[BuildEntry<E>]) -> Vec<f64> {
+    let mut prefix = Vec::with_capacity(all.len() + here.len());
+    for run in [all, here] {
+        let mut acc = 0.0;
+        for e in run {
+            acc += e.w;
+            prefix.push(acc);
+        }
     }
-    (keys, prefix)
+    prefix
 }
 
 impl<E: Endpoint> NodeFactory<E> for AwitFactory {
@@ -91,28 +82,15 @@ impl<E: Endpoint> NodeFactory<E> for AwitFactory {
         all_lo: &[BuildEntry<E>],
         all_hi: &[BuildEntry<E>],
     ) -> AwitNode<E> {
-        let (l_lo, w_l_lo) = keys_and_prefix(here_lo, |e| e.iv.lo);
-        let (l_hi, w_l_hi) = keys_and_prefix(here_hi, |e| e.iv.hi);
-        let (al_lo, w_al_lo) = keys_and_prefix(all_lo, |e| e.iv.lo);
-        let (al_hi, w_al_hi) = keys_and_prefix(all_hi, |e| e.iv.hi);
         AwitNode {
-            center,
-            l_lo,
-            l_hi,
-            al_lo,
-            al_hi,
-            w_l_lo,
-            w_l_hi,
-            w_al_lo,
-            w_al_hi,
-            left: NIL,
-            right: NIL,
+            lists: AitFactory.make(center, here_lo, here_hi, all_lo, all_hi),
+            w_lo: prefix_runs(all_lo, here_lo),
+            w_hi: prefix_runs(all_hi, here_hi),
         }
     }
 
     fn set_children(node: &mut AwitNode<E>, left: u32, right: u32) {
-        node.left = left;
-        node.right = right;
+        AitFactory::set_children(&mut node.lists, left, right);
     }
 }
 
@@ -185,81 +163,10 @@ impl<E: Endpoint> Awit<E> {
         self.height
     }
 
-    /// Algorithm 1's record computation — identical traversal to
-    /// [`crate::Ait`], duplicated here because the node layout differs.
-    /// Both children are prefetched while the current search resolves.
+    /// Algorithm 1's record set `R` ([`collect_tree_records`], the
+    /// same walk as the AIT's: an AWIT node wraps an AIT node).
     fn collect_records(&self, q: Interval<E>, records: &mut Vec<NodeRecord>) {
-        let nodes = self.nodes.as_slice();
-        let mut at = self.root;
-        while at != NIL {
-            let node = &nodes[at as usize];
-            // Pull the next level toward L1 while this node's binary
-            // search runs — whichever way the case split goes, the child
-            // header is resident by the time the descent arrives.
-            if node.left != NIL {
-                prefetch_read(&nodes[node.left as usize]);
-            }
-            if node.right != NIL {
-                prefetch_read(&nodes[node.right as usize]);
-            }
-            if q.hi < node.center {
-                let j = node.l_lo.partition_point(|k| k.key <= q.hi);
-                if j >= 1 {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Lo,
-                        start: 0,
-                        end: (j - 1) as u32,
-                    });
-                }
-                at = node.left;
-            } else if node.center < q.lo {
-                let j = node.l_hi.partition_point(|k| k.key < q.lo);
-                if j < node.l_hi.len() {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Hi,
-                        start: j as u32,
-                        end: (node.l_hi.len() - 1) as u32,
-                    });
-                }
-                at = node.right;
-            } else {
-                if !node.l_lo.is_empty() {
-                    records.push(NodeRecord {
-                        node: at,
-                        kind: ListKind::Lo,
-                        start: 0,
-                        end: (node.l_lo.len() - 1) as u32,
-                    });
-                }
-                if node.left != NIL {
-                    let child = &nodes[node.left as usize];
-                    let j = child.al_hi.partition_point(|k| k.key < q.lo);
-                    if j < child.al_hi.len() {
-                        records.push(NodeRecord {
-                            node: node.left,
-                            kind: ListKind::AllHi,
-                            start: j as u32,
-                            end: (child.al_hi.len() - 1) as u32,
-                        });
-                    }
-                }
-                if node.right != NIL {
-                    let child = &nodes[node.right as usize];
-                    let j = child.al_lo.partition_point(|k| k.key <= q.hi);
-                    if j >= 1 {
-                        records.push(NodeRecord {
-                            node: node.right,
-                            kind: ListKind::AllLo,
-                            start: 0,
-                            end: (j - 1) as u32,
-                        });
-                    }
-                }
-                break;
-            }
-        }
+        collect_tree_records(&self.nodes, self.root, q, records);
     }
 
     /// Sum of weights over `q ∩ X` in `O(log² n)` — the weighted analogue
@@ -275,12 +182,8 @@ impl<E: Endpoint> RangeSearch<E> for Awit<E> {
         let mut records = Vec::new();
         self.collect_records(q, &mut records);
         for rec in &records {
-            let list = self.nodes[rec.node as usize].list(rec.kind);
-            out.extend(
-                list[rec.start as usize..=rec.end as usize]
-                    .iter()
-                    .map(|k| k.id),
-            );
+            let ids = self.nodes[rec.node as usize].lists.ids(rec.kind);
+            out.extend_from_slice(&ids[rec.start as usize..=rec.end as usize]);
         }
     }
 }
@@ -299,13 +202,14 @@ impl<E: Endpoint> RangeCount<E> for Awit<E> {
 pub(crate) const DRAW_CHUNK: usize = 64;
 
 /// One record's draw context, resolved once per query at prepare time:
-/// the record's run of the list, its prefix window, and the window's
-/// base and total mass (two random reads into a large prefix array,
-/// otherwise paid per draw). Per draw this saves the node dereference,
-/// the `ListKind` dispatch, both slice computations, and the base/total
-/// loads. `run[i]` and `win[i]` describe the same interval.
-struct RecordRun<'a, E> {
-    run: &'a [Key<E>],
+/// the record's run of the `ids` column, its prefix window, and the
+/// window's base and total mass (two random reads into a large prefix
+/// array, otherwise paid per draw). Per draw this saves the node
+/// dereference, the `ListKind` dispatch, both slice computations, and
+/// the base/total loads. `run[i]` and `win[i]` describe the same
+/// interval.
+struct RecordRun<'a> {
+    run: &'a [ItemId],
     win: &'a [f64],
     base: f64,
     total: f64,
@@ -316,7 +220,8 @@ struct RecordRun<'a, E> {
 pub struct AwitPrepared<'a, E> {
     pub(crate) records: Vec<NodeRecord>,
     pub(crate) record_weights: Vec<f64>,
-    runs: Vec<RecordRun<'a, E>>,
+    runs: Vec<RecordRun<'a>>,
+    _endpoint: std::marker::PhantomData<E>,
 }
 
 impl<'a, E: Endpoint> AwitPrepared<'a, E> {
@@ -330,16 +235,17 @@ impl<'a, E: Endpoint> AwitPrepared<'a, E> {
     }
 
     /// Where a draw of mass `u` from record `k` lands, via the
-    /// cumulative-sum method on the prebuilt prefix array. `O(log n)`.
-    pub(crate) fn record_key(&self, k: usize, u: f64) -> &Key<E> {
+    /// cumulative-sum method on the prebuilt prefix array: the landing
+    /// entry of the `ids` column. `O(log n)`.
+    pub(crate) fn record_id(&self, k: usize, u: f64) -> &ItemId {
         let r = &self.runs[k];
         &r.run[window_index(r.win, u)]
     }
 
-    /// The AWIT positions (`Key.id`) of `q ∩ X`, record by record: the
-    /// order [`RangeSearch`] reports them in.
+    /// The AWIT positions (the `ids` column) of `q ∩ X`, record by
+    /// record: the order [`RangeSearch`] reports them in.
     pub(crate) fn positions(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.runs.iter().flat_map(|r| r.run.iter().map(|k| k.id))
+        self.runs.iter().flat_map(|r| r.run.iter().copied())
     }
 
     /// The node records (white-box inspection).
@@ -415,7 +321,7 @@ impl<E: Endpoint> PreparedSampler for AwitPrepared<'_, E> {
                 sample_prefix_window_fill(run.win, run.base, run.total, rng, group);
             }
         }
-        // Gather in two chunked passes: prefetch each resolved key, then
+        // Gather in two chunked passes: prefetch each resolved id, then
         // read the ids over lines the prefetches already pulled in.
         let mut pos = 0usize;
         while pos < s {
@@ -424,7 +330,7 @@ impl<E: Endpoint> PreparedSampler for AwitPrepared<'_, E> {
                 prefetch_read(&self.runs[ks[j as usize] as usize].run[idx as usize]);
             }
             for (&idx, &j) in idxs[pos..pos + c].iter().zip(&order[pos..pos + c]) {
-                out[base + j as usize] = self.runs[ks[j as usize] as usize].run[idx as usize].id;
+                out[base + j as usize] = self.runs[ks[j as usize] as usize].run[idx as usize];
             }
             pos += c;
         }
@@ -445,7 +351,7 @@ impl<E: Endpoint> WeightedRangeSampler<E> for Awit<E> {
             prefetch_read(&prefix[rec.end as usize]);
             prefetch_read(&prefix[rec.start as usize]);
         }
-        let runs: Vec<RecordRun<'_, E>> = records
+        let runs: Vec<RecordRun<'_>> = records
             .iter()
             .map(|rec| {
                 let node = &self.nodes[rec.node as usize];
@@ -457,7 +363,7 @@ impl<E: Endpoint> WeightedRangeSampler<E> for Awit<E> {
                 };
                 let span = rec.start as usize..=rec.end as usize;
                 RecordRun {
-                    run: &node.list(rec.kind)[span.clone()],
+                    run: &node.lists.ids(rec.kind)[span.clone()],
                     win: &prefix[span],
                     base,
                     total: prefix[rec.end as usize] - base,
@@ -469,6 +375,7 @@ impl<E: Endpoint> WeightedRangeSampler<E> for Awit<E> {
             records,
             record_weights,
             runs,
+            _endpoint: std::marker::PhantomData,
         }
     }
 }
@@ -477,14 +384,10 @@ impl<E: Endpoint> MemoryFootprint for Awit<E> {
     fn heap_bytes(&self) -> usize {
         let mut bytes = self.nodes.capacity() * std::mem::size_of::<AwitNode<E>>();
         for node in &self.nodes {
-            bytes += vec_bytes(&node.l_lo)
-                + vec_bytes(&node.l_hi)
-                + vec_bytes(&node.al_lo)
-                + vec_bytes(&node.al_hi)
-                + vec_bytes(&node.w_l_lo)
-                + vec_bytes(&node.w_l_hi)
-                + vec_bytes(&node.w_al_lo)
-                + vec_bytes(&node.w_al_hi);
+            bytes += node.lists.lo.heap_bytes()
+                + node.lists.hi.heap_bytes()
+                + vec_bytes(&node.w_lo)
+                + vec_bytes(&node.w_hi);
         }
         bytes
     }
@@ -627,6 +530,22 @@ mod tests {
         assert!(
             (1.2..2.6).contains(&ratio),
             "AWIT/AIT footprint ratio {ratio}"
+        );
+    }
+
+    #[test]
+    fn heap_bytes_are_node_slots_plus_twenty_bytes_per_entry() {
+        let data: Vec<_> = (0..3000).map(|i| iv(i % 977, i % 977 + i % 61)).collect();
+        let weights: Vec<f64> = (0..3000).map(|i| 1.0 + (i % 4) as f64).collect();
+        let awit = Awit::new(&data, &weights);
+        assert_eq!(std::mem::size_of::<AwitNode<i64>>(), 168);
+        let entries: usize = (awit.nodes.iter())
+            .map(|n| n.lists.lo.keys.len() + n.lists.hi.keys.len())
+            .sum();
+        assert_eq!(
+            awit.heap_bytes(),
+            awit.nodes.len() * 168 + entries * 20,
+            "a built tree holds its node slots and its entries at exact capacity"
         );
     }
 

@@ -2,12 +2,15 @@
 //!
 //! Both trees have the same shape (an interval tree whose nodes carry the
 //! augmented subtree lists); they differ only in what each node stores per
-//! entry (AWIT adds cumulative weights). The builder threads two pre-sorted
+//! entry (AWIT adds cumulative weights). Both store a node's lists as the
+//! same two column sets ([`Cols`]): one per endpoint side, each holding
+//! the subtree's `AL` run and then the node's own `L` run, as a key
+//! column and an id column. The builder threads two pre-sorted
 //! views of every subtree's interval set through the recursion so that no
 //! per-node sorting is needed: partitioning a sorted list stably keeps it
 //! sorted, making construction `O(n log n)` total.
 
-use irs_core::{Endpoint, Interval, ItemId};
+use irs_core::{vec_bytes, Endpoint, Interval, ItemId};
 
 /// Sentinel child index meaning "no child".
 pub(crate) const NIL: u32 = u32::MAX;
@@ -21,14 +24,47 @@ pub(crate) struct BuildEntry<E> {
     pub w: f64,
 }
 
-/// A sorted-list element of the final trees: one endpoint plus the
-/// interval's id. Storing single endpoints (not whole intervals) halves the
-/// footprint of the augmented lists; each query case only ever compares one
-/// endpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Key<E> {
-    pub key: E,
-    pub id: ItemId,
+/// One side of a tree node's sorted lists, stored as columns: the
+/// subtree's `AL` run first, then the node's own `L` run (the node's
+/// `split` says where one ends). Each entry is one endpoint and the
+/// interval's id, in two aligned columns: searches read only `keys`,
+/// draws and gathers only `ids`, so neither drags the other through the
+/// cache. Storing single endpoints (not whole intervals) halves the
+/// footprint of the augmented lists; each query case only ever compares
+/// one endpoint.
+#[derive(Clone, Debug)]
+pub(crate) struct Cols<E> {
+    pub keys: Vec<E>,
+    pub ids: Vec<ItemId>,
+}
+
+impl<E> Cols<E> {
+    pub(crate) fn new() -> Self {
+        Cols {
+            keys: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl<E: Endpoint> Cols<E> {
+    /// The columns of `all` then `here`, keyed by `key`, at exact
+    /// capacity.
+    pub(crate) fn of_runs(
+        all: &[BuildEntry<E>],
+        here: &[BuildEntry<E>],
+        key: impl Fn(&Interval<E>) -> E,
+    ) -> Self {
+        Cols {
+            keys: all.iter().chain(here).map(|e| key(&e.iv)).collect(),
+            ids: all.iter().chain(here).map(|e| e.id).collect(),
+        }
+    }
+
+    /// Heap bytes the two columns retain.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.keys) + vec_bytes(&self.ids)
+    }
 }
 
 /// How a tree type materializes a node from the builder's sorted slices.
@@ -78,6 +114,9 @@ pub(crate) fn build_tree<E: Endpoint, F: NodeFactory<E>>(
         height: 0,
     };
     tree.root = build_node(factory, by_lo, by_hi, 1, &mut tree.nodes, &mut tree.height);
+    // The arena grew by doubling; a decoded tree holds exactly its nodes,
+    // and so does a built one.
+    tree.nodes.shrink_to_fit();
     tree
 }
 

@@ -46,8 +46,8 @@ use irs_sampling::{prefetch_read, AliasTable};
 /// ```
 #[derive(Debug)]
 pub struct DynamicAwit<E> {
-    /// Built over the resident intervals in position order: its `Key.id`
-    /// values are positions into `slot_ids` and `records`.
+    /// Built over the resident intervals in position order: its `ids`
+    /// columns hold positions into `slot_ids` and `records`.
     pub(crate) awit: Awit<E>,
     /// AWIT position → public id, strictly increasing (ids survive
     /// rebuilds through this table, and lookups by id binary-search it).
@@ -267,8 +267,9 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
         // Attempts run in chunks, each in three passes: (1) every
         // attempt's alias draw and in-record mass, consuming the RNG
         // exactly as a draw-at-a-time loop does; (2) the window searches,
-        // each prefetching the key it lands on; (3) tombstone check on the
-        // key's AWIT position, then key → public id, in attempt order.
+        // each prefetching the `ids` entry it lands on; (3) tombstone
+        // check on that AWIT position, then position → public id, in
+        // attempt order.
         // Only the memory-bound passes are batched, so a chunk's cache
         // misses overlap instead of serializing, and seeded replay is
         // unchanged. A chunk never holds more attempts than are still due:
@@ -301,19 +302,19 @@ impl<E: Endpoint> PreparedSampler for DynamicAwitPrepared<'_, E> {
                     *u = self.inner.record_mass(*k, rng);
                 }
             }
-            let mut keys = [None; DRAW_CHUNK];
-            for ((key, &k), &u) in keys.iter_mut().zip(&ks[..c]).zip(&us[..c]) {
+            let mut found = [None; DRAW_CHUNK];
+            for ((slot, &k), &u) in found.iter_mut().zip(&ks[..c]).zip(&us[..c]) {
                 if k < n_rec {
-                    let found = self.inner.record_key(k, u);
-                    prefetch_read(found);
-                    *key = Some(found);
+                    let pos = self.inner.record_id(k, u);
+                    prefetch_read(pos);
+                    *slot = Some(pos);
                 }
             }
-            for (key, &k) in keys[..c].iter().zip(&ks[..c]) {
-                let id = match key {
+            for (slot, &k) in found[..c].iter().zip(&ks[..c]) {
+                let id = match *slot {
                     // Rejected: the conditional law stays exact.
-                    Some(key) if self.parent.is_tombstoned(key.id) => continue,
-                    Some(key) => self.parent.slot_ids[key.id as usize],
+                    Some(&pos) if self.parent.is_tombstoned(pos) => continue,
+                    Some(&pos) => self.parent.slot_ids[pos as usize],
                     None => self.pool_matches[k - n_rec].0,
                 };
                 out.push(id);
@@ -547,7 +548,7 @@ mod tests {
                 out.push(p.pool_matches[k - n_rec].0);
             } else {
                 let u = p.inner.record_mass(k, rng);
-                let pos = p.inner.record_key(k, u).id;
+                let pos = *p.inner.record_id(k, u);
                 if !p.parent.is_tombstoned(pos) {
                     out.push(p.parent.slot_ids[pos as usize]);
                 }

@@ -21,83 +21,261 @@
 use crate::ait::{Ait, AitNode};
 use crate::aitv::AitV;
 use crate::awit::{Awit, AwitNode};
-use crate::build::Key;
+use crate::build::Cols;
 use crate::dynamic_awit::DynamicAwit;
+use crate::records::ListKind;
 use irs_core::persist::{check_arena_link as check_link, Codec, PersistError, Reader};
 use irs_core::{Endpoint, Interval, ItemId};
 
-/// Whether every id stored in the tree's four lists (and, for the AIT,
-/// its pool) is below `bound` — used where a structure's ids index into
-/// a sibling table, so a corrupt id would panic at query time. All four
-/// lists are scanned: records can be served from any of them.
+/// Whether every id stored in the tree's lists (and, for the AIT, its
+/// pool) is below `bound` — used where a structure's ids index into a
+/// sibling table, so a corrupt id would panic at query time. Both
+/// column sets are scanned whole: records can be served from any run.
 fn ait_ids_below<E: Endpoint>(ait: &Ait<E>, bound: usize) -> bool {
-    let ok = |k: &Key<E>| (k.id as usize) < bound;
-    ait.nodes.iter().all(|n| {
-        n.l_lo.iter().all(ok)
-            && n.l_hi.iter().all(ok)
-            && n.al_lo.iter().all(ok)
-            && n.al_hi.iter().all(ok)
-    }) && ait.pool.iter().all(|&(_, id)| (id as usize) < bound)
+    ait.nodes.iter().all(|n| node_ids_below(n, bound))
+        && ait.pool.iter().all(|&(_, id)| (id as usize) < bound)
 }
 
 /// [`ait_ids_below`] for the AWIT's node lists.
 fn awit_ids_below<E: Endpoint>(awit: &Awit<E>, bound: usize) -> bool {
-    let ok = |k: &Key<E>| (k.id as usize) < bound;
-    awit.nodes.iter().all(|n| {
-        n.l_lo.iter().all(ok)
-            && n.l_hi.iter().all(ok)
-            && n.al_lo.iter().all(ok)
-            && n.al_hi.iter().all(ok)
+    awit.nodes.iter().all(|n| node_ids_below(&n.lists, bound))
+}
+
+fn node_ids_below<E>(node: &AitNode<E>, bound: usize) -> bool {
+    (node.lo.ids.iter().chain(&node.hi.ids)).all(|&id| (id as usize) < bound)
+}
+
+/// Reads a length prefix and refuses one beyond the remaining bytes —
+/// every element encodes to at least one byte — before anything is
+/// reserved, as `Vec::decode` does.
+fn decode_len(r: &mut Reader<'_>) -> Result<usize, PersistError> {
+    let len = usize::decode(r)?;
+    if len > r.remaining() {
+        return Err(PersistError::Truncated {
+            needed: len,
+            remaining: r.remaining(),
+        });
+    }
+    Ok(len)
+}
+
+/// Writes one list as the snapshot has always held it: its length, then
+/// interleaved `(key, id)` pairs.
+fn encode_list<E: Codec>(keys: &[E], ids: &[ItemId], out: &mut Vec<u8>) {
+    keys.len().encode_into(out);
+    for (key, id) in keys.iter().zip(ids) {
+        key.encode_into(out);
+        id.encode_into(out);
+    }
+}
+
+/// Reads one [`encode_list`] list onto the end of `cols`, leaving room
+/// for `extra` more.
+fn decode_list_into<E: Endpoint + Codec>(
+    r: &mut Reader<'_>,
+    cols: &mut Cols<E>,
+    extra: usize,
+) -> Result<(), PersistError> {
+    let len = decode_len(r)?;
+    cols.keys.reserve_exact(len + extra);
+    cols.ids.reserve_exact(len + extra);
+    for _ in 0..len {
+        cols.keys.push(E::decode(r)?);
+        cols.ids.push(ItemId::decode(r)?);
+    }
+    Ok(())
+}
+
+/// Reads a node's center and its four lists, `Ll, Lr, ALl, ALr`: the
+/// `L` lists wait in `scratch` until each `AL` list has been read into
+/// a column set of exact capacity, and then follow it.
+fn decode_lists<E: Endpoint + Codec>(
+    r: &mut Reader<'_>,
+    scratch: &mut NodeScratch<E>,
+) -> Result<(E, Cols<E>, Cols<E>), PersistError> {
+    let center = E::decode(r)?;
+    for l in [&mut scratch.l_lo, &mut scratch.l_hi] {
+        l.keys.clear();
+        l.ids.clear();
+        decode_list_into(r, l, 0)?;
+    }
+    let mut sides = [Cols::new(), Cols::new()];
+    for (side, l) in sides.iter_mut().zip([&scratch.l_lo, &scratch.l_hi]) {
+        decode_list_into(r, side, l.keys.len())?;
+        side.keys.extend_from_slice(&l.keys);
+        side.ids.extend_from_slice(&l.ids);
+    }
+    let [lo, hi] = sides;
+    Ok((center, lo, hi))
+}
+
+/// Writes one prefix run as a `Vec<f64>`: its length, then its sums.
+fn encode_prefix(w: &[f64], out: &mut Vec<u8>) {
+    w.len().encode_into(out);
+    for x in w {
+        x.encode_into(out);
+    }
+}
+
+/// Reads one [`encode_prefix`] run onto the end of `out`, leaving room
+/// for `extra` more, and refuses a run that cannot be the prefix sums of
+/// finite positive weights.
+fn decode_prefix_into(
+    r: &mut Reader<'_>,
+    out: &mut Vec<f64>,
+    extra: usize,
+) -> Result<(), PersistError> {
+    let len = decode_len(r)?;
+    out.reserve_exact(len + extra);
+    let mut prev = None;
+    for _ in 0..len {
+        let sum = f64::decode(r)?;
+        let what = if !sum.is_finite() {
+            "AWIT prefix run holds a non-finite sum"
+        } else if prev.is_none() && sum <= 0.0 {
+            "AWIT prefix run starts at a weight that is not positive"
+        } else if prev.is_some_and(|p| sum < p) {
+            "AWIT prefix run decreases"
+        } else {
+            prev = Some(sum);
+            out.push(sum);
+            continue;
+        };
+        return Err(PersistError::Corrupt { what });
+    }
+    Ok(())
+}
+
+/// Per-decode scratch: a node's `L` runs (and, for the AWIT, their
+/// prefix runs) wait here until the `AL` runs they follow in memory have
+/// been read. Reused across the nodes of one tree.
+struct NodeScratch<E> {
+    l_lo: Cols<E>,
+    l_hi: Cols<E>,
+    w_l_lo: Vec<f64>,
+    w_l_hi: Vec<f64>,
+}
+
+impl<E> NodeScratch<E> {
+    fn new() -> Self {
+        NodeScratch {
+            l_lo: Cols::new(),
+            l_hi: Cols::new(),
+            w_l_lo: Vec::new(),
+            w_l_hi: Vec::new(),
+        }
+    }
+}
+
+/// `|AL|` of a decoded node, refusing lists whose two sides disagree in
+/// length (one `split` serves both sides).
+fn split_of<E>(
+    lo: &Cols<E>,
+    hi: &Cols<E>,
+    l_len: (usize, usize),
+    what: &'static str,
+) -> Result<u32, PersistError> {
+    let (l_lo, l_hi) = l_len;
+    if l_lo != l_hi || lo.keys.len() != hi.keys.len() {
+        return Err(PersistError::Corrupt { what });
+    }
+    u32::try_from(lo.keys.len() - l_lo).map_err(|_| PersistError::Corrupt { what })
+}
+
+/// Node layout on disk: `center, Ll, Lr, ALl, ALr, left, right`, each
+/// list an [`encode_list`].
+fn encode_ait_node<E: Endpoint + Codec>(node: &AitNode<E>, out: &mut Vec<u8>) {
+    node.center.encode_into(out);
+    for kind in [ListKind::Lo, ListKind::Hi, ListKind::AllLo, ListKind::AllHi] {
+        encode_list(node.keys(kind), node.ids(kind), out);
+    }
+    node.left.encode_into(out);
+    node.right.encode_into(out);
+}
+
+fn decode_ait_node<E: Endpoint + Codec>(
+    r: &mut Reader<'_>,
+    scratch: &mut NodeScratch<E>,
+) -> Result<AitNode<E>, PersistError> {
+    let (center, lo, hi) = decode_lists(r, scratch)?;
+    let left = u32::decode(r)?;
+    let right = u32::decode(r)?;
+    let l_len = (scratch.l_lo.keys.len(), scratch.l_hi.keys.len());
+    let split = split_of(&lo, &hi, l_len, "AIT node: lo/hi list lengths disagree")?;
+    Ok(AitNode {
+        center,
+        lo,
+        hi,
+        split,
+        left,
+        right,
     })
 }
 
-impl<E: Endpoint + Codec> Codec for Key<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.key.encode_into(out);
-        self.id.encode_into(out);
+/// Node layout on disk: the AIT node's `center` and four lists, then
+/// `Wl, Wr, AWl, AWr` as `Vec<f64>`s, then `left, right`.
+fn encode_awit_node<E: Endpoint + Codec>(node: &AwitNode<E>, out: &mut Vec<u8>) {
+    let lists = &node.lists;
+    lists.center.encode_into(out);
+    let kinds = [ListKind::Lo, ListKind::Hi, ListKind::AllLo, ListKind::AllHi];
+    for kind in kinds {
+        encode_list(lists.keys(kind), lists.ids(kind), out);
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Key {
-            key: E::decode(r)?,
-            id: ItemId::decode(r)?,
-        })
+    for kind in kinds {
+        encode_prefix(node.prefix(kind), out);
     }
+    lists.left.encode_into(out);
+    lists.right.encode_into(out);
 }
 
-impl<E: Endpoint + Codec> Codec for AitNode<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.center.encode_into(out);
-        self.l_lo.encode_into(out);
-        self.l_hi.encode_into(out);
-        self.al_lo.encode_into(out);
-        self.al_hi.encode_into(out);
-        self.left.encode_into(out);
-        self.right.encode_into(out);
+fn decode_awit_node<E: Endpoint + Codec>(
+    r: &mut Reader<'_>,
+    scratch: &mut NodeScratch<E>,
+) -> Result<AwitNode<E>, PersistError> {
+    let (center, lo, hi) = decode_lists(r, scratch)?;
+    for w in [&mut scratch.w_l_lo, &mut scratch.w_l_hi] {
+        w.clear();
+        decode_prefix_into(r, w, 0)?;
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let node = AitNode {
-            center: E::decode(r)?,
-            l_lo: Vec::decode(r)?,
-            l_hi: Vec::decode(r)?,
-            al_lo: Vec::decode(r)?,
-            al_hi: Vec::decode(r)?,
-            left: u32::decode(r)?,
-            right: u32::decode(r)?,
-        };
-        if node.l_lo.len() != node.l_hi.len() || node.al_lo.len() != node.al_hi.len() {
-            return Err(PersistError::Corrupt {
-                what: "AIT node: lo/hi list lengths disagree",
-            });
-        }
-        Ok(node)
+    let mut w_sides = [Vec::new(), Vec::new()];
+    for (w, l) in w_sides.iter_mut().zip([&scratch.w_l_lo, &scratch.w_l_hi]) {
+        decode_prefix_into(r, w, l.len())?;
+        w.extend_from_slice(l);
     }
+    let [w_lo, w_hi] = w_sides;
+    let left = u32::decode(r)?;
+    let right = u32::decode(r)?;
+    if scratch.w_l_lo.len() != scratch.l_lo.keys.len()
+        || scratch.w_l_hi.len() != scratch.l_hi.keys.len()
+        || w_lo.len() != lo.keys.len()
+        || w_hi.len() != hi.keys.len()
+    {
+        return Err(PersistError::Corrupt {
+            what: "AWIT node: list and prefix-array lengths disagree",
+        });
+    }
+    let l_len = (scratch.l_lo.keys.len(), scratch.l_hi.keys.len());
+    let split = split_of(&lo, &hi, l_len, "AWIT node: lo/hi list lengths disagree")?;
+    Ok(AwitNode {
+        lists: AitNode {
+            center,
+            lo,
+            hi,
+            split,
+            left,
+            right,
+        },
+        w_lo,
+        w_hi,
+    })
 }
 
 impl<E: Endpoint + Codec> Codec for Ait<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.nodes.encode_into(out);
+        self.nodes.len().encode_into(out);
+        for node in &self.nodes {
+            encode_ait_node(node, out);
+        }
         self.root.encode_into(out);
         self.len.encode_into(out);
         self.height.encode_into(out);
@@ -107,7 +285,12 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let nodes: Vec<AitNode<E>> = Vec::decode(r)?;
+        let count = decode_len(r)?;
+        let mut nodes = Vec::with_capacity(count);
+        let mut scratch = NodeScratch::new();
+        for _ in 0..count {
+            nodes.push(decode_ait_node(r, &mut scratch)?);
+        }
         let root = u32::decode(r)?;
         check_link(root, nodes.len(), "AIT root out of range")?;
         for node in &nodes {
@@ -123,10 +306,10 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
             pool: Vec::decode(r)?,
             pool_capacity: usize::decode(r)?,
         };
-        // Every stored id sits in exactly one node's `l_lo` or in the
+        // Every stored id sits in exactly one node's `Ll` run or in the
         // pool; one at or above `next_id` would be issued again by the
         // next insert.
-        let mut ids = (ait.nodes.iter().flat_map(|n| &n.l_lo).map(|k| k.id))
+        let mut ids = (ait.nodes.iter().flat_map(|n| n.ids(ListKind::Lo)).copied())
             .chain(ait.pool.iter().map(|&(_, id)| id));
         if ids.any(|id| id >= ait.next_id) {
             return Err(PersistError::Corrupt {
@@ -177,61 +360,28 @@ impl<E: Endpoint + Codec> Codec for AitV<E> {
     }
 }
 
-impl<E: Endpoint + Codec> Codec for AwitNode<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.center.encode_into(out);
-        self.l_lo.encode_into(out);
-        self.l_hi.encode_into(out);
-        self.al_lo.encode_into(out);
-        self.al_hi.encode_into(out);
-        self.w_l_lo.encode_into(out);
-        self.w_l_hi.encode_into(out);
-        self.w_al_lo.encode_into(out);
-        self.w_al_hi.encode_into(out);
-        self.left.encode_into(out);
-        self.right.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let node = AwitNode {
-            center: E::decode(r)?,
-            l_lo: Vec::decode(r)?,
-            l_hi: Vec::decode(r)?,
-            al_lo: Vec::decode(r)?,
-            al_hi: Vec::decode(r)?,
-            w_l_lo: Vec::decode(r)?,
-            w_l_hi: Vec::decode(r)?,
-            w_al_lo: Vec::decode(r)?,
-            w_al_hi: Vec::decode(r)?,
-            left: u32::decode(r)?,
-            right: u32::decode(r)?,
-        };
-        if node.l_lo.len() != node.w_l_lo.len()
-            || node.l_hi.len() != node.w_l_hi.len()
-            || node.al_lo.len() != node.w_al_lo.len()
-            || node.al_hi.len() != node.w_al_hi.len()
-        {
-            return Err(PersistError::Corrupt {
-                what: "AWIT node: list and prefix-array lengths disagree",
-            });
-        }
-        Ok(node)
-    }
-}
-
 impl<E: Endpoint + Codec> Codec for Awit<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.nodes.encode_into(out);
+        self.nodes.len().encode_into(out);
+        for node in &self.nodes {
+            encode_awit_node(node, out);
+        }
         self.root.encode_into(out);
         self.len.encode_into(out);
         self.height.encode_into(out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let nodes: Vec<AwitNode<E>> = Vec::decode(r)?;
+        let count = decode_len(r)?;
+        let mut nodes = Vec::with_capacity(count);
+        let mut scratch = NodeScratch::new();
+        for _ in 0..count {
+            nodes.push(decode_awit_node(r, &mut scratch)?);
+        }
         let root = u32::decode(r)?;
         check_link(root, nodes.len(), "AWIT root out of range")?;
         for node in &nodes {
+            let node = &node.lists;
             check_link(node.left, nodes.len(), "AWIT child link out of range")?;
             check_link(node.right, nodes.len(), "AWIT child link out of range")?;
         }
@@ -290,6 +440,15 @@ impl<E: Endpoint + Codec> Codec for DynamicAwit<E> {
         if !slot_ids.is_sorted_by(|a, b| a < b) {
             return corrupt("dynamic AWIT: slot ids are not strictly increasing");
         }
+        // Every live weight passed `insert`'s or `new`'s gate; one that
+        // fails it would poison the alias tables and the live mass.
+        let valid = |w: f64| w > 0.0 && w.is_finite();
+        if !resident.iter().all(|&(_, (_, w))| valid(w)) {
+            return corrupt("dynamic AWIT: resident weight is not finite and positive");
+        }
+        if !pool.iter().all(|&(_, _, w)| valid(w)) {
+            return corrupt("dynamic AWIT: pool weight is not finite and positive");
+        }
         let (resident_ids, records): (Vec<ItemId>, Vec<_>) = resident.into_iter().unzip();
         if resident_ids != slot_ids {
             return corrupt("dynamic AWIT: resident ids are not the slot ids");
@@ -336,7 +495,7 @@ impl<E: Endpoint + Codec> Codec for DynamicAwit<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irs_core::{RangeSampler, RangeSearch, WeightedRangeSampler};
+    use irs_core::{MemoryFootprint, RangeSampler, RangeSearch, WeightedRangeSampler};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn iv(lo: i64, hi: i64) -> Interval<i64> {
@@ -429,6 +588,61 @@ mod tests {
     }
 
     #[test]
+    fn awit_prefix_runs_must_be_positive_finite_sums() {
+        let data: Vec<_> = (0..120).map(|i| iv(i % 40, i % 40 + 9)).collect();
+        let awit = Awit::new(&data, &vec![2.0; 120]);
+        let root = awit.root as usize;
+        let split = awit.nodes[root].lists.split as usize;
+        let cases: [(usize, f64, &str); 4] = [
+            (0, f64::NAN, "AWIT prefix run holds a non-finite sum"),
+            (
+                split,
+                f64::INFINITY,
+                "AWIT prefix run holds a non-finite sum",
+            ),
+            (
+                0,
+                0.0,
+                "AWIT prefix run starts at a weight that is not positive",
+            ),
+            (1, 1.0, "AWIT prefix run decreases"),
+        ];
+        for (at, sum, what) in cases {
+            let mut forged = Awit::new(&data, &vec![2.0; 120]);
+            forged.nodes[root].w_lo[at] = sum;
+            let mut buf = Vec::new();
+            forged.encode_into(&mut buf);
+            let mut r = Reader::new(&buf);
+            assert_eq!(
+                Awit::<i64>::decode(&mut r).unwrap_err(),
+                PersistError::Corrupt { what },
+                "prefix[{at}] = {sum}"
+            );
+        }
+    }
+
+    #[test]
+    fn decoded_trees_hold_the_built_layout_at_exact_capacity() {
+        let data: Vec<_> = (0..500).map(|i| iv(i % 97, i % 97 + i % 23)).collect();
+        let ait = Ait::new(&data);
+        let restored = roundtrip(&ait);
+        assert_eq!(restored.heap_bytes(), ait.heap_bytes());
+        for (a, b) in ait.nodes.iter().zip(&restored.nodes) {
+            assert_eq!(
+                (a.split, &a.lo.keys, &a.hi.ids),
+                (b.split, &b.lo.keys, &b.hi.ids)
+            );
+        }
+        let weights: Vec<f64> = (0..500).map(|i| 1.0 + (i % 3) as f64).collect();
+        let awit = Awit::new(&data, &weights);
+        let restored = roundtrip(&awit);
+        assert_eq!(restored.heap_bytes(), awit.heap_bytes());
+        for (a, b) in awit.nodes.iter().zip(&restored.nodes) {
+            assert_eq!((&a.w_lo, &a.w_hi), (&b.w_lo, &b.w_hi));
+        }
+    }
+
+    #[test]
     fn corrupt_links_are_refused() {
         let ait = Ait::new(&(0..50).map(|i| iv(i, i + 5)).collect::<Vec<_>>());
         let mut buf = Vec::new();
@@ -436,7 +650,7 @@ mod tests {
         // The root index is encoded right after the node vector; rather
         // than compute its offset, decode a tree whose root is forged.
         let mut forged = Vec::new();
-        Vec::<AitNode<i64>>::new().encode_into(&mut forged); // zero nodes
+        0usize.encode_into(&mut forged); // zero nodes
         7u32.encode_into(&mut forged); // root = 7 into an empty arena
         0usize.encode_into(&mut forged);
         0usize.encode_into(&mut forged);

@@ -1,10 +1,181 @@
 //! AIT updates (§III-D): one-by-one insertion, pooled batch insertion, and
 //! deletion, with a height-triggered rebuild that preserves the `O(log n)`
 //! height bound Algorithm 1's analysis depends on.
+//!
+//! Each side of a node is one column set holding the `AL` run and then
+//! the `L` run, so an update that touches both runs of a side (the
+//! home node of an insert or delete) shifts the side once: entries
+//! between the two gaps move by one, entries past the `L` gap by two.
 
 use crate::ait::{Ait, AitNode};
-use crate::build::{BuildEntry, Key, NIL};
+use crate::build::{BuildEntry, Cols, NIL};
+use crate::records::ListKind;
 use irs_core::{Endpoint, Interval, ItemId};
+use std::ops::Range;
+
+/// One list entry a pooled interval adds to one node: `in_l` says
+/// whether it joins the node's `L` run or its `AL` run. The derived
+/// order groups a flush's entries by node, then `AL` before `L`, then by
+/// `(key, id)`: the order each run keeps.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Added<E> {
+    node: u32,
+    in_l: bool,
+    key: E,
+    id: ItemId,
+}
+
+/// Where `(key, id)` belongs in a run sorted by `(key, id)`.
+fn sorted_position<E: Endpoint>(keys: &[E], ids: &[ItemId], key: E, id: ItemId) -> usize {
+    let ties = equal_keys(keys, key);
+    ties.start + ids[ties].partition_point(|&x| x < id)
+}
+
+/// Where `(key, id)` sits in a run sorted by key, if it does.
+fn find<E: Endpoint>(keys: &[E], ids: &[ItemId], key: E, id: ItemId) -> Option<usize> {
+    let ties = equal_keys(keys, key);
+    let at = ids[ties.clone()].iter().position(|&x| x == id)?;
+    Some(ties.start + at)
+}
+
+/// The span of entries whose key is `key` in the sorted `keys`.
+fn equal_keys<E: Endpoint>(keys: &[E], key: E) -> Range<usize> {
+    let first = keys.partition_point(|&k| k < key);
+    first..first + keys[first..].partition_point(|&k| k <= key)
+}
+
+/// Inserts `a` before position `i` and `b` before position `j` (`i ≤ j`,
+/// both in the column as it is), moving each entry once.
+fn insert_two<T: Copy>(v: &mut Vec<T>, i: usize, a: T, j: usize, b: T) {
+    let len = v.len();
+    v.extend([b, b]);
+    v.copy_within(j..len, j + 2);
+    v.copy_within(i..j, i + 1);
+    v[i] = a;
+    v[j + 1] = b;
+}
+
+/// Removes the entries at positions `i < j`, moving each survivor once.
+fn remove_two<T: Copy>(v: &mut Vec<T>, i: usize, j: usize) {
+    let len = v.len();
+    v.copy_within(i + 1..j, i);
+    v.copy_within(j + 1..len, j - 1);
+    v.truncate(len - 2);
+}
+
+/// Merges the sorted `adds` into the run `run` of `side`, filling from
+/// the back. The column has already grown by every entry this merge and
+/// the merges right of it add; the run's entries end up `shift` slots
+/// further right, together with the `adds`.
+fn merge_back<E: Endpoint>(side: &mut Cols<E>, run: Range<usize>, shift: usize, adds: &[Added<E>]) {
+    let (keys, ids) = (&mut side.keys, &mut side.ids);
+    let mut i = run.end;
+    let mut w = run.end + shift + adds.len();
+    for add in adds.iter().rev() {
+        while i > run.start && (keys[i - 1], ids[i - 1]) > (add.key, add.id) {
+            i -= 1;
+            w -= 1;
+            keys[w] = keys[i];
+            ids[w] = ids[i];
+        }
+        w -= 1;
+        keys[w] = add.key;
+        ids[w] = add.id;
+    }
+    // The entries left of every add move as one block, if at all.
+    if shift > 0 {
+        keys.copy_within(run.start..i, run.start + shift);
+        ids.copy_within(run.start..i, run.start + shift);
+    }
+}
+
+/// Merges one node's pooled entries (`adds`, in [`Added`] order) on
+/// `side`: the column grows once, the `L` run merges from the back,
+/// then the `AL` run.
+fn merge_side<E: Endpoint>(side: &mut Cols<E>, split: usize, adds: &[Added<E>]) {
+    let Some(fill) = adds.first() else {
+        return;
+    };
+    let (al, l) = adds.split_at(adds.partition_point(|a| !a.in_l));
+    let len = side.keys.len();
+    side.keys.resize(len + adds.len(), fill.key);
+    side.ids.resize(len + adds.len(), fill.id);
+    merge_back(side, split..len, al.len(), l);
+    merge_back(side, 0..split, 0, al);
+}
+
+impl<E: Endpoint> AitNode<E> {
+    /// A leaf holding one interval: its center stabs the interval (with
+    /// an order-only endpoint type the left endpoint is the natural
+    /// pick), so the interval is both the node's `AL` and its `L`.
+    fn leaf(iv: Interval<E>, id: ItemId) -> Self {
+        AitNode {
+            center: iv.lo,
+            lo: Cols {
+                keys: vec![iv.lo; 2],
+                ids: vec![id; 2],
+            },
+            hi: Cols {
+                keys: vec![iv.hi; 2],
+                ids: vec![id; 2],
+            },
+            split: 1,
+            left: NIL,
+            right: NIL,
+        }
+    }
+
+    /// Adds `(iv, id)` to both `AL` runs, and, at its home node (`home`),
+    /// to both `L` runs too, at their sorted positions.
+    fn add(&mut self, iv: Interval<E>, id: ItemId, home: bool) {
+        let split = self.split as usize;
+        for (side, key) in [(&mut self.lo, iv.lo), (&mut self.hi, iv.hi)] {
+            let (keys, ids) = (&side.keys, &side.ids);
+            let al = sorted_position(&keys[..split], &ids[..split], key, id);
+            if home {
+                let l = split + sorted_position(&keys[split..], &ids[split..], key, id);
+                insert_two(&mut side.keys, al, key, l, key);
+                insert_two(&mut side.ids, al, id, l, id);
+            } else {
+                side.keys.insert(al, key);
+                side.ids.insert(al, id);
+            }
+        }
+        self.split += 1;
+    }
+
+    /// Removes `(iv, id)` from both `AL` runs, and, at its home node,
+    /// from both `L` runs. A node missing any of those entries is left
+    /// as it is.
+    fn remove(&mut self, iv: Interval<E>, id: ItemId, home: bool) {
+        let split = self.split as usize;
+        let locate = |side: &Cols<E>, key: E| {
+            let al = find(&side.keys[..split], &side.ids[..split], key, id)?;
+            if !home {
+                return Some((al, None));
+            }
+            let l = find(&side.keys[split..], &side.ids[split..], key, id)?;
+            Some((al, Some(split + l)))
+        };
+        let (Some(lo), Some(hi)) = (locate(&self.lo, iv.lo), locate(&self.hi, iv.hi)) else {
+            debug_assert!(false, "remove: ({iv:?}, {id}) not found");
+            return;
+        };
+        for (side, (al, l)) in [(&mut self.lo, lo), (&mut self.hi, hi)] {
+            match l {
+                Some(l) => {
+                    remove_two(&mut side.keys, al, l);
+                    remove_two(&mut side.ids, al, l);
+                }
+                None => {
+                    side.keys.remove(al);
+                    side.ids.remove(al);
+                }
+            }
+        }
+        self.split -= 1;
+    }
+}
 
 impl<E: Endpoint> Ait<E> {
     /// Height above which an insertion triggers a full rebuild
@@ -16,13 +187,18 @@ impl<E: Endpoint> Ait<E> {
 
     /// Inserts `iv` immediately (one-by-one insertion), returning its new
     /// id. Walks the same cases as Algorithm 1: cases 1/2 update the
-    /// visited node's `AL` lists and descend; case 3 additionally updates
-    /// the node's own `L` lists and stops. Cost is dominated by the sorted
-    /// `Vec::insert`s — this is exactly the expensive path Table VII
+    /// visited node's `AL` runs and descend; case 3 additionally updates
+    /// the node's own `L` runs and stops. Cost is dominated by the sorted
+    /// column shifts — this is exactly the expensive path Table VII
     /// measures against batch insertion.
     pub fn insert(&mut self, iv: Interval<E>) -> ItemId {
         let id = self.alloc_id();
-        self.place(iv, id, None);
+        self.len += 1;
+        let mut path = Vec::new();
+        let stabbed = self.route(iv, id, &mut path);
+        for (k, &at) in path.iter().enumerate() {
+            self.nodes[at as usize].add(iv, id, stabbed && k + 1 == path.len());
+        }
         if self.height > self.height_limit() {
             self.rebuild();
         }
@@ -31,7 +207,7 @@ impl<E: Endpoint> Ait<E> {
 
     /// Buffers `iv` in the insertion pool (batch insertion). The pool is
     /// scanned linearly by queries; once it reaches `⌈log₂ n⌉²` entries it
-    /// is flushed into the tree in one pass, sorting each touched list
+    /// is flushed into the tree in one pass, merging each touched run
     /// once instead of shifting it per insertion.
     pub fn insert_buffered(&mut self, iv: Interval<E>) -> ItemId {
         let id = self.alloc_id();
@@ -48,27 +224,48 @@ impl<E: Endpoint> Ait<E> {
         self.pool.len()
     }
 
-    /// Merges every pooled interval into the tree, then re-sorts only the
-    /// lists that were touched.
+    /// Merges every pooled interval into the tree: routes each one,
+    /// sorts what the pool adds by node and then by `(key, id)`, and
+    /// merges every touched run of every touched node once.
     pub fn flush_pool(&mut self) {
         if self.pool.is_empty() {
             return;
         }
         let pool = std::mem::take(&mut self.pool);
-        let mut dirty: Vec<u32> = Vec::new();
+        let (mut adds_lo, mut adds_hi) = (Vec::new(), Vec::new());
+        let mut path = Vec::new();
         for (iv, id) in pool {
-            // `len` was already bumped when the entry joined the pool.
-            self.len -= 1;
-            self.place(iv, id, Some(&mut dirty));
+            path.clear();
+            let stabbed = self.route(iv, id, &mut path);
+            // Every path node gains the interval in its `AL` runs; the
+            // node whose center it stabs, in its `L` runs too.
+            let home = path.last().filter(|_| stabbed).map(|&node| (node, true));
+            for (node, in_l) in path.iter().map(|&node| (node, false)).chain(home) {
+                adds_lo.push(Added {
+                    node,
+                    in_l,
+                    key: iv.lo,
+                    id,
+                });
+                adds_hi.push(Added {
+                    node,
+                    in_l,
+                    key: iv.hi,
+                    id,
+                });
+            }
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &at in &dirty {
-            let node = &mut self.nodes[at as usize];
-            node.l_lo.sort_unstable_by_key(|a| (a.key, a.id));
-            node.l_hi.sort_unstable_by_key(|a| (a.key, a.id));
-            node.al_lo.sort_unstable_by_key(|a| (a.key, a.id));
-            node.al_hi.sort_unstable_by_key(|a| (a.key, a.id));
+        adds_lo.sort_unstable();
+        adds_hi.sort_unstable();
+        for (lo, hi) in adds_lo
+            .chunk_by(|a, b| a.node == b.node)
+            .zip(adds_hi.chunk_by(|a, b| a.node == b.node))
+        {
+            let node = &mut self.nodes[lo[0].node as usize];
+            let split = node.split as usize;
+            merge_side(&mut node.lo, split, lo);
+            merge_side(&mut node.hi, split, hi);
+            node.split += lo.partition_point(|a| !a.in_l) as u32;
         }
         if self.height > self.height_limit() {
             self.rebuild();
@@ -81,85 +278,55 @@ impl<E: Endpoint> Ait<E> {
         id
     }
 
-    /// Routes `(iv, id)` to its node. With `dirty` the keys are appended
-    /// and every touched node is recorded so the caller can re-sort its
-    /// lists once; without it, keys are inserted at their sorted
-    /// position.
-    fn place(&mut self, iv: Interval<E>, id: ItemId, mut dirty: Option<&mut Vec<u32>>) {
-        let defer_sort = dirty.is_some();
-        self.len += 1;
+    /// Walks `(iv, id)`'s insertion path, appending the nodes that gain
+    /// it in their lists to `path`, and returns whether the last of them
+    /// is its home (the node whose center it stabs). Otherwise the path
+    /// ran off the tree, and ends in a new leaf that already holds the
+    /// interval and is not on `path`.
+    fn route(&mut self, iv: Interval<E>, id: ItemId, path: &mut Vec<u32>) -> bool {
         if self.root == NIL {
             self.root = self.new_leaf(iv, id);
             self.height = 1;
-            return;
+            return false;
         }
         let mut at = self.root;
-        let mut depth = 1usize;
         loop {
             // Every node on the path gains the interval in its subtree
             // lists — including the case-3 stop node, whose AL lists must
             // keep covering its own L lists for parent-fork queries.
-            Self::add_key(&mut self.nodes[at as usize].al_lo, iv.lo, id, defer_sort);
-            Self::add_key(&mut self.nodes[at as usize].al_hi, iv.hi, id, defer_sort);
-            if let Some(dirty) = dirty.as_deref_mut() {
-                dirty.push(at);
-            }
+            path.push(at);
             let node = &self.nodes[at as usize];
-            if iv.hi < node.center {
-                if node.left == NIL {
-                    let leaf = self.new_leaf(iv, id);
-                    self.nodes[at as usize].left = leaf;
-                    self.height = self.height.max(depth + 1);
-                    return;
-                }
-                at = node.left;
+            let next = if iv.hi < node.center {
+                node.left
             } else if iv.lo > node.center {
-                if node.right == NIL {
-                    let leaf = self.new_leaf(iv, id);
-                    self.nodes[at as usize].right = leaf;
-                    self.height = self.height.max(depth + 1);
-                    return;
-                }
-                at = node.right;
+                node.right
             } else {
+                return true;
+            };
+            if next == NIL {
+                let leaf = self.new_leaf(iv, id);
                 let node = &mut self.nodes[at as usize];
-                Self::add_key(&mut node.l_lo, iv.lo, id, defer_sort);
-                Self::add_key(&mut node.l_hi, iv.hi, id, defer_sort);
-                return;
+                if iv.hi < node.center {
+                    node.left = leaf;
+                } else {
+                    node.right = leaf;
+                }
+                self.height = self.height.max(path.len() + 1);
+                return false;
             }
-            depth += 1;
-        }
-    }
-
-    fn add_key(list: &mut Vec<Key<E>>, key: E, id: ItemId, defer_sort: bool) {
-        if defer_sort {
-            list.push(Key { key, id });
-        } else {
-            let pos = list.partition_point(|k| (k.key, k.id) < (key, id));
-            list.insert(pos, Key { key, id });
+            at = next;
         }
     }
 
     fn new_leaf(&mut self, iv: Interval<E>, id: ItemId) -> u32 {
-        // A leaf's center must stab its single interval; with an
-        // order-only endpoint type the left endpoint is the natural pick.
-        let node = AitNode {
-            center: iv.lo,
-            l_lo: vec![Key { key: iv.lo, id }],
-            l_hi: vec![Key { key: iv.hi, id }],
-            al_lo: vec![Key { key: iv.lo, id }],
-            al_hi: vec![Key { key: iv.hi, id }],
-            left: NIL,
-            right: NIL,
-        };
         let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
+        self.nodes.push(AitNode::leaf(iv, id));
         idx
     }
 
     /// Deletes the interval `(iv, id)` if present (in the tree or the
     /// pool), returning whether it was found. Removes the interval from
-    /// the `AL` lists of every node on its path and from the `L` lists of
+    /// the `AL` runs of every node on its path and from the `L` runs of
     /// its home node, then prunes emptied leaves.
     pub fn delete(&mut self, iv: Interval<E>, id: ItemId) -> bool {
         if let Some(pos) = self
@@ -189,45 +356,18 @@ impl<E: Endpoint> Ait<E> {
                 break at;
             }
         };
-        if !Self::contains_key(&self.nodes[home as usize].l_lo, iv.lo, id) {
+        let node = &self.nodes[home as usize];
+        let (keys, ids) = (node.keys(ListKind::Lo), node.ids(ListKind::Lo));
+        if find(keys, ids, iv.lo, id).is_none() {
             return false;
         }
-
         for &n in &path {
-            let node = &mut self.nodes[n as usize];
-            Self::remove_key(&mut node.al_lo, iv.lo, id);
-            Self::remove_key(&mut node.al_hi, iv.hi, id);
+            self.nodes[n as usize].remove(iv, id, n == home);
         }
-        let node = &mut self.nodes[home as usize];
-        Self::remove_key(&mut node.l_lo, iv.lo, id);
-        Self::remove_key(&mut node.l_hi, iv.hi, id);
         self.len -= 1;
 
         self.prune_path(&path);
         true
-    }
-
-    fn contains_key(list: &[Key<E>], key: E, id: ItemId) -> bool {
-        let mut pos = list.partition_point(|k| k.key < key);
-        while pos < list.len() && list[pos].key == key {
-            if list[pos].id == id {
-                return true;
-            }
-            pos += 1;
-        }
-        false
-    }
-
-    fn remove_key(list: &mut Vec<Key<E>>, key: E, id: ItemId) {
-        let mut pos = list.partition_point(|k| k.key < key);
-        while pos < list.len() && list[pos].key == key {
-            if list[pos].id == id {
-                list.remove(pos);
-                return;
-            }
-            pos += 1;
-        }
-        debug_assert!(false, "remove_key: ({key:?}, {id}) not found");
     }
 
     /// Unlinks nodes along `path` (bottom-up) that hold no intervals at all
@@ -236,7 +376,7 @@ impl<E: Endpoint> Ait<E> {
     fn prune_path(&mut self, path: &[u32]) {
         for w in (1..path.len()).rev() {
             let child = path[w];
-            if !self.nodes[child as usize].al_lo.is_empty() {
+            if self.nodes[child as usize].split != 0 {
                 break;
             }
             let parent = &mut self.nodes[path[w - 1] as usize];
@@ -247,7 +387,7 @@ impl<E: Endpoint> Ait<E> {
             }
         }
         if let Some(&root) = path.first() {
-            if self.nodes[root as usize].al_lo.is_empty() {
+            if self.nodes[root as usize].split == 0 {
                 self.root = NIL;
                 self.nodes.clear();
                 self.height = 0;
@@ -257,24 +397,33 @@ impl<E: Endpoint> Ait<E> {
 
     /// All live `(interval, id)` pairs — tree and insertion pool alike —
     /// in no particular order, reconstructed in `O(n log n)` by joining
-    /// each node's two `L` lists on id (both hold exactly the node's
+    /// each node's two `L` runs on id (both hold exactly the node's
     /// interval set). This is how [`Ait::rebuild`] recovers its input,
     /// and how callers that track intervals by id alone (the engine's
     /// delete-by-id table) can seed their lookup lazily instead of
     /// mirroring every build.
     pub fn entries(&self) -> Vec<(Interval<E>, ItemId)> {
         let mut out = Vec::with_capacity(self.len);
+        let by_id = |node: &AitNode<E>, kind| -> Vec<(ItemId, E)> {
+            let mut pairs: Vec<(ItemId, E)> = node
+                .ids(kind)
+                .iter()
+                .copied()
+                .zip(node.keys(kind).iter().copied())
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
         for node in &self.nodes {
-            if node.l_lo.is_empty() {
+            if node.l_len() == 0 {
                 continue;
             }
-            let mut by_id_lo: Vec<&Key<E>> = node.l_lo.iter().collect();
-            let mut by_id_hi: Vec<&Key<E>> = node.l_hi.iter().collect();
-            by_id_lo.sort_unstable_by_key(|k| k.id);
-            by_id_hi.sort_unstable_by_key(|k| k.id);
-            for (klo, khi) in by_id_lo.iter().zip(&by_id_hi) {
-                debug_assert_eq!(klo.id, khi.id);
-                out.push((Interval::new(klo.key, khi.key), klo.id));
+            for ((id, lo), (id_hi, hi)) in by_id(node, ListKind::Lo)
+                .into_iter()
+                .zip(by_id(node, ListKind::Hi))
+            {
+                debug_assert_eq!(id, id_hi);
+                out.push((Interval::new(lo, hi), id));
             }
         }
         out.extend(self.pool.iter().copied());

@@ -1282,14 +1282,25 @@ impl<E: GridEndpoint> Engine<E> {
                 expected: E::type_name(),
             });
         }
+        let lens_sum = (manifest.shard_lens.iter()).try_fold(0usize, |sum, &n| sum.checked_add(n));
+        if lens_sum != Some(manifest.len) {
+            return Err(PersistError::Corrupt {
+                what: "manifest length is not the sum of its shard lengths",
+            });
+        }
         let mut indexes: Vec<Box<dyn DynIndex<E>>> = Vec::with_capacity(manifest.shards);
-        for k in 0..manifest.shards {
+        for (k, &shard_len) in manifest.shard_lens.iter().enumerate() {
             let shard = persist::read_shard_payload(dir, &manifest, k)?;
             let mut r = irs_core::persist::Reader::new(shard.payload());
             let index = kind.decode_index::<E>(&mut r, manifest.weighted)?;
             if !r.is_empty() {
                 return Err(PersistError::Corrupt {
                     what: "index section has trailing bytes",
+                });
+            }
+            if index.len() != shard_len {
+                return Err(PersistError::Corrupt {
+                    what: "shard's live length differs from the manifest",
                 });
             }
             indexes.push(index);

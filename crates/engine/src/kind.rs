@@ -310,6 +310,14 @@ impl std::fmt::Display for IndexKind {
 /// first and mint the kind-specific error; the defaults here are the
 /// backstop.
 pub trait DynIndex<E>: Send + Sync {
+    /// Number of live intervals.
+    fn len(&self) -> usize;
+
+    /// Whether no interval is live.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Appends local ids of intervals overlapping `q`.
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>);
 
@@ -418,6 +426,10 @@ struct MutableAit<E> {
 }
 
 impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         self.idx.range_search_into(q, out);
     }
@@ -502,6 +514,10 @@ struct DynAwitShard<E> {
 }
 
 impl<E: GridEndpoint> DynIndex<E> for DynAwitShard<E> {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         self.idx.range_search_into(q, out);
     }
@@ -566,6 +582,10 @@ impl<E: GridEndpoint> DynIndex<E> for DynAwitShard<E> {
 }
 
 impl<E: GridEndpoint> DynIndex<E> for AitV<E> {
+    fn len(&self) -> usize {
+        AitV::len(self)
+    }
+
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         self.range_search_into(q, out);
     }
@@ -608,6 +628,10 @@ struct AwitShard<E> {
 }
 
 impl<E: GridEndpoint> DynIndex<E> for AwitShard<E> {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         self.idx.range_search_into(q, out);
     }
@@ -655,6 +679,10 @@ struct KdsShard<E> {
 }
 
 impl<E: GridEndpoint> DynIndex<E> for KdsShard<E> {
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
     fn search_into(&self, q: Interval<E>, out: &mut Vec<ItemId>) {
         self.idx.range_search_into(q, out);
     }

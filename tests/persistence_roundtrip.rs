@@ -519,12 +519,27 @@ fn dynamic_awit_mass_is_bit_identical_across_decodes() {
 }
 
 /// Writes a one-shard snapshot whose index section is `payload`, forged
-/// by the caller, and loads it.
+/// by the caller, under a manifest that counts `len` live intervals,
+/// and loads it.
 fn load_forged_shard(
     tag: &str,
     kind: &str,
     weighted: bool,
     payload: &[u8],
+    len: usize,
+) -> Result<(), PersistError> {
+    load_forged_snapshot(tag, kind, weighted, payload, len, len)
+}
+
+/// [`load_forged_shard`] under a manifest whose total `len` and whose
+/// one `shard_len` are given apart.
+fn load_forged_snapshot(
+    tag: &str,
+    kind: &str,
+    weighted: bool,
+    payload: &[u8],
+    len: usize,
+    shard_len: usize,
 ) -> Result<(), PersistError> {
     let dir = SnapDir::new(tag);
     std::fs::create_dir_all(dir.path()).unwrap();
@@ -537,8 +552,8 @@ fn load_forged_shard(
         seed: 0,
         batch_counter: 0,
         stream_counter: 0,
-        len: 0,
-        shard_lens: vec![0],
+        len,
+        shard_lens: vec![shard_len],
     };
     let header = irs_engine::persist::ShardHeader {
         snapshot_id: 7,
@@ -569,13 +584,19 @@ fn ait_next_id_must_exceed_every_stored_id() {
     let at = payload.len() - 8 - (8 + 16 + 4) - 4;
     assert_eq!(payload[at..at + 4], (pooled + 1).to_le_bytes());
     assert_eq!(
-        load_forged_shard("ait-next-id-ok", "ait", false, &payload),
+        load_forged_shard("ait-next-id-ok", "ait", false, &payload, ait.len()),
         Ok(())
     );
     for forged in [0, data.len() as ItemId - 1, pooled] {
         payload[at..at + 4].copy_from_slice(&forged.to_le_bytes());
         assert_eq!(
-            load_forged_shard(&format!("ait-next-id-{forged}"), "ait", false, &payload),
+            load_forged_shard(
+                &format!("ait-next-id-{forged}"),
+                "ait",
+                false,
+                &payload,
+                ait.len()
+            ),
             Err(PersistError::Corrupt {
                 what: "AIT: stored id at or above next_id"
             }),
@@ -586,7 +607,7 @@ fn ait_next_id_must_exceed_every_stored_id() {
 
 /// The fields of an `awit-dynamic` index section, in encoding order, so
 /// a test can forge one of them. `valid` holds 40 residents (id 3
-/// tombstoned) and a pool of ids 40 and 41.
+/// tombstoned) and a pool of ids 40 and 41: 41 live intervals.
 struct DynAwitParts {
     data: Vec<Interval64>,
     slot_ids: Vec<ItemId>,
@@ -612,6 +633,8 @@ impl DynAwitParts {
         }
     }
 
+    const LIVE: usize = 41;
+
     fn encode(&self) -> Vec<u8> {
         use irs::Codec;
         let mut out = Vec::new();
@@ -631,13 +654,25 @@ impl DynAwitParts {
 fn assert_dyn_awit_refused(tag: &str, forge: impl FnOnce(&mut DynAwitParts), what: &'static str) {
     let valid = DynAwitParts::valid().encode();
     assert_eq!(
-        load_forged_shard(&format!("{tag}-valid"), "awit-dynamic", true, &valid),
+        load_forged_shard(
+            &format!("{tag}-valid"),
+            "awit-dynamic",
+            true,
+            &valid,
+            DynAwitParts::LIVE
+        ),
         Ok(())
     );
     let mut parts = DynAwitParts::valid();
     forge(&mut parts);
     assert_eq!(
-        load_forged_shard(tag, "awit-dynamic", true, &parts.encode()),
+        load_forged_shard(
+            tag,
+            "awit-dynamic",
+            true,
+            &parts.encode(),
+            DynAwitParts::LIVE
+        ),
         Err(PersistError::Corrupt { what })
     );
 }
@@ -699,4 +734,225 @@ fn dynamic_awit_slot_ids_must_be_below_next_id() {
         },
         "dynamic AWIT: stored id at or above next_id",
     );
+}
+
+/// A pool or resident weight that `insert` or `new` would refuse is
+/// refused at load too. A NaN pool weight used to load, and then every
+/// weighted sample over its window came back empty.
+#[test]
+fn dynamic_awit_weights_must_be_finite_and_positive() {
+    let pool = "dynamic AWIT: pool weight is not finite and positive";
+    let resident = "dynamic AWIT: resident weight is not finite and positive";
+    for bad in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
+        assert_dyn_awit_refused("dyn-pool-weight", |p| p.pool[0].2 = bad, pool);
+        assert_dyn_awit_refused(
+            "dyn-resident-weight",
+            |p| p.resident[9].1 .1 = bad,
+            resident,
+        );
+    }
+}
+
+/// `Engine::load` refuses a manifest whose lengths disagree with each
+/// other or with the decoded shards: it used to load one that said
+/// `len: 0` over 41 live intervals, and then `len()` answered 0 while
+/// `count` answered 41.
+#[test]
+fn manifest_lengths_must_match_the_shards() {
+    let payload = DynAwitParts::valid().encode();
+    let live = DynAwitParts::LIVE;
+    let load = |tag, len, shard_len| {
+        load_forged_snapshot(tag, "awit-dynamic", true, &payload, len, shard_len)
+    };
+    assert_eq!(load("lens-ok", live, live), Ok(()));
+    let differs = Err(PersistError::Corrupt {
+        what: "shard's live length differs from the manifest",
+    });
+    assert_eq!(load("lens-zero", 0, 0), differs);
+    assert_eq!(load("lens-over", live + 1, live + 1), differs);
+    assert_eq!(
+        load("lens-sum", 0, live),
+        Err(PersistError::Corrupt {
+            what: "manifest length is not the sum of its shard lengths"
+        })
+    );
+}
+
+/// Every ait-family engine reports the same `heap_bytes` after save →
+/// load as when it was built: decoding leaves no capacity slack that
+/// the build did not have, so a server restored from a snapshot
+/// accounts the same bytes as the one that saved it.
+#[test]
+fn heap_bytes_survive_save_and_load() {
+    let data = dataset(3000, 42);
+    let weights: Vec<f64> = (0..data.len()).map(|i| 1.0 + (i % 5) as f64).collect();
+    for kind in [
+        IndexKind::Ait,
+        IndexKind::AitV,
+        IndexKind::Awit,
+        IndexKind::AwitDynamic,
+    ] {
+        for shards in [1, 4] {
+            let config = EngineConfig::new(kind).shards(shards).seed(8);
+            let built = if matches!(kind, IndexKind::Awit | IndexKind::AwitDynamic) {
+                Engine::try_new_weighted(&data, &weights, config).unwrap()
+            } else {
+                Engine::try_new(&data, config).unwrap()
+            };
+            let dir = SnapDir::new(&format!("heap-{kind}-{shards}"));
+            built.save(dir.path()).unwrap();
+            let loaded: Engine<i64> = Engine::load(dir.path()).unwrap();
+            assert_eq!(
+                loaded.heap_bytes(),
+                built.heap_bytes(),
+                "{kind} K={shards}: heap after load differs from the build"
+            );
+        }
+    }
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The FNV-1a-64 of every shard's index section in the snapshot at
+/// `dir`, in shard order.
+fn index_section_digests(dir: &std::path::Path) -> Vec<u64> {
+    let manifest = irs_engine_manifest(dir);
+    (0..manifest.shards)
+        .map(|k| {
+            let shard = irs_engine::persist::read_shard_payload(dir, &manifest, k).unwrap();
+            fnv1a64(shard.payload())
+        })
+        .collect()
+}
+
+/// Builds and churns one engine per pinned case: `ait` after one-by-one
+/// inserts (some opening new leaves), pooled inserts that flush and
+/// leave a partial pool, and deletes from the tree and the pool; a
+/// static `ait-v`; a weighted `awit`; and a weighted `awit-dynamic`
+/// with pooled inserts and tombstones.
+fn pinned_engine(kind: IndexKind, shards: usize) -> Engine<i64> {
+    let data = dataset(1500, 41);
+    let weights: Vec<f64> = (0..data.len()).map(|i| 0.5 + (i % 13) as f64).collect();
+    let config = EngineConfig::new(kind).shards(shards).seed(3);
+    match kind {
+        IndexKind::Ait => {
+            let engine = Engine::try_new(&data, config).unwrap();
+            for i in 0..30i64 {
+                let lo = if i % 3 == 0 {
+                    -1_000_000 * (i + 1)
+                } else {
+                    4_000 * i
+                };
+                engine
+                    .insert(Interval::new(lo, lo + 2_500 + 97 * i))
+                    .unwrap();
+            }
+            let fresh: Vec<Interval64> = (0..400i64)
+                .map(|i| Interval::new(1_700 * i - 90_000, 1_700 * i + 3_000 + 11 * i))
+                .collect();
+            let ids = engine.extend_batch(&fresh).unwrap();
+            for id in (0..1500)
+                .step_by(7)
+                .chain(ids.iter().rev().step_by(5).take(12).copied())
+            {
+                engine.remove(id).unwrap();
+            }
+            engine
+        }
+        IndexKind::AitV => Engine::try_new(&data, config).unwrap(),
+        IndexKind::Awit => Engine::try_new_weighted(&data, &weights, config).unwrap(),
+        IndexKind::AwitDynamic => {
+            let engine = Engine::try_new_weighted(&data, &weights, config).unwrap();
+            let mut fresh = Vec::new();
+            for i in 0..90i64 {
+                let iv = Interval::new(2_100 * i - 50_000, 2_100 * i + 9_000);
+                fresh.push(engine.insert_weighted(iv, 1.0 + (i % 5) as f64).unwrap());
+            }
+            for id in (3..1500)
+                .step_by(11)
+                .chain(fresh.iter().step_by(9).copied())
+            {
+                engine.remove(id).unwrap();
+            }
+            engine
+        }
+        IndexKind::Kds => unreachable!("not pinned"),
+    }
+}
+
+/// The bytes of every saved index section are pinned, not only what a
+/// loaded engine replays: a change to the in-memory layout must encode
+/// exactly the bytes the snapshot format has always held.
+#[test]
+fn snapshot_index_sections_are_pinned() {
+    let cases: [(IndexKind, &[u64]); 8] = [
+        (IndexKind::Ait, &[0x31450f409b26c11c]),
+        (
+            IndexKind::Ait,
+            &[
+                0xdb0801822760d597,
+                0x3ab06d70b54192d2,
+                0x05c4becd5a935d73,
+                0x6fcad968ec9816ce,
+            ],
+        ),
+        (IndexKind::AitV, &[0xfda149b99bf817d2]),
+        (
+            IndexKind::AitV,
+            &[
+                0x97688caf929185f1,
+                0x6410092e20ac3701,
+                0x18d651ee5dc4ebe6,
+                0x996e3505f03f825e,
+            ],
+        ),
+        (IndexKind::Awit, &[0x344c366bbc6bc0b7]),
+        (
+            IndexKind::Awit,
+            &[
+                0x931d4767bcaa0d98,
+                0xc461c850ada6c2a6,
+                0x08d1a00a3b9e6722,
+                0x55b34ba8d51c2158,
+            ],
+        ),
+        (IndexKind::AwitDynamic, &[0xc57bb3f851375aff]),
+        (
+            IndexKind::AwitDynamic,
+            &[
+                0x73085d452bce1dc1,
+                0x6fc0f20b07c27705,
+                0x475c1613822de3d9,
+                0xdfcc12cc1946f3f4,
+            ],
+        ),
+    ];
+    for (kind, expect) in cases {
+        let shards = expect.len();
+        let dir = SnapDir::new(&format!("pinned-{kind}-{shards}"));
+        pinned_engine(kind, shards).save(dir.path()).unwrap();
+        if kind == IndexKind::Ait {
+            // The churn left every shard with a partial insertion pool.
+            use irs::Codec;
+            let manifest = irs_engine_manifest(dir.path());
+            for k in 0..shards {
+                let shard = irs_engine::persist::read_shard_payload(dir.path(), &manifest, k);
+                let mut r = irs_core::persist::Reader::new(shard.as_ref().unwrap().payload());
+                assert!(irs::Ait::<i64>::decode(&mut r).unwrap().pool_len() > 0);
+            }
+        }
+        assert_eq!(
+            index_section_digests(dir.path()),
+            expect,
+            "{kind} K={shards}: index section bytes moved"
+        );
+    }
 }
