@@ -9,8 +9,8 @@
 //! uniformly, and *rejecting* members that miss the query; acceptance is
 //! uniform over `q ∩ X`, and pair-sort locality keeps the expected number
 //! of rejections constant in practice (the paper's §III-C measurement —
-//! ~1.09 attempts per accepted sample — is reproduced by the
-//! `aitv_rejections` bench).
+//! ~1.09 attempts per accepted sample — is reproduced by `repro`'s
+//! `aitv_rejections` experiment).
 
 use crate::ait::Ait;
 use irs_core::{

@@ -1,27 +1,30 @@
-//! Shared harness for the table/figure reproduction binaries.
+//! Shared harness for `repro` (`src/bin/repro.rs`), which regenerates
+//! every table and figure of the paper's §V, plus extension experiments,
+//! on the calibrated synthetic datasets (see DESIGN.md's substitution
+//! notes). Scale knobs come from the environment, so one runner serves
+//! quick smoke runs and full paper-scale runs:
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's §V on the calibrated synthetic datasets (see DESIGN.md's
-//! substitution notes). Scale knobs come from the environment so the same
-//! binaries serve quick smoke runs and full paper-scale runs:
-//!
-//! - `IRS_BENCH_SCALE`   — intervals per dataset (default 200,000)
+//! - `IRS_BENCH_SCALE`   — intervals per dataset (default 200,000; at
+//!   least 5, so every size sweep point and update batch is non-empty)
 //! - `IRS_BENCH_QUERIES` — queries per measurement (default 1,000, as in
-//!   the paper)
-//! - `IRS_BENCH_S`       — sample size (default 1,000, as in the paper)
+//!   the paper; at least 1)
+//! - `IRS_BENCH_S`       — sample size (default 1,000, as in the paper;
+//!   at least 1)
 //! - `IRS_BENCH_SEED`    — RNG seed (default 42)
+//!
+//! A value that does not parse, or is below its minimum, is an error.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use irs_core::{Interval64, PreparedSampler, RangeSampler, WeightedRangeSampler};
+use irs_core::{Interval64, PreparedSampler, RangeCount};
 use irs_datagen::{DatasetProfile, QueryWorkload};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::time::{Duration, Instant};
 
 pub mod baseline;
 
-/// Knobs shared by every experiment binary.
+/// Knobs shared by every experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {
     /// Intervals per dataset.
@@ -35,28 +38,39 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads the configuration from the environment (defaults above).
-    pub fn from_env() -> Self {
-        fn env_usize(key: &str, default: usize) -> usize {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        BenchConfig {
-            scale: env_usize("IRS_BENCH_SCALE", 200_000),
-            queries: env_usize("IRS_BENCH_QUERIES", 1_000),
-            s: env_usize("IRS_BENCH_S", 1_000),
-            seed: env_usize("IRS_BENCH_SEED", 42) as u64,
-        }
+    /// Reads the configuration from the environment (defaults and
+    /// minimums above); the error names the offending variable.
+    pub fn from_env() -> Result<Self, String> {
+        let knob = |key: &str, default: u64, min: u64| {
+            let raw = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+            parse_knob(key, raw.as_deref(), default, min)
+        };
+        Ok(BenchConfig {
+            scale: knob("IRS_BENCH_SCALE", 200_000, 5)? as usize,
+            queries: knob("IRS_BENCH_QUERIES", 1_000, 1)? as usize,
+            s: knob("IRS_BENCH_S", 1_000, 1)? as usize,
+            seed: knob("IRS_BENCH_SEED", 42, 0)?,
+        })
     }
 
-    /// Banner line describing the run, printed by every binary.
+    /// Banner line describing the run, printed by every experiment.
     pub fn banner(&self, what: &str) -> String {
         format!(
             "## {what}\n(n = {} per dataset, {} queries, s = {}, seed = {})",
             self.scale, self.queries, self.s, self.seed
         )
+    }
+}
+
+/// Parses one knob: `None` (unset) gives `default`; anything that is
+/// not an integer of at least `min` is an error naming `key`.
+pub fn parse_knob(key: &str, raw: Option<&str>, default: u64, min: u64) -> Result<u64, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(v) if v >= min => Ok(v),
+        _ => Err(format!("{key} must be an integer >= {min}, got `{raw}`")),
     }
 }
 
@@ -102,120 +116,75 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     (t.elapsed(), out)
 }
 
-/// Average microseconds per query of the *candidate computation* phase
-/// (phase 1 of the paper's cost split, Table V).
-pub fn avg_candidate_micros<S>(index: &S, queries: &[Interval64]) -> f64
-where
-    S: RangeSampler<i64>,
-{
-    let mut total = Duration::ZERO;
-    for &q in queries {
-        let (dt, prepared) = time(|| index.prepare(q));
-        total += dt;
-        std::hint::black_box(prepared.candidate_count());
-    }
+/// Mean microseconds over `queries` of the time `timed` reports for each
+/// (it times only its own phase of the work).
+fn mean_micros(queries: &[Interval64], timed: impl FnMut(Interval64) -> Duration) -> f64 {
+    let total: Duration = queries.iter().copied().map(timed).sum();
     total.as_secs_f64() * 1e6 / queries.len() as f64
+}
+
+/// Average microseconds per query of the *candidate computation* phase
+/// (phase 1 of the paper's cost split, Table V). `prepare` is an index's
+/// `prepare` or `prepare_weighted`.
+pub fn avg_candidate_micros<P>(queries: &[Interval64], prepare: impl Fn(Interval64) -> P) -> f64
+where
+    P: PreparedSampler,
+{
+    mean_micros(queries, |q| {
+        let (dt, prepared) = time(|| prepare(q));
+        std::hint::black_box(prepared.candidate_count());
+        dt
+    })
 }
 
 /// Average microseconds per query of the *sampling* phase (phase 2 —
-/// alias building included, Table VI / IX).
-pub fn avg_sampling_micros<S>(index: &S, queries: &[Interval64], s: usize, seed: u64) -> f64
-where
-    S: RangeSampler<i64>,
-{
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(s);
-    let mut total = Duration::ZERO;
-    for &q in queries {
-        let prepared = index.prepare(q);
-        let (dt, _) = time(|| {
-            out.clear();
-            prepared.sample_into(&mut rng, s, &mut out);
-        });
-        total += dt;
-        std::hint::black_box(out.len());
-    }
-    total.as_secs_f64() * 1e6 / queries.len() as f64
-}
-
-/// Weighted-path analogue of [`avg_candidate_micros`].
-pub fn avg_candidate_micros_weighted<S>(index: &S, queries: &[Interval64]) -> f64
-where
-    S: WeightedRangeSampler<i64>,
-{
-    let mut total = Duration::ZERO;
-    for &q in queries {
-        let (dt, prepared) = time(|| index.prepare_weighted(q));
-        total += dt;
-        std::hint::black_box(prepared.candidate_count());
-    }
-    total.as_secs_f64() * 1e6 / queries.len() as f64
-}
-
-/// Weighted-path analogue of [`avg_sampling_micros`].
-pub fn avg_sampling_micros_weighted<S>(
-    index: &S,
+/// alias building included, Tables VI and IX).
+pub fn avg_sampling_micros<P: PreparedSampler>(
     queries: &[Interval64],
     s: usize,
     seed: u64,
-) -> f64
-where
-    S: WeightedRangeSampler<i64>,
-{
+    prepare: impl Fn(Interval64) -> P,
+) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(s);
-    let mut total = Duration::ZERO;
-    for &q in queries {
-        let prepared = index.prepare_weighted(q);
+    mean_micros(queries, |q| {
+        let prepared = prepare(q);
         let (dt, _) = time(|| {
             out.clear();
             prepared.sample_into(&mut rng, s, &mut out);
         });
-        total += dt;
         std::hint::black_box(out.len());
-    }
-    total.as_secs_f64() * 1e6 / queries.len() as f64
+        dt
+    })
 }
 
 /// Average end-to-end microseconds per query (candidate + sampling), the
 /// "running time" of Figs. 6-10.
-pub fn avg_total_micros<S>(index: &S, queries: &[Interval64], s: usize, seed: u64) -> f64
-where
-    S: RangeSampler<i64>,
-{
+pub fn avg_total_micros<P: PreparedSampler>(
+    queries: &[Interval64],
+    s: usize,
+    seed: u64,
+    prepare: impl Fn(Interval64) -> P,
+) -> f64 {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(s);
-    let mut total = Duration::ZERO;
-    for &q in queries {
+    mean_micros(queries, |q| {
         let (dt, _) = time(|| {
             out.clear();
-            let prepared = index.prepare(q);
-            prepared.sample_into(&mut rng, s, &mut out);
+            prepare(q).sample_into(&mut rng, s, &mut out);
         });
-        total += dt;
         std::hint::black_box(out.len());
-    }
-    total.as_secs_f64() * 1e6 / queries.len() as f64
+        dt
+    })
 }
 
-/// Weighted analogue of [`avg_total_micros`].
-pub fn avg_total_micros_weighted<S>(index: &S, queries: &[Interval64], s: usize, seed: u64) -> f64
-where
-    S: WeightedRangeSampler<i64>,
-{
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(s);
-    let mut total = Duration::ZERO;
-    for &q in queries {
-        let (dt, _) = time(|| {
-            out.clear();
-            let prepared = index.prepare_weighted(q);
-            prepared.sample_into(&mut rng, s, &mut out);
-        });
-        total += dt;
-        std::hint::black_box(out.len());
-    }
-    total.as_secs_f64() * 1e6 / queries.len() as f64
+/// Average microseconds per range-counting query (Table X).
+pub fn avg_count_micros<C: RangeCount<i64>>(index: &C, queries: &[Interval64]) -> f64 {
+    mean_micros(queries, |q| {
+        let (dt, count) = time(|| index.range_count(q));
+        std::hint::black_box(count);
+        dt
+    })
 }
 
 /// One machine-readable result row, emitted as a single JSON object per
@@ -306,7 +275,7 @@ impl JsonRow {
 }
 
 /// Renders one table row: left-aligned label plus fixed-width columns.
-pub fn row(label: &str, cells: &[String]) -> String {
+pub fn row<C: std::fmt::Display>(label: &str, cells: impl IntoIterator<Item = C>) -> String {
     let mut s = format!("{label:<16}");
     for c in cells {
         s.push_str(&format!("{c:>14}"));
@@ -316,13 +285,7 @@ pub fn row(label: &str, cells: &[String]) -> String {
 
 /// Header row for the four datasets.
 pub fn dataset_header(datasets: &[Dataset]) -> String {
-    row(
-        "",
-        &datasets
-            .iter()
-            .map(|d| d.name().to_string())
-            .collect::<Vec<_>>(),
-    )
+    row("", datasets.iter().map(Dataset::name))
 }
 
 /// Formats a microsecond value the way the paper's tables read.
@@ -334,16 +297,6 @@ pub fn us(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
-}
-
-/// Formats bytes as GB with paper-style precision.
-pub fn gb(bytes: usize) -> String {
-    format!("{:.3}", bytes as f64 / 1e9)
-}
-
-/// Formats a duration in seconds.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -364,5 +317,18 @@ mod tests {
     fn json_row_non_finite_is_null() {
         let row = JsonRow::new("t").num("v", f64::NAN).finish();
         assert_eq!(row, r#"{"experiment":"t","v":null}"#);
+    }
+
+    #[test]
+    fn knobs_refuse_what_they_cannot_use() {
+        assert_eq!(parse_knob("K", None, 7, 1), Ok(7));
+        assert_eq!(parse_knob("K", Some("20000"), 7, 5), Ok(20_000));
+        assert_eq!(parse_knob("K", Some("0"), 7, 0), Ok(0));
+        for bad in ["20k", "", "-3", "1.5"] {
+            let err = parse_knob("IRS_BENCH_SCALE", Some(bad), 7, 5).unwrap_err();
+            assert!(err.starts_with("IRS_BENCH_SCALE "), "{err}");
+        }
+        assert!(parse_knob("IRS_BENCH_QUERIES", Some("0"), 7, 1).is_err());
+        assert!(parse_knob("IRS_BENCH_SCALE", Some("2"), 7, 5).is_err());
     }
 }

@@ -1,37 +1,10 @@
-//! Shared throughput-measurement helpers for engine benchmarks
-//! (`irs-cli bench-engine` and `crates/bench`'s `ext_engine_throughput`
-//! both drive these, so the measurement loop can't drift between them).
+//! Throughput-measurement helpers for `irs-cli bench-engine` (and the
+//! root crate's `bench_regression` test, which drives the same loop).
 
 use crate::engine::Engine;
 use crate::query::Query;
 use irs_core::{GridEndpoint, Interval};
 use std::time::Instant;
-
-/// Streams `queries` through the engine in batches of `batch` and
-/// returns queries per second. Query construction is included in the
-/// measured time, as a real caller would pay it per batch; benchmarks
-/// drive only operations their engine supports, so an `Err` result
-/// (capability mismatch or dead shard) fails loudly here rather than
-/// inflating the rate.
-pub fn batched_qps<E: GridEndpoint>(
-    engine: &Engine<E>,
-    queries: &[Interval<E>],
-    batch: usize,
-    to_query: impl Fn(&Interval<E>) -> Query<E>,
-) -> f64 {
-    let batch = batch.max(1);
-    let start = Instant::now();
-    let mut answered = 0usize;
-    for chunk in queries.chunks(batch) {
-        let batch_queries: Vec<Query<E>> = chunk.iter().map(&to_query).collect();
-        for result in engine.run(&batch_queries) {
-            result.expect("benchmark query failed");
-            answered += 1;
-        }
-    }
-    assert_eq!(answered, queries.len());
-    queries.len() as f64 / start.elapsed().as_secs_f64()
-}
 
 /// Multi-caller throughput: splits `queries` across `threads` caller
 /// threads, each running its slice through a clone of the shared
@@ -65,7 +38,16 @@ pub fn threaded_qps<E: GridEndpoint>(
             let hi = (t + 1) * queries.len() / threads;
             let slice = &queries[lo..hi];
             let handle = engine.clone();
-            scope.spawn(move || batched_qps(&handle, slice, batch, to_query));
+            scope.spawn(move || {
+                // Query construction is measured, as a caller pays it per
+                // batch; an `Err` fails loudly rather than inflate the rate.
+                for chunk in slice.chunks(batch.max(1)) {
+                    let batch_queries: Vec<Query<E>> = chunk.iter().map(to_query).collect();
+                    for result in handle.run(&batch_queries) {
+                        result.expect("benchmark query failed");
+                    }
+                }
+            });
         }
     });
     queries.len() as f64 / start.elapsed().as_secs_f64()
@@ -78,8 +60,7 @@ pub fn cpu_count() -> usize {
 }
 
 /// Parses a comma-separated list of positive counts (`"1,2,8"`), the
-/// shared syntax of `--shards`/`--batches` and the `IRS_BENCH_*` env
-/// knobs — one parser, so the CLI and bench binaries can't drift.
+/// syntax of `bench-engine`'s `--shards`, `--batches` and `--threads`.
 pub fn parse_count_list(s: &str) -> Result<Vec<usize>, String> {
     let counts: Vec<usize> = s
         .split(',')

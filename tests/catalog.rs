@@ -487,6 +487,46 @@ fn online_reindex_mid_churn_preserves_the_global_id_contract() {
     handle.join();
 }
 
+/// A weighted collection re-indexed onto its own kind replays its seeded
+/// weighted draws byte-identically, so the rebuild source carries every
+/// weight exactly. Weights 15 orders of magnitude apart would expose a
+/// source that reconstructs them, say by differencing AWIT prefix sums.
+#[test]
+fn weighted_reindex_onto_the_same_kind_replays_byte_identically() {
+    let data = dataset(3000, 57);
+    let weights: Vec<f64> = irs::datagen::uniform_weights(data.len(), 0x5CA1E)
+        .iter()
+        .enumerate()
+        .map(|(i, w)| w / 7.0 * if i % 3 == 0 { 1e-9 } else { 1e6 })
+        .collect();
+    let queries: Vec<Query<i64>> = irs::datagen::QueryWorkload::from_data(&data)
+        .generate(8, 8.0, 0xE1)
+        .into_iter()
+        .map(|q| Query::SampleWeighted { q, s: 64 })
+        .collect();
+    let catalog = Catalog::<i64>::new();
+    for kind in [IndexKind::Awit, IndexKind::AwitDynamic, IndexKind::Kds] {
+        for shards in [1, 4] {
+            let name = format!("{}-k{shards}", kind.name());
+            catalog
+                .create(
+                    CollectionSpec::new(name.as_str())
+                        .kind(KindSpec::Fixed(kind))
+                        .data(data.clone())
+                        .weights(weights.clone())
+                        .shards(shards)
+                        .seed(3),
+                )
+                .expect("create");
+            let before = catalog.run_seeded_in(&name, &queries, 11).expect("run");
+            assert!(before.iter().all(|out| out.is_ok()), "{name}: {before:?}");
+            catalog.reindex(&name, kind, None).expect("reindex");
+            let after = catalog.run_seeded_in(&name, &queries, 11).expect("run");
+            assert_eq!(before, after, "{name} replayed differently after re-index");
+        }
+    }
+}
+
 #[test]
 fn budget_exhaustion_is_a_typed_refusal_never_an_abort() {
     // In-process: an oversized create is refused whole, leaving no
