@@ -24,7 +24,7 @@ use crate::awit::{Awit, AwitNode};
 use crate::build::Cols;
 use crate::dynamic_awit::DynamicAwit;
 use crate::records::ListKind;
-use irs_core::persist::{check_arena_link as check_link, Codec, PersistError, Reader};
+use irs_core::persist::{check_arena_link as check_link, Codec, FixedCodec, PersistError, Reader};
 use irs_core::{Endpoint, Interval, ItemId};
 
 /// Whether every id stored in the tree's lists (and, for the AIT, its
@@ -45,20 +45,6 @@ fn node_ids_below<E>(node: &AitNode<E>, bound: usize) -> bool {
     (node.lo.ids.iter().chain(&node.hi.ids)).all(|&id| (id as usize) < bound)
 }
 
-/// Reads a length prefix and refuses one beyond the remaining bytes —
-/// every element encodes to at least one byte — before anything is
-/// reserved, as `Vec::decode` does.
-fn decode_len(r: &mut Reader<'_>) -> Result<usize, PersistError> {
-    let len = usize::decode(r)?;
-    if len > r.remaining() {
-        return Err(PersistError::Truncated {
-            needed: len,
-            remaining: r.remaining(),
-        });
-    }
-    Ok(len)
-}
-
 /// Writes one list as the snapshot has always held it: its length, then
 /// interleaved `(key, id)` pairs.
 fn encode_list<E: Codec>(keys: &[E], ids: &[ItemId], out: &mut Vec<u8>) {
@@ -70,26 +56,26 @@ fn encode_list<E: Codec>(keys: &[E], ids: &[ItemId], out: &mut Vec<u8>) {
 }
 
 /// Reads one [`encode_list`] list onto the end of `cols`, leaving room
-/// for `extra` more.
-fn decode_list_into<E: Endpoint + Codec>(
+/// for `extra` more. The pairs decode as one fixed-width run.
+fn decode_list_into<E: Endpoint + FixedCodec>(
     r: &mut Reader<'_>,
     cols: &mut Cols<E>,
     extra: usize,
 ) -> Result<(), PersistError> {
-    let len = decode_len(r)?;
+    let len = r.take_len(<(E, ItemId)>::MIN_WIDTH)?;
     cols.keys.reserve_exact(len + extra);
     cols.ids.reserve_exact(len + extra);
-    for _ in 0..len {
-        cols.keys.push(E::decode(r)?);
-        cols.ids.push(ItemId::decode(r)?);
-    }
-    Ok(())
+    r.decode_run(len, |(key, id): (E, ItemId)| {
+        cols.keys.push(key);
+        cols.ids.push(id);
+        Ok(())
+    })
 }
 
 /// Reads a node's center and its four lists, `Ll, Lr, ALl, ALr`: the
 /// `L` lists wait in `scratch` until each `AL` list has been read into
 /// a column set of exact capacity, and then follow it.
-fn decode_lists<E: Endpoint + Codec>(
+fn decode_lists<E: Endpoint + FixedCodec>(
     r: &mut Reader<'_>,
     scratch: &mut NodeScratch<E>,
 ) -> Result<(E, Cols<E>, Cols<E>), PersistError> {
@@ -125,11 +111,10 @@ fn decode_prefix_into(
     out: &mut Vec<f64>,
     extra: usize,
 ) -> Result<(), PersistError> {
-    let len = decode_len(r)?;
+    let len = r.take_len(f64::MIN_WIDTH)?;
     out.reserve_exact(len + extra);
     let mut prev = None;
-    for _ in 0..len {
-        let sum = f64::decode(r)?;
+    r.decode_run(len, |sum: f64| {
         let what = if !sum.is_finite() {
             "AWIT prefix run holds a non-finite sum"
         } else if prev.is_none() && sum <= 0.0 {
@@ -139,11 +124,10 @@ fn decode_prefix_into(
         } else {
             prev = Some(sum);
             out.push(sum);
-            continue;
+            return Ok(());
         };
-        return Err(PersistError::Corrupt { what });
-    }
-    Ok(())
+        Err(PersistError::Corrupt { what })
+    })
 }
 
 /// Per-decode scratch: a node's `L` runs (and, for the AWIT, their
@@ -182,6 +166,13 @@ fn split_of<E>(
     u32::try_from(lo.keys.len() - l_lo).map_err(|_| PersistError::Corrupt { what })
 }
 
+/// Bytes of an encoded AIT node besides its center, at the least: four
+/// list lengths and two links.
+const AIT_NODE_MIN_WIDTH: usize = 4 * 8 + 2 * 4;
+
+/// [`AIT_NODE_MIN_WIDTH`] plus the AWIT node's four prefix-run lengths.
+const AWIT_NODE_MIN_WIDTH: usize = AIT_NODE_MIN_WIDTH + 4 * 8;
+
 /// Node layout on disk: `center, Ll, Lr, ALl, ALr, left, right`, each
 /// list an [`encode_list`].
 fn encode_ait_node<E: Endpoint + Codec>(node: &AitNode<E>, out: &mut Vec<u8>) {
@@ -193,7 +184,7 @@ fn encode_ait_node<E: Endpoint + Codec>(node: &AitNode<E>, out: &mut Vec<u8>) {
     node.right.encode_into(out);
 }
 
-fn decode_ait_node<E: Endpoint + Codec>(
+fn decode_ait_node<E: Endpoint + FixedCodec>(
     r: &mut Reader<'_>,
     scratch: &mut NodeScratch<E>,
 ) -> Result<AitNode<E>, PersistError> {
@@ -228,7 +219,7 @@ fn encode_awit_node<E: Endpoint + Codec>(node: &AwitNode<E>, out: &mut Vec<u8>) 
     lists.right.encode_into(out);
 }
 
-fn decode_awit_node<E: Endpoint + Codec>(
+fn decode_awit_node<E: Endpoint + FixedCodec>(
     r: &mut Reader<'_>,
     scratch: &mut NodeScratch<E>,
 ) -> Result<AwitNode<E>, PersistError> {
@@ -270,7 +261,7 @@ fn decode_awit_node<E: Endpoint + Codec>(
     })
 }
 
-impl<E: Endpoint + Codec> Codec for Ait<E> {
+impl<E: Endpoint + FixedCodec> Codec for Ait<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.nodes.len().encode_into(out);
         for node in &self.nodes {
@@ -285,7 +276,7 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let count = decode_len(r)?;
+        let count = r.take_len(AIT_NODE_MIN_WIDTH + E::MIN_WIDTH)?;
         let mut nodes = Vec::with_capacity(count);
         let mut scratch = NodeScratch::new();
         for _ in 0..count {
@@ -320,7 +311,7 @@ impl<E: Endpoint + Codec> Codec for Ait<E> {
     }
 }
 
-impl<E: Endpoint + Codec> Codec for AitV<E> {
+impl<E: Endpoint + FixedCodec> Codec for AitV<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.virtual_ait.encode_into(out);
         self.members.encode_into(out);
@@ -360,7 +351,7 @@ impl<E: Endpoint + Codec> Codec for AitV<E> {
     }
 }
 
-impl<E: Endpoint + Codec> Codec for Awit<E> {
+impl<E: Endpoint + FixedCodec> Codec for Awit<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.nodes.len().encode_into(out);
         for node in &self.nodes {
@@ -372,7 +363,7 @@ impl<E: Endpoint + Codec> Codec for Awit<E> {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let count = decode_len(r)?;
+        let count = r.take_len(AWIT_NODE_MIN_WIDTH + E::MIN_WIDTH)?;
         let mut nodes = Vec::with_capacity(count);
         let mut scratch = NodeScratch::new();
         for _ in 0..count {
@@ -394,7 +385,7 @@ impl<E: Endpoint + Codec> Codec for Awit<E> {
     }
 }
 
-impl<E: Endpoint + Codec> Codec for DynamicAwit<E> {
+impl<E: Endpoint + FixedCodec> Codec for DynamicAwit<E> {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.awit.encode_into(out);
         self.slot_ids.encode_into(out);

@@ -169,7 +169,7 @@ pub(crate) fn save<E: GridEndpoint>(catalog: &Catalog<E>, dir: &Path) -> Result<
     let mut file = Vec::new();
     write_header(&mut file, ROLE_CATALOG);
     encode_section(&mut file, &manifest);
-    write_file_atomic(&dir.join(CATALOG_MANIFEST_FILE), &file).map_err(CatalogError::from)
+    write_file_atomic(&dir.join(CATALOG_MANIFEST_FILE), &[&file]).map_err(CatalogError::from)
 }
 
 /// Reads `<dir>/catalog.irs` without loading any collection.

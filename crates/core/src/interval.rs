@@ -26,11 +26,12 @@ impl<T: Copy + Ord + fmt::Debug + Send + Sync + 'static> Endpoint for T {}
 /// `min` and `self` (`self ≥ min`), i.e. a strictly monotone mapping of the
 /// domain onto `0..=u64::MAX`.
 ///
-/// `GridEndpoint` also requires [`crate::persist::Codec`]: every
-/// endpoint type an engine can be built over must have a stable on-disk
-/// encoding, so any engine (and any index behind the `DynIndex` facade)
-/// can be snapshotted. All integer scalar types qualify.
-pub trait GridEndpoint: Endpoint + crate::persist::Codec {
+/// `GridEndpoint` also requires [`crate::persist::FixedCodec`]: every
+/// endpoint type an engine can be built over must have a stable,
+/// fixed-width on-disk encoding, so any engine (and any index behind
+/// the `DynIndex` facade) can be snapshotted and its key columns decode
+/// in bulk. All integer scalar types qualify.
+pub trait GridEndpoint: Endpoint + crate::persist::FixedCodec {
     /// Distance from `min` to `self` on the integer grid. `self` must not be
     /// smaller than `min`.
     fn grid_offset(self, min: Self) -> u64;

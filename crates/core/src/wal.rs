@@ -525,7 +525,7 @@ pub fn write_checkpoint(dir: &Path, seq: u64) -> Result<(), PersistError> {
     let mut out = Vec::new();
     persist::write_header(&mut out, persist::ROLE_LOG);
     persist::encode_section(&mut out, &seq);
-    persist::write_file_atomic(&dir.join(CHECKPOINT_FILE), &out)
+    persist::write_file_atomic(&dir.join(CHECKPOINT_FILE), &[&out])
 }
 
 /// Reads the checkpoint sidecar; `Ok(None)` when the directory has

@@ -28,7 +28,7 @@
 //! [`Engine::load`]: crate::Engine::load
 
 use irs_core::persist::{
-    decode_section, encode_section, read_header, write_file_atomic, write_header, Codec,
+    crc32, decode_section, encode_section, read_header, write_file_atomic, write_header, Codec,
     PersistError, Reader, ROLE_MANIFEST, ROLE_SHARD,
 };
 use std::path::{Path, PathBuf};
@@ -225,21 +225,30 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistErro
     let mut file = Vec::new();
     write_header(&mut file, ROLE_MANIFEST);
     encode_section(&mut file, manifest);
-    write_file_atomic(&manifest_path(dir), &file)
+    write_file_atomic(&manifest_path(dir), &[&file])
 }
 
 /// Frames one shard's header + index payload and writes its file
-/// (atomically: temp file + rename).
+/// (atomically: temp file + rename). The payload goes to the file
+/// straight from the caller's buffer: only the small head of the file
+/// (file header, header section, index section length) and the
+/// trailing CRC are built here, so the bytes equal a
+/// [`write_section`](irs_core::persist::write_section) frame without a
+/// second shard-sized buffer.
 pub fn write_shard_file(
     dir: &Path,
     header: &ShardHeader,
     index_payload: &[u8],
 ) -> Result<(), PersistError> {
-    let mut file = Vec::new();
-    write_header(&mut file, ROLE_SHARD);
-    encode_section(&mut file, header);
-    irs_core::persist::write_section(&mut file, index_payload);
-    write_file_atomic(&dir.join(shard_file(header.shard)), &file)
+    let mut head = Vec::new();
+    write_header(&mut head, ROLE_SHARD);
+    encode_section(&mut head, header);
+    index_payload.len().encode_into(&mut head);
+    let crc = crc32(index_payload).to_le_bytes();
+    write_file_atomic(
+        &dir.join(shard_file(header.shard)),
+        &[&head, index_payload, &crc],
+    )
 }
 
 /// One shard file's bytes plus the range of its CRC-verified index
