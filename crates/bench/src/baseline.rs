@@ -1,16 +1,15 @@
-//! Minimal JSON reader for pinned baseline files.
+//! Minimal JSON reader.
 //!
-//! The offline build environment has no serde, so `bench-engine
-//! --compare` parses its baseline with this hand-rolled recursive
-//! descent parser. It accepts the committed baseline shape (one JSON
-//! document with a `rows` array, e.g. `BENCH_2026-08-07.json`), a bare
-//! array of rows, or JSONL (one row object per line, as emitted by
-//! [`crate::JsonRow`] and collected with `grep '^{'`).
+//! The offline build environment has no serde, so the repo benchmark
+//! (`bash benchmark/run.sh`, per-layer rungs with `--trace 1`) reads
+//! its result files with this hand-rolled recursive descent parser. It
+//! reads one document; the rows `repro` emits through
+//! [`crate::JsonRow`] are one document per line.
 
 use std::fmt;
 
-/// A parsed JSON value. Numbers are kept as `f64` — baseline fields are
-/// either counts (exactly representable) or throughput floats.
+/// A parsed JSON value. Numbers are kept as `f64` — result fields are
+/// either counts (exactly representable) or measured floats.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -95,42 +94,6 @@ pub fn parse(doc: &str) -> Result<JsonValue, JsonError> {
         return Err(p.err("trailing garbage after document"));
     }
     Ok(v)
-}
-
-/// Extracts baseline rows from any of the accepted shapes: an object
-/// with a `rows` array, a bare array, or JSONL.
-pub fn baseline_rows(doc: &str) -> Result<Vec<JsonValue>, JsonError> {
-    if let Ok(v) = parse(doc) {
-        return match v {
-            JsonValue::Arr(rows) => Ok(rows),
-            JsonValue::Obj(_) => match v.get("rows") {
-                Some(JsonValue::Arr(rows)) => Ok(rows.clone()),
-                // A single JSONL-style row object is itself the list.
-                _ => Ok(vec![v]),
-            },
-            _ => Err(JsonError {
-                at: 0,
-                what: "baseline document is not an object or array",
-            }),
-        };
-    }
-    // Not one document: try JSONL, keeping only object lines so the
-    // file may carry human-readable table output around the rows.
-    let mut rows = Vec::new();
-    for line in doc.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        rows.push(parse(line)?);
-    }
-    if rows.is_empty() {
-        return Err(JsonError {
-            at: 0,
-            what: "no JSON rows found (expected `rows` array or JSONL)",
-        });
-    }
-    Ok(rows)
 }
 
 struct Parser<'a> {
@@ -343,18 +306,6 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("nope").is_err());
-    }
-
-    #[test]
-    fn baseline_rows_accepts_all_shapes() {
-        let doc = r#"{"date": "d", "rows": [{"experiment": "bench-engine", "n": 10}]}"#;
-        assert_eq!(baseline_rows(doc).unwrap().len(), 1);
-        let arr = r#"[{"n": 1}, {"n": 2}]"#;
-        assert_eq!(baseline_rows(arr).unwrap().len(), 2);
-        let jsonl = "# table noise\n{\"n\": 1}\nrows above\n{\"n\": 2}\n";
-        let rows = baseline_rows(jsonl).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].get("n").unwrap().as_usize(), Some(2));
     }
 
     #[test]

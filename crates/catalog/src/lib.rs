@@ -19,8 +19,8 @@
 //! - **Adaptive planning.** A collection created with
 //!   [`KindSpec::Auto`] declares [`WorkloadHints`] instead of an index
 //!   kind; the [`planner`] picks one from the capability table plus a
-//!   static cost model seeded from the committed bench matrix
-//!   (`BENCH_2026-08-07.json`). Churning hints always land on an
+//!   static cost model over frozen throughput rows (see the planner's
+//!   docs for where they came from). Churning hints always land on an
 //!   update-capable kind; read-only hints on a static one.
 //! - **Online re-index.** [`Catalog::reindex`] rebuilds a collection on
 //!   a different kind while readers keep flowing: the current backend
@@ -57,7 +57,7 @@ use irs_core::{GridEndpoint, Interval, ItemId, Mutation, QueryError, UpdateError
 use irs_engine::{Engine, EngineWriter, IndexKind, Irs, Query, QueryOutput};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Declared workload shape for [`KindSpec::Auto`]: the planner's
@@ -684,16 +684,17 @@ impl<E: GridEndpoint> Catalog<E> {
         snapshot_dir: Option<&Path>,
         seat: &mut EngineWriter<'_, E>,
     ) -> Result<CollectionInfo, CatalogError> {
+        let Some(snap_dir) = snapshot_dir else {
+            // The scratch snapshot only guards against a crash: once the
+            // swap is done, or refused with the old backend still live,
+            // nothing reads it.
+            let scratch = scratch_snapshot_dir(&coll.name);
+            let result = self.rebuild(coll, kind, Some(&scratch), seat);
+            let _ = std::fs::remove_dir_all(&scratch);
+            return result;
+        };
         // Durability first: the old backend goes to disk before the
         // rebuild, so a crash mid-rebuild loses nothing.
-        let scratch;
-        let snap_dir: &Path = match snapshot_dir {
-            Some(dir) => dir,
-            None => {
-                scratch = scratch_snapshot_dir(&coll.name);
-                &scratch
-            }
-        };
         std::fs::create_dir_all(snap_dir)
             .map_err(|e| CatalogError::Persist(irs_core::PersistError::io(snap_dir, &e)))?;
         seat.save(snap_dir)?;
@@ -754,9 +755,6 @@ impl<E: GridEndpoint> Catalog<E> {
             st.engine = fresh;
             st.generation += 1;
         }
-        if snapshot_dir.is_none() {
-            let _ = std::fs::remove_dir_all(snap_dir);
-        }
         Ok(coll.info())
     }
 
@@ -806,9 +804,14 @@ impl<E: GridEndpoint> Catalog<E> {
 }
 
 /// A scratch directory for the re-index durability snapshot when the
-/// caller supplies none.
+/// caller supplies none. Pid and name alone are not unique: two live
+/// collections can share a name (two catalogs in one process, or a drop
+/// and re-create while a re-index is in flight), so a process-wide
+/// sequence keeps one re-index from deleting another's snapshot.
 fn scratch_snapshot_dir(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("irs-reindex-{}-{name}", std::process::id()))
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("irs-reindex-{}-{seq}-{name}", std::process::id()))
 }
 
 /// Applies one mutation through the backend writer, translating global
@@ -907,6 +910,45 @@ mod tests {
         (0..n as i64)
             .map(|i| Interval::new(i * 3 % 101, i * 3 % 101 + 5 + i % 7))
             .collect()
+    }
+
+    #[test]
+    fn scratch_snapshot_dirs_are_distinct_per_call() {
+        let a = scratch_snapshot_dir("twin");
+        let b = scratch_snapshot_dir("twin");
+        assert_ne!(a, b);
+        assert_eq!(a.parent(), b.parent());
+        for dir in [&a, &b] {
+            let leaf = dir.file_name().unwrap().to_str().unwrap();
+            assert!(leaf.starts_with(&format!("irs-reindex-{}-", std::process::id())));
+            assert!(leaf.ends_with("-twin"), "{leaf}");
+        }
+    }
+
+    #[test]
+    fn refused_reindex_leaves_no_scratch_snapshot() {
+        let spec = || {
+            CollectionSpec::new("refused-swap")
+                .kind(KindSpec::Fixed(IndexKind::Kds))
+                .data(data(2000))
+        };
+        let probe: Catalog<i64> = Catalog::new();
+        probe.create(spec()).unwrap();
+        // Room for the KDS backend, not for the larger AIT: the budget
+        // check runs after the durability snapshot is written.
+        let catalog: Catalog<i64> = Catalog::with_budget(probe.used_bytes());
+        catalog.create(spec()).unwrap();
+        assert!(matches!(
+            catalog.reindex("refused-swap", IndexKind::Ait, None),
+            Err(CatalogError::BudgetExceeded { .. })
+        ));
+        let prefix = format!("irs-reindex-{}-", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|leaf| leaf.starts_with(&prefix) && leaf.ends_with("-refused-swap"))
+            .collect();
+        assert!(left.is_empty(), "{left:?}");
     }
 
     #[test]

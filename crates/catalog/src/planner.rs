@@ -1,6 +1,6 @@
 //! The adaptive planner: picks an [`IndexKind`] from declared
 //! [`WorkloadHints`] using the capability table plus a static cost
-//! model seeded from the committed bench matrix.
+//! model from frozen throughput rows.
 //!
 //! Two stages:
 //!
@@ -11,16 +11,21 @@
 //!    alone guarantees the contract the catalog tests pin: churning
 //!    hints never land on a static snapshot.
 //! 2. **Cost model.** Among the survivors, each kind is scored by a
-//!    throughput estimate interpolated from `BENCH_2026-08-07.json`'s
-//!    pinned 1-shard / 1-thread rows (taxi profile, seed 42): QPS at
+//!    throughput estimate from `SAMPLE_QPS` / `SEARCH_QPS`: QPS at
 //!    `n = 200 000` and `n = 1 000 000`, interpolated log-linearly in
 //!    the collection size and blended between the *sampling* and
 //!    *enumeration* columns by `expected_extent` (wider queries shift
 //!    weight toward enumeration throughput). Every kind has a pinned
 //!    row; ties break in [`IndexKind::ALL`] order. The model is
-//!    deliberately static — it re-ranks only when the committed bench
-//!    baseline is re-measured, so planning is deterministic across
+//!    deliberately static, so planning is deterministic across
 //!    machines.
+//!
+//! The rows are frozen: the tool that measured them is gone, and
+//! nothing re-measures them. Today's measurements come from the repo
+//! benchmark (`bash benchmark/run.sh`, per-layer rungs with
+//! `--trace 1`) and the paper's per-kind tables from the `repro`
+//! runner in `irs-bench`; ROADMAP item 16 replaces these rows with
+//! committed per-kind results.
 
 use crate::WorkloadHints;
 use irs_engine::IndexKind;
@@ -28,8 +33,11 @@ use irs_engine::IndexKind;
 /// One pinned bench row pair: `(kind, qps@200k, qps@1M)`.
 type Row = (IndexKind, f64, f64);
 
-/// `sample_qps` from `BENCH_2026-08-07.json` (1 shard, 1 thread,
-/// batch 256, s = 1000, taxi profile).
+/// Sampling QPS (1 shard, 1 thread, batch 256, s = 1000, taxi profile,
+/// seed 42): a frozen copy of the 1-shard rows of a 1-CPU baseline file
+/// the repo no longer carries (`git show
+/// 395b854:BENCH_2026-08-07.json`). Kept byte-for-byte so every planner
+/// pick stays what it was; ROADMAP item 16 replaces it.
 const SAMPLE_QPS: [Row; 5] = [
     (IndexKind::Ait, 21_549.6, 16_807.3),
     (IndexKind::AitV, 15_938.6, 7_770.1),
@@ -38,7 +46,7 @@ const SAMPLE_QPS: [Row; 5] = [
     (IndexKind::Kds, 35_343.5, 16_460.1),
 ];
 
-/// `search_qps` from the same pinned rows.
+/// Enumeration QPS from the same frozen rows; item 16 replaces it too.
 const SEARCH_QPS: [Row; 5] = [
     (IndexKind::Ait, 139_489.8, 6_220.7),
     (IndexKind::AitV, 43_108.3, 5_781.9),

@@ -1,13 +1,13 @@
-//! The CSV interval format every binary speaks: one `lo,hi[,weight]`
+//! The CSV interval format `irs-cli` speaks: one `lo,hi[,weight]`
 //! triple per line.
 //!
-//! Shared by `irs-cli` (generate/query/serve) and `irs-server` so a file
-//! written by one tool always loads in the other. Header lines (starting
-//! with a letter) are only recognized *before* the first data line; a
-//! malformed line in the data body is an error naming the line, never
-//! silently skipped. Weights must be positive and finite — the loader
-//! rejects them with a `file:line` message rather than letting an index
-//! builder abort on an unnamed row.
+//! One module for every `irs-cli` command (generate/query/snapshot/
+//! serve), so a file written by one command always loads in the others.
+//! Header lines (starting with a letter) are only recognized *before*
+//! the first data line; a malformed line in the data body is an error
+//! naming the line, never silently skipped. Weights must be positive
+//! and finite — the loader rejects them with a `file:line` message
+//! rather than letting an index builder abort on an unnamed row.
 
 use irs_core::{Interval, Interval64};
 use std::io::BufRead;

@@ -15,11 +15,14 @@
 //! `Arc` clone (`Clone + Send + Sync`), query batches execute *on the
 //! calling thread* under shared per-shard read locks, and many caller
 //! threads therefore run batches truly concurrently — throughput
-//! scales with callers (`irs-cli bench-engine --threads` plots the
-//! curve). The engine owns no thread: mutations are applied by the
-//! thread holding the writer seat, under the owning shard's write lock,
-//! so a query batch never observes a torn shard. See the [`engine`]
-//! module docs for the concurrency model.
+//! scales with callers (the benchmark ladder's
+//! `irs_engine.two_caller_speedup` rung measures it: `bash
+//! benchmark/run.sh --all --seed 1 --trace 1`; the `repro` runner in
+//! `irs-bench` times the paper's per-kind experiments). The engine owns
+//! no thread: mutations are applied by the thread holding the writer
+//! seat, under the owning shard's write lock, so a query batch never
+//! observes a torn shard. See the [`engine`] module docs for the
+//! concurrency model.
 //!
 //! The API is **fallible end to end**: [`Engine::run`] returns one
 //! `Result<QueryOutput, QueryError>` per query, construction goes
@@ -85,7 +88,6 @@ mod kind;
 pub mod persist;
 mod query;
 mod stream;
-pub mod throughput;
 
 pub use engine::{Engine, EngineConfig, EngineStats, EngineWriter, Irs, IrsBuilder};
 pub use kind::{DynIndex, IndexKind};

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- serve ------------------------------------------------------
     // Port 0: the OS picks a free port; real deployments pass a fixed
-    // address and run `irs-server` as its own process.
+    // address and run `irs-cli serve` as its own process.
     let handle = irs::serve(engine.clone(), ("127.0.0.1", 0), None)?;
     let addr = handle.local_addr();
     println!("irs-server listening on {addr}\n");

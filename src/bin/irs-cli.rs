@@ -5,8 +5,6 @@
 //! irs-cli count        --data trips.csv --lo 100 --hi 5000
 //! irs-cli sample       --data trips.csv --lo 100 --hi 5000 --s 10 [--weighted]
 //! irs-cli stab         --data trips.csv --at 250
-//! irs-cli bench-engine --n 1000000 --shards 1,2,4,8 --batches 64,256
-//! irs-cli bench-updates --n 1000000 --updates 100000 --shards 1,4
 //! irs-cli snapshot save --data trips.csv --kind ait --shards 4 --out snap/
 //! irs-cli snapshot inspect --dir snap/
 //! irs-cli snapshot load --dir snap/ --lo 100 --hi 5000 --s 10
@@ -84,8 +82,6 @@ fn main() -> ExitCode {
         "count" => cmd_count(&opts),
         "sample" => cmd_sample(&opts),
         "stab" => cmd_stab(&opts),
-        "bench-engine" => cmd_bench_engine(&opts),
-        "bench-updates" => cmd_bench_updates(&opts),
         "serve" => irs::cli::serve(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -110,12 +106,6 @@ USAGE:
   irs-cli count    --data <FILE> --lo <LO> --hi <HI>
   irs-cli sample   --data <FILE> --lo <LO> --hi <HI> --s <S> [--weighted] [--seed <S>]
   irs-cli stab     --data <FILE> --at <P>
-  irs-cli bench-engine [--profile <P>] [--n <N>] [--kind <K>]
-                       [--shards <K1,K2,..>] [--batches <B1,B2,..>] [--threads <T1,T2,..>]
-                       [--s <S>] [--queries <Q>] [--extent <PCT>] [--seed <S>]
-                       [--compare <BASELINE.json>]
-  irs-cli bench-updates [--profile <P>] [--n <N>] [--kind <ait|awit-dynamic>] [--weighted]
-                        [--updates <U>] [--shards <K1,K2,..>] [--seed <S>]
   irs-cli snapshot save    --data <FILE> --out <DIR> [--kind <K>] [--shards <N>]
                            [--weighted] [--seed <S>]
   irs-cli snapshot inspect --dir <DIR>
@@ -135,24 +125,6 @@ USAGE:
                     [--weighted] [--update-rate <R>] [--extent <X>]
            | drop --name <NAME> | ls | reindex --name <NAME> --kind <K>
            | save-catalog --out <DIR> | load-catalog --dir <DIR>
-
-bench-engine measures engine queries/sec (sample + search workloads) at
-each shard count × batch size × caller-thread count on a synthetic
-dataset (default: 1,000,000 taxi-profile intervals, shard counts
-1..num_cpus doubling, threads 1..num_cpus doubling, s = 1000). The
---threads axis drives the shared engine from that many concurrent
-caller threads — the multi-caller scaling curve of the concurrent read
-path — and every cell is also emitted as a machine-readable JSONL row
-(`grep '^{'` to collect). With --compare <BASELINE.json> it instead
-re-runs every bench-engine row of a pinned baseline file (the committed
-BENCH_*.json shape, a bare row array, or collected JSONL) and prints
-per-row sample/search QPS deltas plus a geometric-mean summary; the
-matrix comes from the baseline rows, only --seed/--extent apply.
-
-bench-updates measures live-update throughput (Table VII's axes: one-by-one
-insertion, pooled batch insertion, deletion) through one engine at
-each shard count, emitting both a human table and machine-readable JSONL
-rows (`grep '^{'` to collect).
 
 snapshot saves a built backend (any kind, any shard count) to a
 directory of CRC-checked files, inspects a snapshot's manifest without
@@ -212,7 +184,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// CSV loading now lives in `irs::datagen` (shared with `irs-server`).
+/// CSV loading lives in `irs::datagen` (shared with `serve`).
 fn load(path: &str) -> Result<(Vec<Interval64>, Vec<f64>), String> {
     irs::datagen::load_csv(path)
 }
@@ -355,378 +327,6 @@ fn cmd_snapshot(action: &str, opts: &Opts) -> Result<(), String> {
             "unknown snapshot action `{other}` (want save | load | inspect)"
         )),
     }
-}
-
-/// Comma-separated positive-count list option, e.g. `--shards 1,2,4,8`
-/// (same syntax and validation as the bench binaries' env knobs).
-fn num_list(opts: &Opts, key: &str, default: Vec<usize>) -> Result<Vec<usize>, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => irs::engine_throughput::parse_count_list(v).map_err(|e| format!("--{key}: {e}")),
-    }
-}
-
-fn cmd_bench_engine(opts: &Opts) -> Result<(), String> {
-    if let Some(path) = opts.get("compare") {
-        return cmd_bench_engine_compare(opts, path);
-    }
-    let profile = match opts.get("profile").unwrap_or("taxi") {
-        "book" => irs::datagen::BOOK,
-        "btc" => irs::datagen::BTC,
-        "renfe" => irs::datagen::RENFE,
-        "taxi" => irs::datagen::TAXI,
-        other => return Err(format!("unknown profile `{other}`")),
-    };
-    let kind = match opts.get("kind") {
-        None => IndexKind::Ait,
-        Some(name) => IndexKind::parse(name).ok_or_else(|| format!("unknown kind `{name}`"))?,
-    };
-    let n: usize = opts.num_or("n", 1_000_000)?;
-    let s: usize = opts.num_or("s", 1_000)?;
-    let query_count: usize = opts.num_or("queries", 2_048)?;
-    let extent: f64 = opts.num_or("extent", 1.0)?;
-    if !(0.0..=100.0).contains(&extent) {
-        return Err(format!(
-            "--extent: {extent} is not a percentage in [0, 100]"
-        ));
-    }
-    let seed: u64 = opts.num_or("seed", 42)?;
-    let cpus = irs::engine_throughput::cpu_count();
-    let shard_counts = num_list(
-        opts,
-        "shards",
-        irs::engine_throughput::default_shard_sweep(),
-    )?;
-    let batch_sizes = num_list(opts, "batches", vec![64, 256, 1024])?;
-    // Caller-thread axis: how many threads hammer the shared engine at
-    // once. Defaults to the same doubling sweep as shards, so the
-    // multi-caller scaling curve lands in the JSONL by default.
-    let thread_counts = num_list(
-        opts,
-        "threads",
-        irs::engine_throughput::default_shard_sweep(),
-    )?;
-
-    println!(
-        "# engine throughput — kind = {kind}, profile = {}, n = {n}, s = {s}",
-        profile.name
-    );
-    println!("# {query_count} queries at {extent}% extent, seed = {seed}, {cpus} CPUs");
-    let data = profile.generate(n, seed);
-    let queries =
-        irs::datagen::QueryWorkload::from_data(&data).generate(query_count, extent, seed ^ 0xBE7C);
-    // `threaded_qps` can't run more callers than there are queries;
-    // clamp (and dedup) here so every printed/emitted row reports a
-    // concurrency level that actually ran.
-    let mut thread_counts: Vec<usize> = thread_counts
-        .into_iter()
-        .map(|t| t.min(queries.len().max(1)))
-        .collect();
-    thread_counts.dedup();
-    println!(
-        "{:>7} {:>7} {:>8} {:>14} {:>14}",
-        "shards", "batch", "threads", "sample q/s", "search q/s"
-    );
-    // Scaling ratio baseline: the *first thread count's* run at the
-    // same shard count and batch size, labeled with that count (only
-    // "vs 1-thread" when the list starts at 1).
-    let base_threads = thread_counts[0];
-    for &shards in &shard_counts {
-        let engine = Engine::try_new(&data, EngineConfig::new(kind).shards(shards).seed(seed))
-            .map_err(|e| e.to_string())?;
-        for &batch in &batch_sizes {
-            let mut baseline_sample: Option<f64> = None;
-            for &threads in &thread_counts {
-                let sample_qps =
-                    irs::engine_throughput::threaded_qps(&engine, &queries, threads, batch, |&q| {
-                        Query::Sample { q, s }
-                    });
-                let search_qps =
-                    irs::engine_throughput::threaded_qps(&engine, &queries, threads, batch, |&q| {
-                        Query::Search { q }
-                    });
-                let speedup = match baseline_sample {
-                    None => {
-                        baseline_sample = Some(sample_qps);
-                        String::new()
-                    }
-                    Some(base) => {
-                        format!(
-                            "  ({:.2}x sample vs {base_threads}-thread)",
-                            sample_qps / base
-                        )
-                    }
-                };
-                println!(
-                    "{shards:>7} {batch:>7} {threads:>8} {sample_qps:>14.0} {search_qps:>14.0}{speedup}"
-                );
-                irs_bench::JsonRow::new("bench-engine")
-                    .str("kind", kind.name())
-                    .str("profile", profile.name)
-                    .int("n", n)
-                    .int("shards", shards)
-                    .int("batch", batch)
-                    .int("threads", threads)
-                    .int("s", s)
-                    .int("queries", queries.len())
-                    .num("sample_qps", sample_qps)
-                    .num("search_qps", search_qps)
-                    .emit();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `bench-engine --compare <baseline.json>`: re-runs every
-/// `bench-engine` row of a pinned baseline file (the committed
-/// `BENCH_*.json` shape, a bare row array, or JSONL) on this machine
-/// and prints per-row QPS deltas. Rows keep the baseline's own matrix
-/// (kind, n, shards, batch, threads, s, queries); only `--seed` and
-/// `--extent` come from the command line, defaulting to the pinned
-/// values.
-fn cmd_bench_engine_compare(opts: &Opts, path: &str) -> Result<(), String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("--compare: {path}: {e}"))?;
-    let rows =
-        irs_bench::baseline::baseline_rows(&doc).map_err(|e| format!("--compare: {path}: {e}"))?;
-    let seed: u64 = opts.num_or("seed", 42)?;
-    let extent: f64 = opts.num_or("extent", 1.0)?;
-
-    let field = |row: &irs_bench::baseline::JsonValue, key: &'static str| {
-        row.get(key)
-            .cloned()
-            .ok_or_else(|| format!("--compare: row missing `{key}`"))
-    };
-    println!("# engine throughput vs baseline {path} (seed = {seed})");
-    println!(
-        "{:>13} {:>8} {:>7} {:>7} {:>8} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
-        "kind",
-        "n",
-        "shards",
-        "batch",
-        "threads",
-        "base smp/s",
-        "now smp/s",
-        "Δsmp",
-        "base srch/s",
-        "now srch/s",
-        "Δsrch"
-    );
-    // Builds are the expensive part; baselines group rows by (kind, n,
-    // shards), so caching the last dataset and engine re-runs the whole
-    // pinned matrix with one build per group.
-    let mut data_key: Option<(String, usize)> = None;
-    let mut data: Vec<Interval64> = Vec::new();
-    let mut engine_key: Option<(String, String, usize, usize)> = None;
-    let mut engine: Option<Engine<i64>> = None;
-    let mut sample_ratios: Vec<f64> = Vec::new();
-    let mut search_ratios: Vec<f64> = Vec::new();
-    for row in &rows {
-        if row.get("experiment").and_then(|v| v.as_str()) != Some("bench-engine") {
-            continue;
-        }
-        let kind_name = field(row, "kind")?
-            .as_str()
-            .map(str::to_string)
-            .ok_or("--compare: `kind` is not a string")?;
-        let kind = IndexKind::parse(&kind_name)
-            .ok_or_else(|| format!("--compare: unknown kind `{kind_name}`"))?;
-        let profile_name = field(row, "profile")?
-            .as_str()
-            .map(str::to_lowercase)
-            .ok_or("--compare: `profile` is not a string")?;
-        let profile = match profile_name.as_str() {
-            "book" => irs::datagen::BOOK,
-            "btc" => irs::datagen::BTC,
-            "renfe" => irs::datagen::RENFE,
-            "taxi" => irs::datagen::TAXI,
-            other => return Err(format!("--compare: unknown profile `{other}`")),
-        };
-        let as_count = |key: &'static str| -> Result<usize, String> {
-            field(row, key)?
-                .as_usize()
-                .ok_or_else(|| format!("--compare: `{key}` is not a count"))
-        };
-        let n = as_count("n")?;
-        let shards = as_count("shards")?;
-        let batch = as_count("batch")?;
-        let threads = as_count("threads")?;
-        let s = as_count("s")?;
-        let query_count = as_count("queries")?;
-        let base_sample = field(row, "sample_qps")?
-            .as_f64()
-            .ok_or("--compare: `sample_qps` is not a number")?;
-        let base_search = field(row, "search_qps")?
-            .as_f64()
-            .ok_or("--compare: `search_qps` is not a number")?;
-
-        let dkey = (profile_name.clone(), n);
-        if data_key.as_ref() != Some(&dkey) {
-            data = profile.generate(n, seed);
-            data_key = Some(dkey);
-            engine_key = None;
-        }
-        let ekey = (kind_name.clone(), profile_name.clone(), n, shards);
-        if engine_key.as_ref() != Some(&ekey) {
-            engine = Some(
-                Engine::try_new(&data, EngineConfig::new(kind).shards(shards).seed(seed))
-                    .map_err(|e| e.to_string())?,
-            );
-            engine_key = Some(ekey);
-        }
-        let engine = engine.as_ref().expect("engine built above");
-        let queries = irs::datagen::QueryWorkload::from_data(&data).generate(
-            query_count,
-            extent,
-            seed ^ 0xBE7C,
-        );
-        let threads = threads.min(queries.len().max(1));
-        let sample_qps =
-            irs::engine_throughput::threaded_qps(engine, &queries, threads, batch, |&q| {
-                Query::Sample { q, s }
-            });
-        let search_qps =
-            irs::engine_throughput::threaded_qps(engine, &queries, threads, batch, |&q| {
-                Query::Search { q }
-            });
-        let pct = |now: f64, base: f64| (now / base - 1.0) * 100.0;
-        println!(
-            "{:>13} {:>8} {:>7} {:>7} {:>8} {:>12.0} {:>12.0} {:>+7.1}% {:>12.0} {:>12.0} {:>+7.1}%",
-            kind_name, n, shards, batch, threads,
-            base_sample, sample_qps, pct(sample_qps, base_sample),
-            base_search, search_qps, pct(search_qps, base_search),
-        );
-        sample_ratios.push(sample_qps / base_sample);
-        search_ratios.push(search_qps / base_search);
-        irs_bench::JsonRow::new("bench-engine-compare")
-            .str("kind", kind.name())
-            .str("profile", profile.name)
-            .int("n", n)
-            .int("shards", shards)
-            .int("batch", batch)
-            .int("threads", threads)
-            .int("s", s)
-            .int("queries", query_count)
-            .num("baseline_sample_qps", base_sample)
-            .num("sample_qps", sample_qps)
-            .num("baseline_search_qps", base_search)
-            .num("search_qps", search_qps)
-            .emit();
-    }
-    if sample_ratios.is_empty() {
-        return Err(format!("--compare: no bench-engine rows in {path}"));
-    }
-    let geomean =
-        |ratios: &[f64]| (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-    println!(
-        "# geometric mean vs baseline over {} rows: sample {:.2}x, search {:.2}x",
-        sample_ratios.len(),
-        geomean(&sample_ratios),
-        geomean(&search_ratios),
-    );
-    Ok(())
-}
-
-/// Table VII through one engine: one-by-one insertion, pooled
-/// batch insertion, and deletion throughput per shard count, as a human
-/// table plus `JsonRow` JSONL for the bench trajectory.
-fn cmd_bench_updates(opts: &Opts) -> Result<(), String> {
-    let profile = match opts.get("profile").unwrap_or("taxi") {
-        "book" => irs::datagen::BOOK,
-        "btc" => irs::datagen::BTC,
-        "renfe" => irs::datagen::RENFE,
-        "taxi" => irs::datagen::TAXI,
-        other => return Err(format!("unknown profile `{other}`")),
-    };
-    let kind = match opts.get("kind") {
-        None => IndexKind::Ait,
-        Some(name) => IndexKind::parse(name).ok_or_else(|| format!("unknown kind `{name}`"))?,
-    };
-    if !kind.capabilities(false).update {
-        return Err(format!(
-            "kind `{kind}` is a static snapshot; update-capable kinds: ait, awit-dynamic"
-        ));
-    }
-    let weighted = opts.get("weighted").is_some();
-    if weighted && !kind.supports_mutation(true, UpdateOp::InsertWeighted) {
-        return Err(format!("kind `{kind}` cannot ingest weighted intervals"));
-    }
-    let n: usize = opts.num_or("n", 1_000_000)?;
-    let updates: usize = opts.num_or("updates", 100_000)?;
-    let seed: u64 = opts.num_or("seed", 42)?;
-    let shard_counts = num_list(opts, "shards", vec![1, irs::engine_throughput::cpu_count()])?;
-
-    println!(
-        "# live-update throughput — kind = {kind}, profile = {}, n = {n}, {updates} updates{}",
-        profile.name,
-        if weighted { ", weighted" } else { "" }
-    );
-    let data = profile.generate(n, seed);
-    let weights = irs::datagen::uniform_weights(n, seed ^ 1);
-    let fresh = profile.generate(updates, seed ^ 0xF5E5);
-    println!(
-        "{:>7} {:>16} {:>16} {:>16}",
-        "shards", "insert ops/s", "batch-ins ops/s", "delete ops/s"
-    );
-    for &shards in &shard_counts {
-        let mut builder = Irs::builder().kind(kind).shards(shards).seed(seed);
-        if weighted {
-            builder = builder.weights(weights.clone());
-        }
-        let engine = builder.build(&data).map_err(|e| e.to_string())?;
-
-        // One-by-one insertion (the expensive path of Table VII).
-        let t = std::time::Instant::now();
-        let mut ids = Vec::with_capacity(updates);
-        for (i, &iv) in fresh.iter().enumerate() {
-            let id = if weighted {
-                engine.insert_weighted(iv, 1.0 + (i % 100) as f64)
-            } else {
-                engine.insert(iv)
-            }
-            .map_err(|e| e.to_string())?;
-            ids.push(id);
-        }
-        let one_by_one = updates as f64 / t.elapsed().as_secs_f64();
-
-        // Deletion of exactly those intervals.
-        let t = std::time::Instant::now();
-        for &id in &ids {
-            engine.remove(id).map_err(|e| e.to_string())?;
-        }
-        let deletes = updates as f64 / t.elapsed().as_secs_f64();
-
-        // Pooled batch insertion on a fresh engine (so the pools start
-        // cold, matching the one-by-one run's starting state).
-        let mut builder = Irs::builder().kind(kind).shards(shards).seed(seed);
-        if weighted {
-            builder = builder.weights(weights.clone());
-        }
-        let engine = builder.build(&data).map_err(|e| e.to_string())?;
-        let t = std::time::Instant::now();
-        engine.extend_batch(&fresh).map_err(|e| e.to_string())?;
-        let batched = updates as f64 / t.elapsed().as_secs_f64();
-
-        println!("{shards:>7} {one_by_one:>16.0} {batched:>16.0} {deletes:>16.0}");
-        for (mode, ops) in [
-            ("insert", one_by_one),
-            ("insert-batch", batched),
-            ("delete", deletes),
-        ] {
-            irs_bench::JsonRow::new("bench-updates")
-                .str("kind", kind.name())
-                .str("profile", profile.name)
-                .int("n", n)
-                .int("shards", shards)
-                .int("updates", updates)
-                .str("mode", mode)
-                .str("weighted", if weighted { "yes" } else { "no" })
-                .num("ops_per_sec", ops)
-                .num("us_per_op", 1e6 / ops)
-                .emit();
-        }
-    }
-    Ok(())
 }
 
 /// A remote-command failure: the message plus, when the server answered

@@ -1,8 +1,8 @@
-//! What the repo's binaries (`irs-cli`, `irs-server`) share: option
-//! parsing — a flat `--key value` bag with typed accessors; no external
-//! dependencies, parsing is by hand, and unknown options are simply
-//! never read (each command documents what it consumes) — and the one
-//! [`serve`] command both of them run.
+//! The library side of `irs-cli`: option parsing — a flat `--key value`
+//! bag with typed accessors; no external dependencies, parsing is by
+//! hand, and unknown options are simply never read (each command
+//! documents what it consumes) — and the [`serve`] command that runs
+//! the daemon.
 
 use crate::{Catalog, Engine, IndexKind, Irs, LogRecord, Serving, WalWriter, DEFAULT_COLLECTION};
 use std::path::Path;
@@ -129,8 +129,8 @@ fn recover_wal(
     Ok(Some(wal))
 }
 
-/// The serve command, shared by `irs-cli serve` and `irs-server`: runs
-/// the daemon in-process until a remote `shutdown` arrives, then drains.
+/// `irs-cli serve`: runs the daemon in-process until a remote
+/// `shutdown` arrives, then drains.
 ///
 /// What it fronts is picked by exactly one of `--data` (build),
 /// `--snapshot` (load), `--catalog` (a whole tenancy: an existing

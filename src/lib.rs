@@ -138,21 +138,13 @@ pub mod catalog {
     pub use irs_catalog::*;
 }
 
-/// CLI plumbing shared by the repo's binaries: option parsing and the
-/// one serve command.
+/// `irs-cli`'s plumbing: option parsing and the serve command.
 pub mod cli;
 
 /// The wire protocol (re-export of [`irs_wire`]): framing, the typed
 /// request/response vocabulary, and the blocking [`RemoteClient`].
 pub mod wire {
     pub use irs_wire::*;
-}
-
-/// Engine throughput-measurement helpers (re-export of
-/// [`irs_engine::throughput`]), shared by `irs-cli bench-engine` and the
-/// bench binaries.
-pub mod engine_throughput {
-    pub use irs_engine::throughput::*;
 }
 
 /// Dataset and workload generation (re-export of [`irs_datagen`]).

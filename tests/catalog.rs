@@ -719,3 +719,47 @@ fn catalog_save_load_round_trips_every_collection() {
 
     std::fs::remove_dir_all(&tmp).ok();
 }
+
+/// Two live collections with one name (two catalogs in one process, or
+/// a drop + re-create while a re-index is still in flight) each snapshot
+/// to a scratch directory of their own during `reindex(.., None)`: one
+/// re-index never deletes the other's snapshot while it is written.
+#[test]
+fn same_named_collections_reindex_concurrently() {
+    let data = dataset(4000, 71);
+    let catalogs: Vec<Catalog<i64>> = (0..2)
+        .map(|_| {
+            let catalog = Catalog::<i64>::new();
+            catalog
+                .create(
+                    CollectionSpec::new("twin")
+                        .kind(KindSpec::Fixed(IndexKind::Ait))
+                        .data(data.clone()),
+                )
+                .expect("create");
+            catalog
+        })
+        .collect();
+    let start = std::sync::Barrier::new(catalogs.len());
+    std::thread::scope(|scope| {
+        for catalog in &catalogs {
+            let start = &start;
+            scope.spawn(move || {
+                for round in 0..20 {
+                    let kind = if round % 2 == 0 {
+                        IndexKind::Kds
+                    } else {
+                        IndexKind::Ait
+                    };
+                    // Both re-indexes of a round start together.
+                    start.wait();
+                    let info = catalog.reindex("twin", kind, None);
+                    assert!(info.is_ok(), "round {round}: {info:?}");
+                }
+            });
+        }
+    });
+    for catalog in &catalogs {
+        assert_eq!(catalog.describe("twin").expect("describe").len, data.len());
+    }
+}
