@@ -224,6 +224,12 @@ impl<E: Endpoint> Ait<E> {
         self.pool.len()
     }
 
+    /// How many pooled intervals trigger a flush: `⌈log₂ n⌉²` (at
+    /// least 16), with `n` the size at the last build or rebuild.
+    pub fn pool_capacity(&self) -> usize {
+        self.pool_capacity
+    }
+
     /// Merges every pooled interval into the tree: routes each one,
     /// sorts what the pool adds by node and then by `(key, id)`, and
     /// merges every touched run of every touched node once.
@@ -395,49 +401,47 @@ impl<E: Endpoint> Ait<E> {
         }
     }
 
-    /// All live `(interval, id)` pairs — tree and insertion pool alike —
-    /// in no particular order, reconstructed in `O(n log n)` by joining
-    /// each node's two `L` runs on id (both hold exactly the node's
+    /// Every live interval — tree and insertion pool alike — at the
+    /// index of its id, `None` at ids never issued or deleted, in one
+    /// pass: each node's `Ll` run gives its intervals' left endpoints
+    /// and its `Lr` run their right ones (both hold exactly the node's
     /// interval set). This is how [`Ait::rebuild`] recovers its input,
     /// and how callers that track intervals by id alone (the engine's
     /// delete-by-id table) can seed their lookup lazily instead of
     /// mirroring every build.
-    pub fn entries(&self) -> Vec<(Interval<E>, ItemId)> {
-        let mut out = Vec::with_capacity(self.len);
-        let by_id = |node: &AitNode<E>, kind| -> Vec<(ItemId, E)> {
-            let mut pairs: Vec<(ItemId, E)> = node
-                .ids(kind)
-                .iter()
-                .copied()
-                .zip(node.keys(kind).iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            pairs
-        };
+    pub fn intervals_by_id(&self) -> Vec<Option<Interval<E>>> {
+        let mut table = vec![None; self.next_id as usize];
         for node in &self.nodes {
-            if node.l_len() == 0 {
-                continue;
+            let lo = node.ids(ListKind::Lo).iter().zip(node.keys(ListKind::Lo));
+            for (&id, &lo) in lo {
+                table[id as usize] = Some(Interval { lo, hi: lo });
             }
-            for ((id, lo), (id_hi, hi)) in by_id(node, ListKind::Lo)
-                .into_iter()
-                .zip(by_id(node, ListKind::Hi))
-            {
-                debug_assert_eq!(id, id_hi);
-                out.push((Interval::new(lo, hi), id));
+            let hi = node.ids(ListKind::Hi).iter().zip(node.keys(ListKind::Hi));
+            for (&id, &hi) in hi {
+                if let Some(iv) = &mut table[id as usize] {
+                    iv.hi = hi;
+                }
             }
         }
-        out.extend(self.pool.iter().copied());
-        out
+        for &(iv, id) in &self.pool {
+            table[id as usize] = Some(iv);
+        }
+        table
     }
 
     /// Rebuilds the tree from scratch, preserving ids and folding in any
     /// pooled insertions. Invoked automatically when the height bound is
     /// violated; also useful after heavy deletion to reclaim arena slots.
     pub fn rebuild(&mut self) {
-        let entries: Vec<BuildEntry<E>> = self
-            .entries()
-            .into_iter()
-            .map(|(iv, id)| BuildEntry { iv, id, w: 1.0 })
+        let entries: Vec<BuildEntry<E>> = (0..)
+            .zip(self.intervals_by_id())
+            .filter_map(|(id, iv)| {
+                Some(BuildEntry {
+                    iv: iv?,
+                    id,
+                    w: 1.0,
+                })
+            })
             .collect();
         let next_id = self.next_id;
         *self = Ait::from_entries(entries, next_id);
@@ -638,6 +642,12 @@ mod tests {
             }
             ait.validate().unwrap();
             prop_assert_eq!(ait.len(), shadow.len());
+            // The id-indexed table holds exactly the shadow's live set.
+            let mut expect = vec![None; ait.intervals_by_id().len()];
+            for &(x, id) in &shadow {
+                expect[id as usize] = Some(x);
+            }
+            prop_assert_eq!(ait.intervals_by_id(), expect);
         }
     }
 }

@@ -993,31 +993,15 @@ pub struct EngineWriter<'a, E> {
 }
 
 impl<E: GridEndpoint> EngineWriter<'_, E> {
-    /// Applies a batch of typed [`Mutation`]s: one `Result` per
-    /// mutation, in order.
+    /// Inserts one interval, returning its stable global id. The
+    /// interval is sampleable as soon as this returns; on a weighted
+    /// update-capable engine it joins with weight `1.0`.
     ///
-    /// Routing (see the module docs): inserts go to the least-loaded
-    /// shard, deletes to the shard decoded from the global id
-    /// (`shard = id mod K`). Returned ids follow the engine's global-id
-    /// scheme (`local·K + shard`), so they are stable for the engine's
-    /// lifetime and interchangeable with the ids query results report.
-    ///
-    /// Each shard's sub-batch is applied under the shard's *write*
-    /// lock — on this thread, or on a scoped thread (at most one per
-    /// CPU) when the batch spans several shards — so a concurrent query batch observes
-    /// each shard either entirely before or entirely after its
-    /// sub-batch, never torn. Capability gating happens up front: on a
-    /// kind with `capabilities().update == false` every mutation fails
-    /// with the typed [`UpdateError::UnsupportedKind`] and no shard is
-    /// touched.
-    pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
-        self.mutate(muts, false)
-    }
-
-    /// Inserts one interval immediately (the paper's §III-D one-by-one
-    /// insertion), returning its stable global id. The interval is
-    /// sampleable as soon as this returns; on a weighted update-capable
-    /// engine it joins with weight `1.0`.
+    /// Every insert — this one, [`EngineWriter::apply`]'s, and
+    /// [`EngineWriter::extend_batch`]'s — goes through the shard's
+    /// insertion pool (the paper's §III-D batch insertion): queries scan
+    /// the pool linearly, and the insert that fills it merges the pool
+    /// into the tree in one pass, under the shard's write lock.
     pub fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
         self.inserted(Mutation::Insert { iv })
     }
@@ -1034,16 +1018,14 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
     /// an id that is not live (never issued, or already removed) is
     /// [`UpdateError::UnknownId`].
     pub fn remove(&mut self, id: ItemId) -> Result<(), UpdateError> {
-        self.mutate(&[Mutation::Delete { id }], false)
+        self.apply(&[Mutation::Delete { id }])
             .swap_remove(0)
             .map(|_| ())
     }
 
-    /// Inserts a batch of intervals through the structures' insertion
-    /// pools (the paper's §III-D batch insertion): each interval is
-    /// immediately visible to queries, while tree maintenance is
-    /// amortized across pool flushes. Returns the new global ids, in
-    /// input order.
+    /// Inserts a batch of intervals, each as [`EngineWriter::insert`]
+    /// does (through the shards' insertion pools), and returns the new
+    /// global ids, in input order.
     ///
     /// All-or-nothing: if any insert fails (a dead shard, an
     /// unsupported kind), the inserts that did land are rolled back
@@ -1055,7 +1037,7 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
         let muts: Vec<Mutation<E>> = ivs.iter().map(|&iv| Mutation::Insert { iv }).collect();
         let mut ids = Vec::with_capacity(ivs.len());
         let mut first_err = None;
-        for result in self.mutate(&muts, true) {
+        for result in self.apply(&muts) {
             match result {
                 Ok(UpdateOutput::Inserted(id)) => ids.push(id),
                 Ok(UpdateOutput::Removed) => {
@@ -1071,7 +1053,7 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
             Some(e) => {
                 let rollback: Vec<Mutation<E>> =
                     ids.into_iter().map(|id| Mutation::Delete { id }).collect();
-                let _ = self.mutate(&rollback, false);
+                let _ = self.apply(&rollback);
                 Err(e)
             }
         }
@@ -1126,7 +1108,7 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
 
     /// Applies one insert and returns its id.
     fn inserted(&mut self, m: Mutation<E>) -> Result<ItemId, UpdateError> {
-        match self.mutate(&[m], false).swap_remove(0)? {
+        match self.apply(&[m]).swap_remove(0)? {
             UpdateOutput::Inserted(id) => Ok(id),
             UpdateOutput::Removed => Err(self.protocol_error()),
         }
@@ -1141,15 +1123,26 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
         }
     }
 
-    /// Routes one mutation batch and applies each shard's sub-batch.
-    /// `buffered` selects pooled insertion. The seat this guard holds
-    /// keeps the routing bookkeeping (`len`, each shard's `len`) and
-    /// the shards' write locks single-writer.
-    fn mutate(
-        &mut self,
-        muts: &[Mutation<E>],
-        buffered: bool,
-    ) -> Vec<Result<UpdateOutput, UpdateError>> {
+    /// Applies a batch of typed [`Mutation`]s: one `Result` per
+    /// mutation, in order.
+    ///
+    /// Routing (see the module docs): inserts go to the least-loaded
+    /// shard, deletes to the shard decoded from the global id
+    /// (`shard = id mod K`). Returned ids follow the engine's global-id
+    /// scheme (`local·K + shard`), so they are stable for the engine's
+    /// lifetime and interchangeable with the ids query results report.
+    ///
+    /// Each shard's sub-batch is applied under the shard's *write*
+    /// lock — on this thread, or on a scoped thread (at most one per
+    /// CPU) when the batch spans several shards — so a concurrent query batch observes
+    /// each shard either entirely before or entirely after its
+    /// sub-batch, never torn. Capability gating happens up front: on a
+    /// kind with `capabilities().update == false` every mutation fails
+    /// with the typed [`UpdateError::UnsupportedKind`] and no shard is
+    /// touched. The seat this guard holds keeps the routing bookkeeping
+    /// (`len`, each shard's `len`) and the shards' write locks
+    /// single-writer.
+    pub fn apply(&mut self, muts: &[Mutation<E>]) -> Vec<Result<UpdateOutput, UpdateError>> {
         if muts.is_empty() {
             return Vec::new();
         }
@@ -1209,7 +1202,7 @@ impl<E: GridEndpoint> EngineWriter<'_, E> {
                 // the lock raises the flag, so the lock is not poisoned
                 // here and `into_inner` is a formality.
                 let mut index = shard.index.write().unwrap_or_else(|e| e.into_inner());
-                apply_sub_batch(index.as_mut(), *k, shards, batch, buffered)
+                apply_sub_batch(index.as_mut(), *k, shards, batch)
             })
         });
 
@@ -1442,25 +1435,19 @@ fn fan_out<T: Sync, R: Send>(
 /// caller's batch, mutation)` pairs — and answers `(position, result)`
 /// pairs, translating ids between the shard-local space and the
 /// engine's global scheme (`g = local·K + k`) in both directions.
-/// `buffered` routes inserts through the structure's insertion pool
-/// (the paper's batch insertion) instead of one-by-one.
 fn apply_sub_batch<E: GridEndpoint>(
     index: &mut dyn DynIndex<E>,
     shard_id: usize,
     shards: usize,
     muts: &[(usize, Mutation<E>)],
-    buffered: bool,
 ) -> MutReplies {
     let to_global = |local: ItemId| -> ItemId { local * shards as ItemId + shard_id as ItemId };
     muts.iter()
         .map(|&(pos, m)| {
             let result = match m {
-                Mutation::Insert { iv } => if buffered {
-                    index.insert_buffered(iv)
-                } else {
-                    index.insert(iv)
-                }
-                .map(|local| UpdateOutput::Inserted(to_global(local))),
+                Mutation::Insert { iv } => index
+                    .insert(iv)
+                    .map(|local| UpdateOutput::Inserted(to_global(local))),
                 Mutation::InsertWeighted { iv, weight } => index
                     .insert_weighted(iv, weight)
                     .map(|local| UpdateOutput::Inserted(to_global(local))),

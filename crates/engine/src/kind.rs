@@ -26,19 +26,19 @@ use irs_ait::{Ait, AitV, Awit, DynamicAwit};
 use irs_core::erased::{DynPreparedSampler, Erased, ErasedUpperBound};
 use irs_core::persist::{Codec, PersistError, Reader};
 use irs_core::{
-    validate_update_weight, Capabilities, Endpoint, GridEndpoint, Interval, ItemId,
+    validate_update_weight, vec_bytes, Capabilities, Endpoint, GridEndpoint, Interval, ItemId,
     MemoryFootprint, Operation, QueryError, RangeCount, RangeSampler, RangeSearch, StabbingQuery,
     UpdateError, UpdateOp, WeightedRangeSampler,
 };
 use irs_kds::Kds;
-use std::collections::HashMap;
 
 /// Which index structure each shard builds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Augmented interval tree (§III): exact `O(log² n + s)` IRS, plus
-    /// the §III-D update algorithms (one-by-one insertion, pooled batch
-    /// insertion, deletion with height-triggered rebuild).
+    /// the §III-D updates: every insert goes through the insertion pool
+    /// (the paper's batch insertion, merged into the tree when the pool
+    /// fills), and deletion keeps the height bound by rebuilding.
     Ait,
     /// Space-optimal AIT over virtual intervals (§III-C): `O(n)` space,
     /// expected `O(log² n + s)` IRS via rejection sampling.
@@ -297,8 +297,7 @@ impl std::fmt::Display for IndexKind {
 ///
 /// The trait also carries the *mutable companion surface*: fallible
 /// `&mut self` default methods ([`DynIndex::insert`],
-/// [`DynIndex::insert_buffered`], [`DynIndex::insert_weighted`],
-/// [`DynIndex::remove`]) that refuse with
+/// [`DynIndex::insert_weighted`], [`DynIndex::remove`]) that refuse with
 /// [`UpdateError::UnsupportedKind`] unless the kind overrides them
 /// (AIT's §III-D algorithms; `DynamicAwit`'s weighted ones). Queries
 /// stay `&self`; callers that share an index across threads put it
@@ -340,20 +339,14 @@ pub trait DynIndex<E>: Send + Sync {
     /// decomposition) — never by re-running the search.
     fn prepare_weighted<'a>(&'a self, q: Interval<E>) -> Option<Box<dyn DynPreparedSampler + 'a>>;
 
-    /// Inserts `iv` immediately (the paper's one-by-one insertion),
-    /// returning its new **local** id. Default: unsupported.
+    /// Inserts `iv`, returning its new **local** id. The in-tree kinds
+    /// insert through their structure's insertion pool (the paper's
+    /// batch insertion): the interval is visible to queries at once and
+    /// merged into the tree in bulk once the pool fills. Default:
+    /// unsupported.
     fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
         let _ = iv;
         Err(static_snapshot_error())
-    }
-
-    /// Inserts `iv` through the structure's insertion pool (the paper's
-    /// batch insertion): immediately visible to queries, merged into the
-    /// tree in bulk once the pool fills. Default: [`DynIndex::insert`],
-    /// which serves kinds whose inserts are always pooled and refuses
-    /// for static ones.
-    fn insert_buffered(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        self.insert(iv)
     }
 
     /// Inserts `iv` with weight `w` (already validated by the caller
@@ -415,14 +408,15 @@ fn stab_via_search<E: Endpoint, I: RangeSearch<E>>(idx: &I, p: E, out: &mut Vec<
 }
 
 /// AIT shard with the §III-D update surface: the tree plus a live
-/// id → interval table, because deletion must re-derive the interval
-/// from the id callers carry (the tree's delete walks the interval's
-/// insertion path). The table is **lazy** — seeded from
-/// [`Ait::entries`] on the first `remove` — so query-only and
+/// table indexed by local id, because deletion must re-derive the
+/// interval from the id callers carry (the tree's delete walks the
+/// interval's insertion path). The table is **lazy** — seeded from
+/// [`Ait::intervals_by_id`] on the first `remove` — so query-only and
 /// insert-only workloads never pay for mirroring the dataset.
 struct MutableAit<E> {
     idx: Ait<E>,
-    live: Option<HashMap<ItemId, Interval<E>>>,
+    /// The interval behind each local id, `None` once deleted.
+    live: Option<Vec<Option<Interval<E>>>>,
 }
 
 impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
@@ -442,13 +436,7 @@ impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
     }
 
     fn heap_bytes(&self) -> usize {
-        // The live table is open-addressed; its buckets hold the pair
-        // plus a control byte. `capacity()` understates the allocation
-        // by the load factor, which is fine for a budget *estimate*.
-        let table = self.live.as_ref().map_or(0, |m| {
-            m.capacity() * (std::mem::size_of::<(ItemId, Interval<E>)>() + 1)
-        });
-        MemoryFootprint::heap_bytes(&self.idx) + table
+        MemoryFootprint::heap_bytes(&self.idx) + self.live.as_ref().map_or(0, vec_bytes)
     }
 
     fn count(&self, q: Interval<E>) -> usize {
@@ -467,20 +455,15 @@ impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
         None
     }
 
+    // Every insert is pooled: one-by-one insertion shifts the sorted
+    // runs on the insert's path, O(n) at the root, for each interval.
     fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
-        let id = self.idx.insert(iv);
-        // The table (if materialized) tracks inserts; otherwise its
-        // eventual seeding from `Ait::entries` will include them.
-        if let Some(live) = &mut self.live {
-            live.insert(id, iv);
-        }
-        Ok(id)
-    }
-
-    fn insert_buffered(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
         let id = self.idx.insert_buffered(iv);
+        // The table (if materialized) tracks inserts; otherwise its
+        // eventual seeding from the tree will include them.
         if let Some(live) = &mut self.live {
-            live.insert(id, iv);
+            debug_assert_eq!(id as usize, live.len(), "ids are issued densely");
+            live.push(Some(iv));
         }
         Ok(id)
     }
@@ -489,10 +472,8 @@ impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
 
     fn remove(&mut self, id: ItemId) -> Result<(), UpdateError> {
         let idx = &self.idx;
-        let live = self
-            .live
-            .get_or_insert_with(|| idx.entries().into_iter().map(|(iv, id)| (id, iv)).collect());
-        match live.remove(&id) {
+        let live = self.live.get_or_insert_with(|| idx.intervals_by_id());
+        match live.get_mut(id as usize).and_then(Option::take) {
             Some(iv) => {
                 let found = self.idx.delete(iv, id);
                 debug_assert!(found, "live table and tree disagree on id {id}");
@@ -559,8 +540,7 @@ impl<E: GridEndpoint> DynIndex<E> for DynAwitShard<E> {
         Some(Box::new(WithMass(Erased(prepared), mass)))
     }
 
-    // DynamicAwit insertions are inherently pooled, so this also serves
-    // `insert_buffered`.
+    // DynamicAwit insertions are inherently pooled.
     fn insert(&mut self, iv: Interval<E>) -> Result<ItemId, UpdateError> {
         Ok(self.idx.insert(iv, 1.0))
     }

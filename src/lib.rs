@@ -57,7 +57,9 @@
 //!
 //! Update-capable kinds ([`IndexKind::Ait`] — the paper's §III-D
 //! algorithms — and [`IndexKind::AwitDynamic`] for weighted data) ingest
-//! while they serve, through the same handle:
+//! while they serve, through the same handle. Every insert joins its
+//! shard's insertion pool (the paper's batch insertion), which is merged
+//! into the tree when it fills:
 //!
 //! ```
 //! use irs::prelude::*;
@@ -65,7 +67,7 @@
 //! let data = irs::datagen::TAXI.generate(10_000, 42);
 //! let engine = Irs::builder().kind(IndexKind::Ait).shards(4).build(&data)?;
 //! let id = engine.insert(Interval::new(500, 900))?;        // immediately sampleable
-//! let batch = engine.extend_batch(&data[..100])?;          // pooled batch insertion
+//! let batch = engine.extend_batch(&data[..100])?;          // all-or-nothing batch
 //! engine.remove(id)?;                                      // id never reappears
 //! assert_eq!(engine.len(), data.len() + 100);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -15,6 +15,7 @@
 
 use irs::prelude::*;
 use irs::sampling::stats::{chi_square_ok, chi_square_uniformity_ok, total_variation};
+use irs::WalWriter;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 
@@ -241,4 +242,148 @@ fn backends_agree_after_identical_churn() {
         );
     }
     assert_eq!(counts[0], counts[1], "backends diverged after churn");
+}
+
+/// Every engine insert goes through its shard's insertion pool, so a
+/// stream of single `apply(&[Insert])` calls, past twice each shard's
+/// pool capacity and interleaved with deletes, crosses pool flushes:
+/// the live set still matches the oracle, sampling stays uniform, and a
+/// snapshot plus the write-ahead log recovers the exact state.
+#[test]
+fn single_inserts_cross_pool_flushes() {
+    let n = 1200;
+    for shards in [1usize, 4] {
+        let seed = 0xF1A5 + shards as u64;
+        let data = irs::datagen::TAXI.generate(n, seed);
+        let engine = Irs::builder()
+            .kind(IndexKind::Ait)
+            .shards(shards)
+            .seed(seed)
+            .build(&data)
+            .unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("irs-live-flush-{}-{shards}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (base, after, wal_path) = (dir.join("base"), dir.join("after"), dir.join("log.wal"));
+        engine.save(&base).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = WalWriter::<i64>::create(&wal_path, 1).unwrap();
+        let mut logged = |muts: &[Mutation<i64>]| {
+            wal.append(None, muts).unwrap();
+            engine.apply(muts).pop().unwrap()
+        };
+
+        let mut shadow: Shadow = (0..).zip(&data).map(|(id, &iv)| (id, (iv, 1.0))).collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x17);
+        let workload = irs::datagen::QueryWorkload::from_data(&data);
+        let probes = workload.generate(3, 8.0, seed ^ 0x33);
+        let fresh = irs::datagen::TAXI.generate(400 * shards, seed ^ 0x99);
+        let mut inserted_per_shard = vec![0usize; shards];
+        for (step, &iv) in fresh.iter().enumerate() {
+            let Ok(UpdateOutput::Inserted(id)) = logged(&[Mutation::Insert { iv }]) else {
+                panic!("K={shards}: insert {step} failed");
+            };
+            assert!(shadow.insert(id, (iv, 1.0)).is_none(), "id {id} reissued");
+            inserted_per_shard[id as usize % shards] += 1;
+            if step % 3 == 2 {
+                let ids: Vec<ItemId> = shadow.keys().copied().collect();
+                let id = ids[rng.random_range(0..ids.len())];
+                shadow.remove(&id);
+                assert_eq!(
+                    logged(&[Mutation::Delete { id }]),
+                    Ok(UpdateOutput::Removed)
+                );
+            }
+            if step % 101 == 0 {
+                for &q in &probes {
+                    let expect = shadow_matches(&shadow, q);
+                    assert_eq!(sorted(engine.search(q).unwrap()), expect, "K={shards}");
+                    assert_eq!(engine.count(q).unwrap(), expect.len(), "K={shards}");
+                    let stabbed = shadow_matches(&shadow, Interval::point(q.lo));
+                    assert_eq!(sorted(engine.stab(q.lo).unwrap()), stabbed, "K={shards}");
+                    for id in engine.sample(q, 32).unwrap() {
+                        assert!(
+                            expect.binary_search(&id).is_ok(),
+                            "K={shards}: sampled {id}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(engine.len(), shadow.len(), "K={shards}: len drifted");
+
+        // Uniform over the live support after the flushes.
+        let q = workload
+            .generate(48, 8.0, seed ^ 0x44)
+            .into_iter()
+            .find(|&q| (80..=700).contains(&shadow_matches(&shadow, q).len()))
+            .expect("workload yields a mid-size post-churn support");
+        let support = shadow_matches(&shadow, q);
+        let mut counts = vec![0u64; support.len()];
+        for id in engine.sample(q, DRAWS).unwrap() {
+            counts[support
+                .binary_search(&id)
+                .expect("sample outside live support")] += 1;
+        }
+        assert!(
+            chi_square_uniformity_ok(&counts, DRAWS as u64),
+            "K={shards}: sampling biased after pool flushes"
+        );
+
+        // Each shard took over twice its pool's capacity in inserts and
+        // still holds less than one pool: the pool flushed.
+        engine.save(&after).unwrap();
+        let manifest = irs::inspect_snapshot(&after).unwrap().manifest;
+        for (k, &inserted) in inserted_per_shard.iter().enumerate() {
+            use irs::Codec;
+            let shard = irs_engine::persist::read_shard_payload(&after, &manifest, k).unwrap();
+            let ait =
+                Ait::<i64>::decode(&mut irs_core::persist::Reader::new(shard.payload())).unwrap();
+            assert!(inserted > 2 * ait.pool_capacity(), "K={shards} shard {k}");
+            assert!(ait.pool_len() < ait.pool_capacity(), "K={shards} shard {k}");
+        }
+
+        // The pre-churn snapshot plus the log replays to the same state.
+        let (recovered, _, _) = Engine::<i64>::recover(&base, &wal_path).unwrap();
+        let batch: Vec<Query<i64>> = probes
+            .iter()
+            .flat_map(|&q| [Query::Sample { q, s: 64 }, Query::Count { q }])
+            .collect();
+        assert_eq!(
+            recovered.run_seeded(&batch, 0x5EED),
+            engine.run_seeded(&batch, 0x5EED),
+            "K={shards}: recovery diverged from the live engine"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Deleting an id the shard never issued is `UnknownId`, whether or not
+/// the shard's live table is seeded yet, and however far past its end.
+#[test]
+fn ids_past_the_live_table_are_unknown() {
+    let data = irs::datagen::TAXI.generate(200, 5);
+    for shards in [1usize, 4] {
+        let engine = Irs::builder()
+            .kind(IndexKind::Ait)
+            .shards(shards)
+            .build(&data)
+            .unwrap();
+        // The first remove seeds the table; this one asks past its end.
+        assert_eq!(
+            engine.remove(10_000),
+            Err(UpdateError::UnknownId { id: 10_000 })
+        );
+        engine.remove(3).unwrap();
+        let id = engine.insert(Interval::new(7, 9)).unwrap();
+        for unknown in [id + shards as ItemId, 1 << 30, ItemId::MAX] {
+            assert_eq!(
+                engine.remove(unknown),
+                Err(UpdateError::UnknownId { id: unknown }),
+                "K={shards}"
+            );
+        }
+        engine.remove(id).unwrap();
+        assert_eq!(engine.len(), data.len() - 1);
+    }
 }

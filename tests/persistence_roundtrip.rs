@@ -153,8 +153,8 @@ fn update_capable_kinds_keep_ids_and_oracle_agreement_across_restart() {
                 .enumerate()
                 .map(|(g, &iv)| (iv, g as ItemId))
                 .collect();
-            // Churn before the save: buffered batch insert + one-by-one
-            // inserts + deletes, so pools/tombstones are non-empty.
+            // Churn before the save: a batch insert, a lone insert and
+            // deletes, so pools/tombstones are non-empty.
             let fresh: Vec<Interval64> = (0..40)
                 .map(|i| Interval::new(1000 * i, 1000 * i + 5000))
                 .collect();
@@ -833,9 +833,9 @@ fn index_section_digests(dir: &std::path::Path) -> Vec<u64> {
         .collect()
 }
 
-/// Builds and churns one engine per pinned case: `ait` after one-by-one
-/// inserts (some opening new leaves), pooled inserts that flush and
-/// leave a partial pool, and deletes from the tree and the pool; a
+/// Builds and churns one engine per pinned case: `ait` after inserts
+/// (all pooled, as every engine insert is) that flush and leave a
+/// partial pool, and deletes from the tree and the pool; a
 /// static `ait-v`; a weighted `awit`; and a weighted `awit-dynamic`
 /// with pooled inserts and tombstones.
 fn pinned_engine(kind: IndexKind, shards: usize) -> Engine<i64> {
@@ -894,14 +894,14 @@ fn pinned_engine(kind: IndexKind, shards: usize) -> Engine<i64> {
 #[test]
 fn snapshot_index_sections_are_pinned() {
     let cases: [(IndexKind, &[u64]); 8] = [
-        (IndexKind::Ait, &[0x31450f409b26c11c]),
+        (IndexKind::Ait, &[0x9f853ab89dcd74f7]),
         (
             IndexKind::Ait,
             &[
-                0xdb0801822760d597,
-                0x3ab06d70b54192d2,
-                0x05c4becd5a935d73,
-                0x6fcad968ec9816ce,
+                0x1c0725e3390bfd6b,
+                0x0e6261fa29011975,
+                0x49404896e5965ae7,
+                0xd87b02e9ac8b3b56,
             ],
         ),
         (IndexKind::AitV, &[0xfda149b99bf817d2]),
@@ -954,5 +954,63 @@ fn snapshot_index_sections_are_pinned() {
             expect,
             "{kind} K={shards}: index section bytes moved"
         );
+    }
+}
+
+/// The AIT encoding pinned through the concrete structure alone, so it
+/// holds whichever insert path the engine takes: each round-robin shard
+/// is one `Ait` churned by one-by-one inserts (some opening new leaves),
+/// pooled inserts that flush and leave a partial pool, and deletes from
+/// the tree and the pool.
+#[test]
+fn concrete_ait_sections_are_pinned() {
+    use irs::Codec;
+    let cases: [&[u64]; 2] = [
+        &[0xd76de89b40d9c914],
+        &[
+            0xfb71287c1133725b,
+            0xebc33dc089cf1038,
+            0x61a7d669d06daa1d,
+            0x8bfe3446d99e12c0,
+        ],
+    ];
+    let data = dataset(1500, 41);
+    for expect in cases {
+        let shards = expect.len();
+        let digests: Vec<u64> = (0..shards)
+            .map(|k| {
+                let slice: Vec<Interval64> = data.iter().skip(k).step_by(shards).copied().collect();
+                let mut ait = irs::Ait::new(&slice);
+                for i in (k as i64..30).step_by(shards) {
+                    let lo = if i % 3 == 0 {
+                        -1_000_000 * (i + 1)
+                    } else {
+                        4_000 * i
+                    };
+                    ait.insert(Interval::new(lo, lo + 2_500 + 97 * i));
+                }
+                let pooled: Vec<(Interval64, ItemId)> = (k as i64..400)
+                    .step_by(shards)
+                    .map(|i| {
+                        let iv = Interval::new(1_700 * i - 90_000, 1_700 * i + 3_000 + 11 * i);
+                        (iv, ait.insert_buffered(iv))
+                    })
+                    .collect();
+                for id in (0..slice.len()).step_by(7) {
+                    assert!(ait.delete(slice[id], id as ItemId));
+                }
+                for &(iv, id) in pooled.iter().rev().step_by(5).take(3) {
+                    assert!(ait.delete(iv, id));
+                }
+                assert!(
+                    ait.pool_len() > 0,
+                    "K={shards} shard {k}: the pool must be partial"
+                );
+                let mut payload = Vec::new();
+                ait.encode_into(&mut payload);
+                fnv1a64(&payload)
+            })
+            .collect();
+        assert_eq!(digests, expect, "K={shards}: concrete AIT bytes moved");
     }
 }
