@@ -7,7 +7,7 @@
 //! Records index into one run with run-relative offsets, so the layout
 //! is invisible to records, draws and snapshots.
 
-use crate::build::{build_tree, BuildEntry, Cols, NodeFactory, NIL};
+use crate::build::{build_presorted, build_tree, BuildEntry, BuiltTree, Cols, NodeFactory, NIL};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
@@ -201,6 +201,19 @@ pub(crate) fn pool_capacity_for(n: usize) -> usize {
     (lg * lg).max(16)
 }
 
+/// The ids of the root's `kind` run (an `AL` run: every interval of the
+/// tree), empty for an empty tree.
+pub(crate) fn root_run<E: Endpoint, N: AsRef<AitNode<E>>>(
+    nodes: &[N],
+    root: u32,
+    kind: ListKind,
+) -> &[ItemId] {
+    // `NIL` is past the end of every arena.
+    nodes
+        .get(root as usize)
+        .map_or(&[], |node| node.as_ref().ids(kind))
+}
+
 /// The Augmented Interval Tree (AIT) of §III.
 ///
 /// Exact independent range sampling in `O(log² n + s)`, range counting in
@@ -249,18 +262,31 @@ impl<E: Endpoint> Ait<E> {
         Self::from_entries(entries, data.len() as ItemId)
     }
 
+    /// Builds over `entries` (any order), with ids issued below
+    /// `next_id`.
     pub(crate) fn from_entries(entries: Vec<BuildEntry<E>>, next_id: ItemId) -> Self {
-        let len = entries.len();
-        let built = build_tree(&AitFactory, entries);
-        let pool_capacity = pool_capacity_for(len);
+        Self::from_built(build_tree(&AitFactory, entries), next_id)
+    }
+
+    /// Builds over one entry set given in both of the builder's orders
+    /// (see [`build_presorted`]).
+    pub(crate) fn from_presorted(
+        by_lo: Vec<BuildEntry<E>>,
+        by_hi: Vec<BuildEntry<E>>,
+        next_id: ItemId,
+    ) -> Self {
+        Self::from_built(build_presorted(&AitFactory, by_lo, by_hi), next_id)
+    }
+
+    fn from_built(built: BuiltTree<AitNode<E>>, next_id: ItemId) -> Self {
         Ait {
             nodes: built.nodes,
             root: built.root,
-            len,
+            len: built.len,
             height: built.height,
             next_id,
             pool: Vec::new(),
-            pool_capacity,
+            pool_capacity: pool_capacity_for(built.len),
         }
     }
 

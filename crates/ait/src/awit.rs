@@ -13,7 +13,7 @@
 //! discussion: a single insertion shifts entire prefix arrays).
 
 use crate::ait::{collect_tree_records, AitFactory, AitNode};
-use crate::build::{build_tree, BuildEntry, NodeFactory};
+use crate::build::{build_presorted, build_tree, BuildEntry, BuiltTree, NodeFactory};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
@@ -139,11 +139,20 @@ impl<E: Endpoint> Awit<E> {
                 }
             })
             .collect();
-        let built = build_tree(&AwitFactory, entries);
+        Self::from_built(build_tree(&AwitFactory, entries))
+    }
+
+    /// Builds over one weighted entry set given in both of the builder's
+    /// orders (see [`build_presorted`]); ids are the entries' own.
+    pub(crate) fn from_presorted(by_lo: Vec<BuildEntry<E>>, by_hi: Vec<BuildEntry<E>>) -> Self {
+        Self::from_built(build_presorted(&AwitFactory, by_lo, by_hi))
+    }
+
+    fn from_built(built: BuiltTree<AwitNode<E>>) -> Self {
         Awit {
             nodes: built.nodes,
             root: built.root,
-            len: data.len(),
+            len: built.len,
             height: built.height,
         }
     }

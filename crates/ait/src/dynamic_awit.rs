@@ -16,10 +16,15 @@
 //!   enumeration, so tombstone concentrations cannot stall a query.
 //! - When the pool or tombstone set outgrows `⌈log₂ n⌉²`, the underlying
 //!   [`Awit`] is rebuilt, keeping updates amortized `O(n/log n)` and the
-//!   query-time overhead `O(log² n)`.
+//!   query-time overhead `O(log² n)`. The rebuild sorts nothing over `n`:
+//!   the old root's `AL` runs already hold the residents in the builder's
+//!   orders, so it drops the tombstones from them, merges in the sorted
+//!   pool and runs the builder's `O(n log n)` partitioning alone.
 
-use crate::ait::pool_capacity_for;
+use crate::ait::{pool_capacity_for, root_run};
 use crate::awit::{Awit, AwitPrepared, DRAW_CHUNK};
+use crate::build::{presorted_with_pool, BuildEntry, NIL};
+use crate::records::ListKind;
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSearch, WeightedRangeSampler,
@@ -159,25 +164,62 @@ impl<E: Endpoint> DynamicAwit<E> {
     }
 
     /// Folds the pool in and drops tombstones by rebuilding the AWIT.
+    ///
+    /// Live residents keep their order and move to the front, then the
+    /// pool follows in id order, so the slot table stays strictly
+    /// increasing. That renumbering of positions is monotone, so the old
+    /// root's `AL` runs, with the tombstoned positions dropped and the
+    /// rest renumbered, are still in the builder's `(key, position)`
+    /// orders: the builder's input is those runs with the pool merged
+    /// in, and nothing over all `n` is sorted. The result is the tree
+    /// [`Awit::new`] builds over the live records in slot order.
     pub fn rebuild(&mut self) {
         let mut pool = std::mem::take(&mut self.pool);
-        // Every pool id was issued after every resident's, so the pool,
-        // sorted by id, follows the live residents and the slot table
-        // stays strictly increasing.
+        // Every pool id was issued after every resident's.
         pool.sort_unstable_by_key(|&(_, id, _)| id);
-        let n = self.len() + pool.len();
-        let mut live = (Vec::with_capacity(n), Vec::with_capacity(n));
-        live.extend(
-            (self.slot_ids.iter().zip(&self.records).enumerate())
-                .filter(|&(pos, _)| !self.is_tombstoned(pos as u32))
-                .map(|(_, (&id, &rec))| (id, rec))
-                .chain(pool.into_iter().map(|(iv, id, w)| (id, (iv, w)))),
-        );
-        (self.slot_ids, self.records) = live;
-        let (data, weights): (Vec<Interval<E>>, Vec<f64>) = self.records.iter().copied().unzip();
-        self.awit = Awit::new(&data, &weights);
+        // Old position → new, `NIL` for a tombstoned one.
+        let mut renumber = Vec::with_capacity(self.records.len());
+        let mut dead = self.tombstoned.iter().copied().peekable();
+        let mut residents = 0u32;
+        for pos in 0..self.records.len() as u32 {
+            if dead.next_if_eq(&pos).is_some() {
+                renumber.push(NIL);
+            } else {
+                renumber.push(residents);
+                residents += 1;
+            }
+        }
+        let n = residents as usize + pool.len();
+        let (mut slot_ids, mut records) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for ((&id, &rec), &to) in self.slot_ids.iter().zip(&self.records).zip(&renumber) {
+            if to != NIL {
+                slot_ids.push(id);
+                records.push(rec);
+            }
+        }
+        for (iv, id, w) in pool {
+            slot_ids.push(id);
+            records.push((iv, w));
+        }
+
+        let entry = |pos: u32| {
+            let (iv, w) = records[pos as usize];
+            BuildEntry { iv, id: pos, w }
+        };
+        let run = |kind| {
+            root_run(&self.awit.nodes, self.awit.root, kind)
+                .iter()
+                .map(|&old| renumber[old as usize])
+                .filter(|&to| to != NIL)
+                .map(entry)
+        };
+        let pooled = (residents..n as u32).map(entry).collect();
+        let (by_lo, by_hi) =
+            presorted_with_pool(run(ListKind::AllLo), run(ListKind::AllHi), pooled, n);
+        self.awit = Awit::from_presorted(by_lo, by_hi);
+        (self.slot_ids, self.records) = (slot_ids, records);
         self.tombstoned.clear();
-        self.update_capacity = pool_capacity_for(self.records.len());
+        self.update_capacity = pool_capacity_for(n);
     }
 
     /// Sum of live weights overlapping `q`: the mass
@@ -370,6 +412,7 @@ impl<E: Endpoint> MemoryFootprint for DynamicAwit<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::encoded;
     use irs_sampling::stats::chi_square_ok;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -595,6 +638,52 @@ mod tests {
         idx.rebuild();
         assert_eq!(idx.slot_ids, [0, 2, 3, 5, 6, 7, 8]);
         assert_eq!(idx.get(pooled[3]), Some((iv(3, 12), 2.0)));
+    }
+
+    /// Seeded churn over tie-heavy keys with non-uniform weights, then a
+    /// rebuild: the slot table and records hold the live set in id order
+    /// at exact capacity, and the inner tree is byte for byte the one
+    /// `Awit::new` builds over those records. Cases: pool only,
+    /// tombstones only, both, and everything deleted (which crosses
+    /// automatic rebuilds on the way).
+    #[test]
+    fn rebuild_matches_a_fresh_build_over_the_live_records() {
+        for (case, (inserts, deletes)) in [(40, 0), (0, 60), (40, 60), (0, 300)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let draw = |rng: &mut StdRng| {
+                let lo = rng.random_range(0..8i64);
+                let w = rng.random_range(1..100u32) as f64 / 7.0;
+                (iv(lo, lo + rng.random_range(0..4i64)), w)
+            };
+            let (data, weights): (Vec<_>, Vec<_>) = (0..300).map(|_| draw(&mut rng)).unzip();
+            let mut idx = DynamicAwit::new(&data, &weights);
+            let mut live: Vec<(ItemId, (Interval<i64>, f64))> =
+                (0..).zip(data.iter().copied().zip(weights)).collect();
+            for _ in 0..inserts {
+                let (x, w) = draw(&mut rng);
+                live.push((idx.insert(x, w), (x, w)));
+            }
+            for _ in 0..deletes {
+                let (id, _) = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(idx.delete_by_id(id));
+            }
+            assert_eq!(idx.pool_len() > 0, inserts > 0, "case {case}");
+            assert_eq!(idx.tombstone_len() > 0, deletes > 0, "case {case}");
+            idx.rebuild();
+            live.sort_unstable_by_key(|&(id, _)| id);
+            let (ids, recs): (Vec<ItemId>, Vec<_>) = live.into_iter().unzip();
+            assert_eq!((&idx.slot_ids, &idx.records), (&ids, &recs), "case {case}");
+            assert_eq!(idx.slot_ids.capacity(), ids.len());
+            assert_eq!(idx.records.capacity(), ids.len());
+            let (data, weights): (Vec<_>, Vec<_>) = recs.into_iter().unzip();
+            assert!(
+                encoded(&idx.awit) == encoded(&Awit::new(&data, &weights)),
+                "case {case}: rebuilt tree differs from a fresh build"
+            );
+        }
     }
 
     #[test]

@@ -483,6 +483,14 @@ impl<E: Endpoint + FixedCodec> Codec for DynamicAwit<E> {
     }
 }
 
+/// `value`'s snapshot bytes, for tests that compare trees byte for byte.
+#[cfg(test)]
+pub(crate) fn encoded<T: Codec>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.encode_into(&mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

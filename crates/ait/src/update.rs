@@ -7,8 +7,8 @@
 //! home node of an insert or delete) shifts the side once: entries
 //! between the two gaps move by one, entries past the `L` gap by two.
 
-use crate::ait::{Ait, AitNode};
-use crate::build::{BuildEntry, Cols, NIL};
+use crate::ait::{root_run, Ait, AitNode};
+use crate::build::{presorted_with_pool, BuildEntry, Cols, NIL};
 use crate::records::ListKind;
 use irs_core::{Endpoint, Interval, ItemId};
 use std::ops::Range;
@@ -432,25 +432,33 @@ impl<E: Endpoint> Ait<E> {
     /// Rebuilds the tree from scratch, preserving ids and folding in any
     /// pooled insertions. Invoked automatically when the height bound is
     /// violated; also useful after heavy deletion to reclaim arena slots.
+    ///
+    /// The root's `ALl` and `ALr` runs already hold every tree interval
+    /// in the builder's two orders, so the builder's input is those runs
+    /// with the pool merged in, and nothing over all `n` is sorted.
     pub fn rebuild(&mut self) {
-        let entries: Vec<BuildEntry<E>> = (0..)
-            .zip(self.intervals_by_id())
-            .filter_map(|(id, iv)| {
-                Some(BuildEntry {
-                    iv: iv?,
-                    id,
-                    w: 1.0,
-                })
-            })
-            .collect();
-        let next_id = self.next_id;
-        *self = Ait::from_entries(entries, next_id);
+        let table = self.intervals_by_id();
+        let entry = |id: ItemId| BuildEntry {
+            iv: table[id as usize].expect("every id in the tree is live"),
+            id,
+            w: 1.0,
+        };
+        let run = |kind| {
+            root_run(&self.nodes, self.root, kind)
+                .iter()
+                .map(|&id| entry(id))
+        };
+        let pool = self.pool.iter().map(|&(_, id)| entry(id)).collect();
+        let (by_lo, by_hi) =
+            presorted_with_pool(run(ListKind::AllLo), run(ListKind::AllHi), pool, self.len);
+        *self = Ait::from_presorted(by_lo, by_hi, self.next_id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::encoded;
     use irs_core::{BruteForce, RangeCount, RangeSampler, RangeSearch};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -592,6 +600,64 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         assert_eq!(ait.range_count(iv(0, 2001)), bf.range_count(iv(0, 2001)));
+    }
+
+    /// Seeded churn over tie-heavy keys, then a rebuild: the tree is byte
+    /// for byte the one built over `intervals_by_id`. Cases: pool only,
+    /// deletes only, both, everything deleted, and a pool over an empty
+    /// tree.
+    #[test]
+    fn rebuild_matches_a_fresh_build_over_the_live_intervals() {
+        let cases = [
+            (40, 0, 0),
+            (0, 60, 0),
+            (40, 60, 0),
+            (0, 300, 0),
+            (0, 300, 5),
+        ];
+        for (case, (inserts, deletes, pooled_after)) in cases.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let draw = |rng: &mut StdRng| {
+                let lo = rng.random_range(0..8i64);
+                iv(lo, lo + rng.random_range(0..4i64))
+            };
+            let data: Vec<_> = (0..300).map(|_| draw(&mut rng)).collect();
+            let mut ait = Ait::new(&data);
+            let mut live: Vec<(Interval<i64>, ItemId)> = data.iter().copied().zip(0..).collect();
+            for _ in 0..inserts {
+                let x = draw(&mut rng);
+                live.push((x, ait.insert_buffered(x)));
+            }
+            for _ in 0..deletes {
+                let (x, id) = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(ait.delete(x, id));
+            }
+            for _ in 0..pooled_after {
+                ait.insert_buffered(draw(&mut rng));
+            }
+            assert_eq!(
+                ait.pool_len() > 0,
+                inserts + pooled_after > 0,
+                "case {case}"
+            );
+            let entries = (0..)
+                .zip(ait.intervals_by_id())
+                .filter_map(|(id, iv)| {
+                    Some(BuildEntry {
+                        iv: iv?,
+                        id,
+                        w: 1.0,
+                    })
+                })
+                .collect();
+            let expect = Ait::from_entries(entries, ait.next_id);
+            ait.rebuild();
+            ait.validate().unwrap();
+            assert!(
+                encoded(&ait) == encoded(&expect),
+                "case {case}: rebuilt tree differs from a fresh build"
+            );
+        }
     }
 
     proptest! {

@@ -428,8 +428,8 @@ impl<E: GridEndpoint> DynIndex<E> for MutableAit<E> {
         self.idx.range_search_into(q, out);
     }
 
-    // The lazy live table is a cache over `Ait::entries`; only the
-    // tree (with its pool and id allocator) goes to disk.
+    // The lazy live table is a cache over `Ait::intervals_by_id`; only
+    // the tree (with its pool and id allocator) goes to disk.
     fn encode_snapshot(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
         self.idx.encode_into(out);
         Ok(())
