@@ -7,6 +7,9 @@
 //! Records index into one run with run-relative offsets, so the layout
 //! is invisible to records, draws and snapshots.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::build::{build_presorted, build_tree, BuildEntry, BuiltTree, Cols, NodeFactory, NIL};
 use crate::records::{ListKind, NodeRecord};
 use irs_core::{

@@ -12,6 +12,9 @@
 //! ~1.09 attempts per accepted sample — is reproduced by `repro`'s
 //! `aitv_rejections` experiment).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::ait::Ait;
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeSampler,

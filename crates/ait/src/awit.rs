@@ -12,6 +12,9 @@
 //! space (Corollaries 4 and 5). Updates are not supported (§IV's
 //! discussion: a single insertion shifts entire prefix arrays).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::ait::{collect_tree_records, AitFactory, AitNode};
 use crate::build::{build_presorted, build_tree, BuildEntry, BuiltTree, NodeFactory};
 use crate::records::{ListKind, NodeRecord};

@@ -21,6 +21,9 @@
 //!   orders, so it drops the tombstones from them, merges in the sorted
 //!   pool and runs the builder's `O(n log n)` partitioning alone.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::ait::{pool_capacity_for, root_run};
 use crate::awit::{Awit, AwitPrepared, DRAW_CHUNK};
 use crate::build::{presorted_with_pool, BuildEntry, NIL};
@@ -117,7 +120,12 @@ impl<E: Endpoint> DynamicAwit<E> {
             "weights must be positive, got {weight}"
         );
         let id = self.next_id;
-        self.next_id = self.next_id.checked_add(1).expect("id space exhausted");
+        #[expect(
+            clippy::expect_used,
+            reason = "ids are u32 and never reused; the 2^32-th id panics inside the engine's shard containment, which reports ShardFailed"
+        )]
+        let next = self.next_id.checked_add(1).expect("id space exhausted");
+        self.next_id = next;
         self.pool.push((iv, id, weight));
         if self.pool.len() >= self.update_capacity {
             self.rebuild();

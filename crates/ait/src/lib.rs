@@ -22,9 +22,6 @@
 //! drop-in peers of the baselines in `irs-interval-tree`, `irs-hint`, and
 //! `irs-kds`.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod ait;
 mod aitv;
 mod awit;

@@ -18,6 +18,10 @@
 //! id-sorted slot tables) and the id allocator's (no stored id at or
 //! above `next_id`, which the next insert would reissue).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::ait::{Ait, AitNode};
 use crate::aitv::AitV;
 use crate::awit::{Awit, AwitNode};

@@ -8,6 +8,9 @@
 //! records of their ancestors). `|R| = O(log n)`, so the alias table over
 //! record sizes is built in `O(log n)` per query.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 /// Which of the node's four sorted lists a record indexes into.
 ///
 /// The integer tags match the paper's encoding in Algorithm 1

@@ -7,6 +7,9 @@
 //! home node of an insert or delete) shifts the side once: entries
 //! between the two gaps move by one, entries past the `L` gap by two.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::ait::{root_run, Ait, AitNode};
 use crate::build::{presorted_with_pool, BuildEntry, Cols, NIL};
 use crate::records::ListKind;
@@ -278,6 +281,10 @@ impl<E: Endpoint> Ait<E> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "ids are u32 and never reused; the 2^32-th id panics inside the engine's shard containment, which reports ShardFailed"
+    )]
     fn alloc_id(&mut self) -> ItemId {
         let id = self.next_id;
         self.next_id = self.next_id.checked_add(1).expect("id space exhausted");
@@ -438,6 +445,10 @@ impl<E: Endpoint> Ait<E> {
     /// with the pool merged in, and nothing over all `n` is sorted.
     pub fn rebuild(&mut self) {
         let table = self.intervals_by_id();
+        #[expect(
+            clippy::expect_used,
+            reason = "intervals_by_id fills the slot of every id in the root runs and the pool, the only ids looked up here"
+        )]
         let entry = |id: ItemId| BuildEntry {
             iv: table[id as usize].expect("every id in the tree is live"),
             id,

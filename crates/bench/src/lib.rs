@@ -14,9 +14,6 @@
 //!
 //! A value that does not parse, or is below its minimum, is an error.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use irs_core::{Interval64, PreparedSampler, RangeCount};
 use irs_datagen::{DatasetProfile, QueryWorkload};
 use rand::{rngs::SmallRng, SeedableRng};

@@ -42,8 +42,9 @@
 //! lock before touching the book) can never tear a response between an
 //! old backend and a new remap.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// Poisoned locks are recovered, never unwrapped: no bare `unwrap` or
+// `expect` anywhere in the crate.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod persist;
 pub mod planner;
@@ -824,13 +825,11 @@ fn apply_one<E: GridEndpoint>(
 ) -> Result<UpdateOutput, UpdateError> {
     match m {
         Mutation::Insert { iv } | Mutation::InsertWeighted { iv, .. } => {
-            let weight = match m {
-                Mutation::InsertWeighted { weight, .. } => weight,
-                _ => 1.0,
-            };
-            let backend_id = match writer.apply(&[m]).pop().expect("one result per mutation")? {
-                UpdateOutput::Inserted(id) => id,
-                UpdateOutput::Removed => unreachable!("insert cannot answer Removed"),
+            let (backend_id, weight) = match m {
+                Mutation::InsertWeighted { weight, .. } => {
+                    (writer.insert_weighted(iv, weight)?, weight)
+                }
+                _ => (writer.insert(iv)?, 1.0),
             };
             let global = match &mut book.remap {
                 None => {
@@ -856,15 +855,16 @@ fn apply_one<E: GridEndpoint>(
             }
             let backend_id = match &book.remap {
                 None => global,
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every live global id is mapped at swap time or by its insert; a miss would mean a torn swap, which the lock order rules out"
+                )]
                 Some(remap) => *remap
                     .to_backend
                     .get(&global)
                     .expect("live global id must be mapped"),
             };
-            writer
-                .apply(&[Mutation::Delete { id: backend_id }])
-                .pop()
-                .expect("one result per mutation")?;
+            writer.remove(backend_id)?;
             book.live.remove(&global);
             if let Some(remap) = &mut book.remap {
                 remap.to_backend.remove(&global);
@@ -890,10 +890,12 @@ fn translate_outputs<E: GridEndpoint>(
     for result in &mut results {
         if let Ok(QueryOutput::Ids(ids) | QueryOutput::Samples(ids)) = result {
             for id in ids {
-                // Every backend id is remapped at swap time, and
-                // later inserts register theirs; a miss would mean a
-                // torn swap, which the lock order rules out.
-                *id = *remap.to_global.get(id).expect("backend id must be mapped");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every backend id is remapped at swap time, and later inserts register theirs; a miss would mean a torn swap, which the lock order rules out"
+                )]
+                let global = *remap.to_global.get(id).expect("backend id must be mapped");
+                *id = global;
             }
         }
     }

@@ -22,6 +22,10 @@
 //! remap, next global id) that keeps the global-id contract intact
 //! across re-indexes *and* restarts.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::{BackendState, Book, Catalog, Collection, IdMap, WorkloadHints};
 use irs_core::persist::{
     decode_section, encode_section, read_header, write_file_atomic, write_header, Codec,

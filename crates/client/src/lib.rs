@@ -7,6 +7,3 @@
 //! `Engine` / `EngineWriter`. This crate declares no items and stays
 //! only as a manifest entry until the next benchmark-only change
 //! removes it.
-
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]

@@ -46,9 +46,6 @@
 //! slice they were built from ([`ItemId`]); samples and search results are
 //! returned as ids so callers can recover payloads they keep alongside.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod dataset;
 pub mod erased;

@@ -33,6 +33,10 @@
 //! layouts are part of the format spec); `irs-engine` builds its
 //! `save(dir)` / `load(dir)` manifests on top.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::interval::{Endpoint, Interval};
 use std::fmt;
 
@@ -573,8 +577,13 @@ const fn crc_tables() -> [[u32; 256]; 16] {
                 };
                 bit += 1;
             }
-            // audit: allow(no-index): const evaluation; an index out of range fails the build
-            tables[k][b] = c;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "const evaluation; an index out of range fails the build"
+            )]
+            {
+                tables[k][b] = c;
+            }
             k += 1;
         }
         b += 1;
@@ -584,8 +593,11 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 /// One table lookup by the low byte of `i`.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "index is masked with & 0xFF into a 256-entry table"
+)]
 fn lut(table: &[u32; 256], i: u32) -> u32 {
-    // audit: allow(no-index): index is masked with & 0xFF into a 256-entry table
     table[(i & 0xFF) as usize]
 }
 

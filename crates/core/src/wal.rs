@@ -28,6 +28,10 @@
 //!   live writer appends them (a partial trailing frame means "wait",
 //!   not "corrupt"), which is how a primary feeds its subscribers.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::interval::GridEndpoint;
 use crate::mutation::Mutation;
 use crate::persist::{self, Codec, PersistError, Reader};

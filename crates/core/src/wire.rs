@@ -18,6 +18,10 @@
 //! fails to compile until it is assigned a code, rather than silently
 //! falling into a catch-all.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use crate::catalog::CatalogError;
 use crate::mutation::UpdateError;
 use crate::persist::{Codec, PersistError, Reader};

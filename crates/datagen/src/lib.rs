@@ -13,9 +13,6 @@
 //! 1,000 queries) and the weight generator (uniform integers in
 //! `[1, 100]`).
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod csv;
 pub mod profiles;
 pub mod queries;

@@ -96,6 +96,9 @@
 //! return [`UpdateError::ShardFailed`] without being applied, while
 //! those routed to healthy shards in the same batch stand.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::kind::{DynIndex, IndexKind};
 use crate::persist;
 use crate::query::{Query, QueryOutput};
@@ -746,7 +749,10 @@ impl<E: GridEndpoint> Engine<E> {
             if query.is_sampling() {
                 let s = match *query {
                     Query::Sample { s, .. } | Query::SampleWeighted { s, .. } => s,
-                    // audit: allow(no-panic): is_sampling() above admits only the two Sample variants
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "is_sampling() above admits only the two Sample variants"
+                    )]
                     _ => unreachable!(),
                 };
                 scratch.masses.clear();
@@ -968,6 +974,10 @@ impl<E: GridEndpoint> Engine<E> {
     /// suites can exercise the [`QueryError::ShardFailed`] paths.
     /// Hidden, not deprecated: not part of the supported API.
     #[doc(hidden)]
+    #[expect(
+        clippy::panic,
+        reason = "deliberate crash hook, reachable only through this test-only entry point"
+    )]
     pub fn crash_shard_for_tests(&self, shard: usize) {
         let Some(sh) = self.inner.shards.get(shard) else {
             return;
@@ -975,7 +985,6 @@ impl<E: GridEndpoint> Engine<E> {
         let _seat = self.writer();
         sh.contain(|| {
             let _index = sh.index.write().unwrap_or_else(|e| e.into_inner());
-            // audit: allow(no-panic): deliberate crash hook, reachable only through this test-only entry point
             panic!("shard {shard}: crash requested by test hook");
         });
     }

@@ -22,6 +22,9 @@
 //! and surfaced as `None` — mapped to a typed error upstream — where it
 //! is not.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use irs_ait::{Ait, AitV, Awit, DynamicAwit};
 use irs_core::erased::{DynPreparedSampler, Erased, ErasedUpperBound};
 use irs_core::persist::{Codec, PersistError, Reader};

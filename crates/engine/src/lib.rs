@@ -80,8 +80,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// Poisoned locks are recovered, never unwrapped: no bare `unwrap` or
+// `expect` anywhere in the crate.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod engine;
 mod kind;

@@ -27,6 +27,10 @@
 //! [`Engine::save`]: crate::Engine::save
 //! [`Engine::load`]: crate::Engine::load
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use irs_core::persist::{
     crc32, decode_section, encode_section, read_header, write_file_atomic, write_header, Codec,
     PersistError, Reader, ROLE_MANIFEST, ROLE_SHARD,
@@ -261,6 +265,10 @@ pub struct ShardPayload {
 
 impl ShardPayload {
     /// The CRC-verified index section.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the range is the CRC-verified section's position inside `bytes`, taken from that slice when the file was read"
+    )]
     pub fn payload(&self) -> &[u8] {
         &self.bytes[self.payload.clone()]
     }

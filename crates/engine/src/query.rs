@@ -6,6 +6,10 @@
 //! empty result set is `Ok` (an empty sample vector / `Ok(0)` count),
 //! not an error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use irs_core::persist::{Codec, PersistError, Reader};
 use irs_core::{GridEndpoint, Interval, ItemId, Operation};
 

@@ -39,9 +39,6 @@
 //! A measurement baseline only: the engine serves no `IndexKind` built
 //! on it, so it has no snapshot codec.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod index;
 
 pub use index::{HintM, HintPrepared};

@@ -27,9 +27,6 @@
 //! A measurement baseline only: the engine serves no `IndexKind` built
 //! on it, so it has no snapshot codec.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod tree;
 
 pub use tree::{IntervalTree, IntervalTreePrepared};

@@ -31,9 +31,7 @@
 //! the point permutation, node arena, and weight arrays verbatim (see
 //! `DESIGN.md`, "On-disk snapshot format").
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
+mod persist;
 mod tree;
 
 pub use tree::{Kds, KdsPrepared, DEFAULT_LEAF_SIZE};

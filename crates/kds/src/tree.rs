@@ -1,5 +1,8 @@
 //! The array-backed kd-tree and the KDS sampling algorithm.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch, WeightedRangeSampler,
@@ -13,10 +16,10 @@ const DRAW_CHUNK: usize = 64;
 
 /// A 2-D point `(lo, hi)` with its dataset id.
 #[derive(Clone, Copy, Debug)]
-struct Point<E> {
-    lo: E,
-    hi: E,
-    id: ItemId,
+pub(crate) struct Point<E> {
+    pub(crate) lo: E,
+    pub(crate) hi: E,
+    pub(crate) id: ItemId,
 }
 
 const NIL: u32 = u32::MAX;
@@ -24,15 +27,15 @@ const NIL: u32 = u32::MAX;
 /// A kd-tree node over the contiguous point range `[begin, end)`, with the
 /// bounding box of its points.
 #[derive(Clone, Copy, Debug)]
-struct KdNode<E> {
-    begin: u32,
-    end: u32,
-    min_lo: E,
-    max_lo: E,
-    min_hi: E,
-    max_hi: E,
-    left: u32,
-    right: u32,
+pub(crate) struct KdNode<E> {
+    pub(crate) begin: u32,
+    pub(crate) end: u32,
+    pub(crate) min_lo: E,
+    pub(crate) max_lo: E,
+    pub(crate) min_hi: E,
+    pub(crate) max_hi: E,
+    pub(crate) left: u32,
+    pub(crate) right: u32,
 }
 
 impl<E: Endpoint> KdNode<E> {
@@ -71,15 +74,15 @@ pub const DEFAULT_LEAF_SIZE: usize = 16;
 /// ```
 #[derive(Debug)]
 pub struct Kds<E> {
-    points: Vec<Point<E>>,
-    nodes: Vec<KdNode<E>>,
-    root: u32,
-    leaf_size: usize,
+    pub(crate) points: Vec<Point<E>>,
+    pub(crate) nodes: Vec<KdNode<E>>,
+    pub(crate) root: u32,
+    pub(crate) leaf_size: usize,
     /// Prefix sums of weights in `points` order (weighted variant only):
     /// `prefix[i] = Σ_{k≤i} w(points[k])`.
-    weight_prefix: Vec<f64>,
+    pub(crate) weight_prefix: Vec<f64>,
     /// Per-point weights in `points` order, for boundary-leaf filtering.
-    point_weights: Vec<f64>,
+    pub(crate) point_weights: Vec<f64>,
 }
 
 impl<E: Endpoint> Kds<E> {
@@ -441,111 +444,6 @@ impl<E: Endpoint> MemoryFootprint for Kds<E> {
             + vec_bytes(&self.nodes)
             + vec_bytes(&self.weight_prefix)
             + vec_bytes(&self.point_weights)
-    }
-}
-
-// ---------------------------------------------------------------------
-// On-disk codec (see DESIGN.md, "On-disk snapshot format").
-
-use irs_core::persist::{check_arena_link, Codec, PersistError, Reader};
-
-impl<E: Endpoint + Codec> Codec for Point<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.lo.encode_into(out);
-        self.hi.encode_into(out);
-        self.id.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Point {
-            lo: E::decode(r)?,
-            hi: E::decode(r)?,
-            id: ItemId::decode(r)?,
-        })
-    }
-}
-
-impl<E: Endpoint + Codec> Codec for KdNode<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.begin.encode_into(out);
-        self.end.encode_into(out);
-        self.min_lo.encode_into(out);
-        self.max_lo.encode_into(out);
-        self.min_hi.encode_into(out);
-        self.max_hi.encode_into(out);
-        self.left.encode_into(out);
-        self.right.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(KdNode {
-            begin: u32::decode(r)?,
-            end: u32::decode(r)?,
-            min_lo: E::decode(r)?,
-            max_lo: E::decode(r)?,
-            min_hi: E::decode(r)?,
-            max_hi: E::decode(r)?,
-            left: u32::decode(r)?,
-            right: u32::decode(r)?,
-        })
-    }
-}
-
-impl<E: Endpoint + Codec> Codec for Kds<E> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.points.encode_into(out);
-        self.nodes.encode_into(out);
-        self.root.encode_into(out);
-        self.leaf_size.encode_into(out);
-        self.weight_prefix.encode_into(out);
-        self.point_weights.encode_into(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let points: Vec<Point<E>> = Vec::decode(r)?;
-        if points.iter().any(|p| p.id as usize >= points.len()) {
-            return Err(PersistError::Corrupt {
-                what: "kd-tree point id out of range",
-            });
-        }
-        let nodes: Vec<KdNode<E>> = Vec::decode(r)?;
-        let root = u32::decode(r)?;
-        check_arena_link(root, nodes.len(), "kd-tree link out of range")?;
-        for n in &nodes {
-            check_arena_link(n.left, nodes.len(), "kd-tree link out of range")?;
-            check_arena_link(n.right, nodes.len(), "kd-tree link out of range")?;
-        }
-        if nodes
-            .iter()
-            .any(|n| n.begin > n.end || n.end as usize > points.len())
-        {
-            return Err(PersistError::Corrupt {
-                what: "kd-tree node range outside the point array",
-            });
-        }
-        let leaf_size = usize::decode(r)?;
-        if leaf_size == 0 {
-            return Err(PersistError::Corrupt {
-                what: "kd-tree leaf size is zero",
-            });
-        }
-        let weight_prefix: Vec<f64> = Vec::decode(r)?;
-        let point_weights: Vec<f64> = Vec::decode(r)?;
-        if !weight_prefix.is_empty()
-            && (weight_prefix.len() != points.len() || point_weights.len() != points.len())
-        {
-            return Err(PersistError::Corrupt {
-                what: "kd-tree weight arrays do not match the point array",
-            });
-        }
-        Ok(Kds {
-            points,
-            nodes,
-            root,
-            leaf_size,
-            weight_prefix,
-            point_weights,
-        })
     }
 }
 

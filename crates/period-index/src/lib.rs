@@ -32,9 +32,6 @@
 //! | IRS | `Ω(\|q ∩ X\| + s)` | search-then-sample |
 //! | Space | `O(n + buckets · levels)` | leveled start-bucket lists |
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use irs_core::{
     vec_bytes, GridEndpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch, StabbingQuery,

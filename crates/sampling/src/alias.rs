@@ -5,6 +5,9 @@
 //! `O(1)`: pick a cell uniformly, then pick one of its two outcomes by a
 //! biased coin (§II-C of the paper; Walker 1974, Vose 1991).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use rand::{Rng, RngCore};
 
 /// One alias cell: acceptance probability and fallback outcome together,

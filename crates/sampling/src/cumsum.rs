@@ -17,6 +17,9 @@
 //! `partition_point` on longer ones; `sample_prefix_range` always uses
 //! `partition_point`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use rand::{Rng, RngCore};
 
 /// Prefix-sum table over `n` weighted outcomes `0..n`, drawing in
@@ -63,8 +66,8 @@ impl CumulativeSum {
     #[inline]
     pub fn total_weight(&self) -> f64 {
         // Construction rejects empty weight sets, so the fallback is
-        // unreachable — spelled without a panic to keep this file in the
-        // audit's no-panic scope.
+        // unreachable — spelled without a panic to keep this file inside
+        // its `#![deny(clippy::unwrap_used, ..)]` no-panic scope.
         self.prefix.last().copied().unwrap_or(0.0)
     }
 

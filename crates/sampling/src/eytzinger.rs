@@ -16,6 +16,9 @@
 //! steps the final cursor `j ∈ [2^h, 2^{h+1})` encodes the decision path,
 //! and `j - 2^h`, clamped to `len`, *is* the partition point.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::prefetch::prefetch_read;
 use rand::{Rng, RngCore};
 

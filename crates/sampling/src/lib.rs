@@ -17,11 +17,10 @@
 //! [`EYTZINGER_WINDOW_MIN`] are used by no index; they stay only for the
 //! frozen benchmark's `irs_sampling.eytzinger_*` rungs.
 //!
-//! This is the one workspace crate without `#![forbid(unsafe_code)]`: it
-//! holds the prefetch intrinsic and the Eytzinger descent's unchecked
-//! read.
-
-#![deny(missing_docs)]
+//! This is the one workspace crate that does not inherit
+//! `unsafe_code = "forbid"` (its `Cargo.toml` carries its own `[lints]`
+//! table): it holds the prefetch intrinsic and the Eytzinger descent's
+//! unchecked read.
 
 pub mod alias;
 pub mod cumsum;

@@ -27,9 +27,6 @@
 //! | Range search | `O(K log n)` + dedup | why the paper builds on the interval tree instead (§VI) |
 //! | Space | `O(n log n)` | one copy per canonical node |
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use irs_core::{vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, StabbingQuery};
 
 #[derive(Debug)]

@@ -48,8 +48,8 @@
 //! `Promote` request hands it the writer seat. The protocol and failure
 //! model are specified in `DESIGN.md`, "Replication".
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -247,8 +247,11 @@ impl<E: GridEndpoint> ServerHandle<E> {
     pub fn client(&self) -> Engine<E> {
         match &self.shared.backing {
             Backing::Single(slot) => slot.read().unwrap_or_else(|e| e.into_inner()).clone(),
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract for embedders; never reachable from network input"
+            )]
             Backing::Catalog(_) => {
-                // audit: allow(no-panic): documented `# Panics` contract for embedders; never reachable from network input
                 panic!("ServerHandle::client on a catalog server; use ServerHandle::catalog")
             }
         }

@@ -31,9 +31,6 @@
 //! | IRS | `Ω(\|q ∩ X\| + s)` | search-then-sample |
 //! | Space | `O(n + n/c · active)` | event list + snapshots |
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use irs_core::{
     vec_bytes, Endpoint, Interval, ItemId, MemoryFootprint, PreparedSampler, RangeCount,
     RangeSampler, RangeSearch, StabbingQuery,

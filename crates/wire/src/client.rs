@@ -15,6 +15,9 @@
 //! many connections compose exactly like `Client::writer` callers in
 //! one process).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use irs_core::persist::PersistError;
 use irs_core::{ErrorCode, GridEndpoint, Interval, ItemId, Mutation, UpdateOutput, WireError};
 use irs_engine::{Query, QueryOutput};

@@ -19,6 +19,10 @@
 //! for its shutdown flag, so frames may arrive in arbitrarily small
 //! pieces without ever blocking shutdown indefinitely.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use irs_core::persist::crc32;
 use irs_core::{ErrorCode, WireError};
 use std::io::{self, Read, Write};
@@ -177,7 +181,10 @@ impl FrameReader {
                         Err(FrameError::Truncated)
                     };
                 }
-                // audit: allow(no-index): n <= chunk.len() by the Read contract
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "n <= chunk.len() by the Read contract"
+                )]
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e)

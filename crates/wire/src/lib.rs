@@ -36,9 +36,6 @@
 //! [`Mutation`]: irs_core::Mutation
 //! [`QueryOutput`]: irs_engine::QueryOutput
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod frame;
 pub mod message;

@@ -12,6 +12,10 @@
 //! trailing garbage are all typed [`PersistError`]s, which the server
 //! maps to stable wire error codes (see `irs_core::wire`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
+
 use irs_core::persist::{Codec, PersistError, Reader};
 use irs_core::{GridEndpoint, Mutation, UpdateOutput, WireError};
 use irs_engine::{Query, QueryOutput};

@@ -91,7 +91,6 @@
 //! `README.md` in the repository for the architecture and reproduction
 //! methodology.
 
-#![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub use irs_ait::{Ait, AitV, Awit, DynamicAwit, ListKind, NodeRecord, RejectionStats};
